@@ -25,6 +25,7 @@ from .errors import (
 )
 
 __all__ = [
+    "primes_upto",
     "FactorSieve",
     "build_sieve",
     "factorize",
@@ -52,8 +53,18 @@ _SIEVE_GUARD = 10**9
 
 
 # ----------------------------------------------------------------------------
-# Smallest-prime-factor sieve
+# Sieves
 # ----------------------------------------------------------------------------
+
+def primes_upto(limit: int) -> np.ndarray:
+    """All primes p <= limit, ascending (sieve of Eratosthenes)."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.nonzero(sieve)[0]
+
 
 @dataclass(frozen=True)
 class FactorSieve:
@@ -61,10 +72,6 @@ class FactorSieve:
 
     limit: int
     spf: np.ndarray
-
-    def primes(self) -> np.ndarray:
-        idx = np.arange(2, self.limit + 1)
-        return idx[self.spf[2:] == idx]
 
 
 def build_sieve(limit: int) -> FactorSieve:
@@ -339,24 +346,27 @@ def tau_kk_coeffs(limit: int, kv: KappaVector) -> CoeffVector:
 
 
 def tau_chi_coeffs(
-    limit: int, kv: KappaVector, chis: tuple[CharacterTable, ...]
+    limit: int, kv: KappaVector, chis: tuple[CharacterTable | None, ...]
 ) -> CoeffVector:
     """tau_kappa(n; chi) for n <= limit: convolution of the zeta(k_i s) streams
-    with the character-twisted L(k_i s, chi_i) streams."""
+    with the character-twisted L(k_i s, chi_i) streams.  chi_i = None drops
+    the L stream of component i."""
     kappas = kv.integer_exponents()
     if len(chis) != len(kappas):
         raise DomainError("need one character per kappa component")
-    if any(chi.principal for chi in chis):
+    chis_present = [chi for chi in chis if chi is not None]
+    if any(chi.principal for chi in chis_present):
         raise PrincipalCharacterError("characters must be non-principal")
-    exact = all(chi.is_real_integer for chi in chis)
+    exact = all(chi.is_real_integer for chi in chis_present)
     acc = unit_coeffs(limit).values
     if not exact:
         acc = acc.astype(np.complex128)
     for k in kappas:
         acc = _sparse_convolve(acc, _power_stream(limit, k, exact=exact), limit)
     for k, chi in zip(kappas, chis):
-        stream = _power_stream(limit, k, weights=chi, exact=exact)
-        acc = _sparse_convolve(acc, stream, limit)
+        if chi is not None:
+            stream = _power_stream(limit, k, weights=chi, exact=exact)
+            acc = _sparse_convolve(acc, stream, limit)
     return CoeffVector(limit, acc)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import random
 import sys
 import warnings
@@ -314,12 +315,7 @@ def _emit(artifact: dict, config: dict, out_path: str | None) -> bytes:
     if config["format"] == "json":
         text = render_json(artifact)
     else:
-        fields = _CSV_FIELDS.get(config["command"])
-        if fields is None:
-            raise DomainError(
-                f"command {config['command']!r} has no CSV representation"
-            )
-        text = render_csv(fields, artifact["records"])
+        text = render_csv(_CSV_FIELDS[config["command"]], artifact["records"])
     data = text.encode()
     if out_path and out_path != "-":
         with open(out_path, "wb") as fh:
@@ -467,13 +463,6 @@ def _config_from_args(args) -> dict:
     return config
 
 
-def _parse_golden(path: str) -> dict:
-    import json
-
-    with open(path, "rb") as fh:
-        return json.loads(fh.read().decode())
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -481,27 +470,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
-        if args.command == "verify":
-            golden = _parse_golden(args.golden)
-            config = golden["config"]
-            artifact = run_command(config)
-            produced = render_json(artifact).encode()
-            with open(args.golden, "rb") as fh:
-                expected = fh.read()
-            if produced != expected:
-                sys.stderr.write("golden mismatch\n")
-                return EXIT_GOLDEN
-            sys.stdout.write("golden match\n")
-            return EXIT_OK
-        config = _config_from_args(args)
-        artifact = run_command(config)
-        produced = _emit(artifact, config, args.output)
+        expected = None
         if args.golden:
             with open(args.golden, "rb") as fh:
                 expected = fh.read()
-            if produced != expected:
-                sys.stderr.write("golden mismatch\n")
-                return EXIT_GOLDEN
+        if args.command == "verify":
+            config = json.loads(expected)["config"]
+            produced = render_json(run_command(config)).encode()
+        else:
+            config = _config_from_args(args)
+            if config["format"] == "csv" and config["command"] not in _CSV_FIELDS:
+                raise DomainError(
+                    f"command {config['command']!r} has no CSV representation"
+                )
+            produced = _emit(run_command(config), config, args.output)
+        if expected is not None and produced != expected:
+            sys.stderr.write("golden mismatch\n")
+            return EXIT_GOLDEN
+        if args.command == "verify":
+            sys.stdout.write("golden match\n")
         return EXIT_OK
     except AccuracyError as exc:
         sys.stderr.write(f"accuracy error: {exc}\n")

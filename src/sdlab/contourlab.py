@@ -37,7 +37,6 @@ __all__ = [
     "count_w_per_column",
     "bombieri_check",
     "zl_product_many",
-    "zl_coeffs",
     "m_series_coeffs",
     "contour_report",
 ]
@@ -166,31 +165,10 @@ def zl_product_many(
     return out
 
 
-def zl_coeffs(spec: SeriesSpec, limit: int) -> arith.CoeffVector:
-    """Dirichlet coefficients of the zeta*L product (L streams skipped where
-    the character is absent)."""
-    kv = arith.KappaVector(tuple(spec.kappa.kappa))
-    kappas = kv.integer_exponents()
-    exact = all(chi is None or chi.is_real_integer for chi in spec.chis)
-    acc = arith.unit_coeffs(limit).values
-    if not exact:
-        acc = acc.astype(np.complex128)
-    for k in kappas:
-        acc = arith._sparse_convolve(
-            acc, arith._power_stream(limit, k, exact=exact), limit
-        )
-    for k, chi in zip(kappas, spec.chis):
-        if chi is not None:
-            acc = arith._sparse_convolve(
-                acc, arith._power_stream(limit, k, weights=chi, exact=exact), limit
-            )
-    return arith.CoeffVector(limit, acc)
-
-
 def m_series_coeffs(spec: SeriesSpec, limit: int) -> arith.CoeffVector:
     """Coefficients of the truncated inverse series M_x: exactly the Dirichlet
     inverse of the product's coefficient stream, cut at the limit."""
-    return arith.dirichlet_inverse(zl_coeffs(spec, limit))
+    return arith.dirichlet_inverse(arith.tau_chi_coeffs(limit, spec.kappa, spec.chis))
 
 
 def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray) -> np.ndarray:
@@ -334,18 +312,23 @@ def _rect_boundary(s_lo, s_hi, t_lo, t_hi, per_side: int) -> np.ndarray:
     return np.concatenate([bottom, right, top, left])
 
 
-def _winding_number(vals: np.ndarray) -> float:
-    ratios = np.angle(np.roll(vals, -1) / vals)
-    return float(ratios.sum() / (2.0 * math.pi))
+def _winding_number(vals: np.ndarray) -> tuple[float, float]:
+    """Winding number of a sampled closed ring about 0, and the largest
+    sample-to-sample phase step (each step is taken in (-pi, pi])."""
+    steps = np.angle(np.roll(vals, -1) / vals)
+    return float(steps.sum() / (2.0 * math.pi)), float(np.abs(steps).max())
 
 
-def _classify_low_box(grid: BoxGrid, j: int, k: int) -> tuple[int, int]:
+def _classify_low_box(grid: BoxGrid, j: int, k: int) -> int:
     """Zero count in (half-open) box by the argument principle.
 
     The winding rectangle is the box shifted left/down by half a box width and
     a small height fraction, matching the closed-left/open-right semantics:
     numerically relevant zeros sit on the left edge of the bottom row, which
-    the shift turns into interior points.
+    the shift turns into interior points.  The ring is refined while a phase
+    step exceeds pi/2: a zero close to the ring turns the phase by more than
+    pi between samples, which aliases to a step of the other sign and loses
+    a whole turn without leaving a fractional winding.
     """
     cfg, spec = grid.config, grid.spec
     width = grid.sigma[j + 1] - grid.sigma[j]
@@ -365,9 +348,9 @@ def _classify_low_box(grid: BoxGrid, j: int, k: int) -> tuple[int, int]:
         if float(np.min(np.abs(vals))) < 1e-8:
             per_side *= 2
             continue
-        wind = _winding_number(vals)
-        if abs(wind - round(wind)) < 0.1:
-            return int(round(wind)), per_side
+        wind, max_step = _winding_number(vals)
+        if max_step <= 0.5 * math.pi and abs(wind - round(wind)) < 0.1:
+            return int(round(wind))
         per_side *= 2
     raise BoundaryZeroError(
         f"box (j={j}, k={k}): boundary too close to a zero after 3 retries"
@@ -392,7 +375,7 @@ def classify_boxes(grid: BoxGrid) -> BoxGrid:
     for j in range(grid.J_T + 1):
         if grid.regime_low(j):
             for k in range(grid.K_T + 1):
-                wind, _ = _classify_low_box(grid, j, k)
+                wind = _classify_low_box(grid, j, k)
                 grid.windings[j, k] = wind
                 grid.classes[j, k] = 1 if wind >= 1 else 0
         else:

@@ -18,7 +18,7 @@ from math import isqrt
 import numpy as np
 
 from . import specfun
-from .arith import FactorSieve, divisor_le_threshold, _THRESHOLD_GUARD
+from .arith import divisor_le_threshold, primes_upto, _THRESHOLD_GUARD
 from .errors import CapacityError, DomainError, EmptyIntervalError
 
 __all__ = [
@@ -170,7 +170,7 @@ RECORD_FIELDS = ("x", "y", "theta", "indicator", "t", "empirical", "predicted", 
 def _squarefree_table(limit: int) -> np.ndarray:
     sf = np.ones(limit + 1, dtype=bool)
     sf[0] = False
-    for p in range(2, isqrt(limit) + 1):
+    for p in primes_upto(isqrt(limit)):
         sf[p * p :: p * p] = False
     return sf
 
@@ -209,15 +209,6 @@ def enumerate_squarefull(lo: int, hi: int) -> list[int]:
 # Two-squares segmented parity sieve
 # ----------------------------------------------------------------------------
 
-def _primes_upto(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0]
-
-
 def two_squares_count_and_masks(lo: int, hi: int, chunk: int = _CHUNK):
     """Yield (chunk_lo, mask) for n in (chunk_lo, chunk_lo+len(mask)] where
     mask marks integers representable as a sum of two squares.
@@ -232,7 +223,7 @@ def two_squares_count_and_masks(lo: int, hi: int, chunk: int = _CHUNK):
         raise CapacityError(f"hi={hi} exceeds guard {_WINDOW_GUARD}")
     if hi - lo > _WIDTH_GUARD:
         raise CapacityError(f"window width {hi - lo} exceeds guard {_WIDTH_GUARD}")
-    primes = _primes_upto(isqrt(hi))
+    primes = primes_upto(isqrt(hi))
     primes3 = [int(p) for p in primes[primes % 4 == 3]]
     for clo in range(lo, hi, chunk):
         chi_ = min(clo + chunk, hi)
@@ -465,12 +456,10 @@ def _make_report(indicator, x, y, theta, ts, count, sums) -> LawReport:
     )
 
 
-def ddt_mean(x: int, t_grid=DEFAULT_T_GRID, sieve: FactorSieve | None = None) -> LawReport:
+def ddt_mean(x: int, t_grid=DEFAULT_T_GRID) -> LawReport:
     """Plain Cesaro mean (1/x) sum_{n<=x} F_n(t) against the arcsine law."""
     if x < 2:
         raise DomainError("x must be at least 2")
-    if sieve is not None and sieve.limit < x:
-        raise DomainError("sieve limit below x")
     count, sums = _mean_divisor_cdf(0, x, tuple(t_grid))
     return _make_report("all", x, float(x), 1.0, tuple(t_grid), count, sums)
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 
 from . import specfun
-from .arith import CharacterTable, KappaVector, quadratic_character
+from .arith import CharacterTable, KappaVector, primes_upto, quadratic_character
 from .errors import DomainError
 from .powerseries import PowerSeries, ps_pow, taylor_at
 
@@ -26,7 +25,6 @@ __all__ = [
     "ConstantG",
     "ZetaCompositionG",
     "EulerProductG",
-    "DirichletSeriesG",
     "SeriesSpec",
     "ExpansionCoeffs",
     "MainTermResult",
@@ -39,54 +37,22 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------------
-# Stieltjes constants by Euler-Maclaurin (cached, one-time cost)
+# Stieltjes constants (cached per order, one-time cost)
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _log_poly_coeffs(k: int, m: int) -> tuple[Fraction, ...]:
-    """Coefficients c_j with d^m/dt^m [(log t)^k / t] = t^{-(m+1)} sum c_j (log t)^j."""
-    c = {k: Fraction(1)}
-    for step in range(m):
-        nxt: dict[int, Fraction] = {}
-        for j, v in c.items():
-            nxt[j] = nxt.get(j, Fraction(0)) - (step + 1) * v
-            if j >= 1:
-                nxt[j - 1] = nxt.get(j - 1, Fraction(0)) + j * v
-        c = nxt
-    return tuple(c.get(j, Fraction(0)) for j in range(k + 1))
+def _stieltjes(k: int) -> float:
+    # fixed working precision: the double does not depend on the caller's
+    # mpmath context
+    with mpmath.workprec(53):
+        return float(mpmath.stieltjes(k))
 
 
-@lru_cache(maxsize=None)
 def stieltjes_constants(count: int) -> tuple[float, ...]:
-    """gamma_0..gamma_{count-1} by Euler-Maclaurin on sum (log j)^k / j.
-
-    The partial sums reach ~1e19 before cancellation for k near 24, so the
-    accumulation runs at 60 decimal digits and is rounded once at the end.
-    """
+    """gamma_0..gamma_{count-1}, each from mpmath.stieltjes rounded to double."""
     if count > 30:
         raise DomainError("Stieltjes table capped at order 30")
-    M, K = 1200, 18
-    bern = specfun.bernoulli_numbers(2 * K)
-    out = []
-    with mpmath.workdps(60):
-        logs = [mpmath.log(j) for j in range(1, M + 1)]
-        for k in range(count):
-            s = mpmath.mpf(0)
-            for j in range(1, M + 1):
-                s += logs[j - 1] ** k / j
-            lM = logs[M - 1]
-            s -= lM ** (k + 1) / (k + 1)
-            s -= lM**k / (2 * M)
-            for i in range(1, K + 1):
-                coeffs = _log_poly_coeffs(k, 2 * i - 1)
-                deriv = mpmath.mpf(0)
-                for j, c in enumerate(coeffs):
-                    if c:
-                        deriv += mpmath.mpf(c.numerator) / c.denominator * lM**j
-                deriv /= mpmath.mpf(M) ** (2 * i)
-                s -= mpmath.mpf(bern[2 * i].numerator) / bern[2 * i].denominator / math.factorial(2 * i) * deriv
-            out.append(float(s))
-    return tuple(out)
+    return tuple(_stieltjes(k) for k in range(count))
 
 
 def gamma_coeffs(z: complex, kappa: float, order: int) -> tuple[complex, ...]:
@@ -162,13 +128,7 @@ class EulerProductG:
 
     def _primes(self) -> np.ndarray:
         if self._log_primes is None:
-            limit = self.prime_limit
-            sieve = np.ones(limit + 1, dtype=bool)
-            sieve[:2] = False
-            for p in range(2, int(math.isqrt(limit)) + 1):
-                if sieve[p]:
-                    sieve[p * p :: p] = False
-            primes = np.nonzero(sieve)[0]
+            primes = primes_upto(self.prime_limit)
             keep = np.isin(primes % self.modulus, self.residues)
             self._log_primes = np.log(primes[keep].astype(np.float64))
         return self._log_primes
@@ -202,23 +162,6 @@ class EulerProductG:
             "prime_limit": self.prime_limit,
             "extra": [list(x) for x in self.extra],
         }
-
-
-class DirichletSeriesG:
-    """G(s) = sum_{n<=N} c_n n^{-s} (truncated series)."""
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(complex(c) for c in coeffs)
-
-    def __call__(self, s: complex) -> complex:
-        return sum(
-            c * cmath.exp(-s * math.log(n))
-            for n, c in enumerate(self.coeffs, start=1)
-            if c != 0
-        )
-
-    def describe(self) -> dict:
-        return {"kind": "dirichlet_series", "length": len(self.coeffs)}
 
 
 # ----------------------------------------------------------------------------

@@ -107,10 +107,10 @@ def test_criterion_04_landau_ramanujan_consistency():
         f"dev(p=1 mod 4)={dev_wrong:.4f} > 0.05, {elapsed:.1f}s",
     )
     if dev_wrong <= 0.20:
-        # measured: ~0.090; the parenthetical ">20% off" magnitude quoted for
-        # the wrong-congruence failure is not attained: the p=1 (mod 4)
-        # constant 0.7267 sits 9% from the data, far outside the 5% test but
-        # inside 20%.  See the decisions ledger.
+        # measured: dev(p=1 mod 4) = 0.0901; the parenthetical ">20% off"
+        # magnitude quoted for the wrong-congruence failure is not attained:
+        # the p=1 (mod 4) constant 0.7267 sits about 9% from
+        # V(1e8) sqrt(log x) / x, far outside the 5% test but inside 20%.
         print(
             f"ACCEPTANCE 04 note: wrong-congruence deviation {dev_wrong:.4f} "
             f"fails the 5% test as required but is below the quoted 20% figure"

@@ -52,6 +52,12 @@ class TestSieve:
             assert n % p == 0
             assert all(n % q for q in range(2, p))
 
+    def test_primes_upto_matches_spf(self, sieve_1e5):
+        n = np.arange(2, 10**5 + 1)
+        assert np.array_equal(ar.primes_upto(10**5), n[sieve_1e5.spf[2:] == n])
+        assert ar.primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert ar.primes_upto(1).size == 0
+
 
 class TestIndicators:
     def test_squarefull_examples(self, sieve_1e6):
@@ -229,6 +235,24 @@ class TestTauChi:
         principal = ar.CharacterTable(4, (0, 1, 0, 1), principal=True)
         with pytest.raises(PrincipalCharacterError):
             ar.tau_chi_coeffs(50, ar.KappaVector((2, 3)), (chi3, principal))
+
+    def test_absent_character_drops_l_stream(self, chi4):
+        # chis = (None, chi4): zeta(2s) zeta(3s) L(3s, chi4), so tau(n) sums
+        # chi4(c) over n = a^2 b^3 c^3
+        kv = ar.KappaVector((2, 3))
+        tau = ar.tau_chi_coeffs(400, kv, (None, chi4))
+        assert tau.exact
+        want = [0] * 401
+        for a in range(1, 21):
+            for b in range(1, 8):
+                for c in range(1, 8):
+                    n = a * a * b**3 * c**3
+                    if n <= 400:
+                        want[n] += chi4(c)
+        assert tau.values[1:].tolist() == want[1:]
+        principal = ar.CharacterTable(4, (0, 1, 0, 1), principal=True)
+        with pytest.raises(PrincipalCharacterError):
+            ar.tau_chi_coeffs(50, kv, (None, principal))
 
     def test_non_integer_kappa_rejected(self, chi3):
         with pytest.raises(DomainError):

@@ -156,7 +156,12 @@ class TestCommands:
         code, _, _ = run(["sieve", "--limit", "20000000"], capsys)
         assert code == 2
 
-    def test_csv_unavailable_for_contour_exit_2(self, capsys):
+    def test_csv_unavailable_for_contour_exit_2(self, capsys, monkeypatch):
+        # rejected before anything is computed
+        def never(config):
+            raise AssertionError("contour ran before the CSV check")
+
+        monkeypatch.setitem(cli.COMMANDS, "contour", never)
         code, _, _ = run(["contour", "--T", "200", "--format", "csv"], capsys)
         assert code == 2
 

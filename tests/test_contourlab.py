@@ -111,6 +111,15 @@ class TestClassification:
         assert grid200.classes[0, k] == 1
         assert grid200.windings[0, k] == 3
 
+    def test_critical_line_counts_match_reference_zeros(self, grid200):
+        # zeros of zeta and L(s, chi4) with ordinates in each box's winding
+        # ring (tau_k - h, tau_{k+1} - h), h = log(200)/1024, counted from
+        # mpmath zero tables: 80 of zeta and 125 of L(s, chi4)
+        want = [1, 1, 3, 3, 3, 4, 4, 5, 4, 5, 4, 5, 6, 5, 6, 5, 5, 7, 5, 6,
+                6, 6, 6, 7, 5, 8, 6, 6, 7, 6, 6, 8, 6, 7, 7, 6, 8, 7]
+        assert sum(want) == 205
+        assert grid200.windings[0].tolist() == want
+
     def test_all_classified(self, grid200):
         assert (grid200.classes >= 0).all()
 
@@ -148,8 +157,10 @@ class TestClassification:
     def test_winding_number_unit(self):
         theta = 2 * math.pi * np.arange(64) / 64
         ring = 0.3 + 0.1j + 0.2 * np.exp(1j * theta)
-        assert cl._winding_number(ring - (0.3 + 0.1j)) == pytest.approx(1.0)
-        assert cl._winding_number(ring - (2.0 + 0j)) == pytest.approx(0.0, abs=1e-12)
+        wind, max_step = cl._winding_number(ring - (0.3 + 0.1j))
+        assert wind == pytest.approx(1.0)
+        assert max_step == pytest.approx(2 * math.pi / 64)
+        assert cl._winding_number(ring - (2.0 + 0j))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_zeta_spec_first_zero_box(self):
         # no L factors: only the zeta zeros mark boxes; at T=100 the single
@@ -168,7 +179,7 @@ class TestClassification:
         assert grid.windings[0, k_first] == 1
         assert (grid.classes[0, :k_first] == 0).all()
         # pure zeta product: all-ones coefficients, Moebius inverse
-        coeffs = cl.zl_coeffs(spec, 50)
+        coeffs = ar.tau_chi_coeffs(50, spec.kappa, spec.chis)
         assert all(coeffs[n] == 1 for n in range(1, 51))
         m = cl.m_series_coeffs(spec, 50)
         assert m[1] == 1 and m[6] == 1 and m[4] == 0 and m[30] == -1

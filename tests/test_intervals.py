@@ -109,7 +109,7 @@ class TestDdtMean:
         # engine vs direct divisor_cdf summation, exact to rounding
         grid = iv.DEFAULT_T_GRID + (0.0, 1.0)
         for x in (47, 300, 1500):
-            rep = iv.ddt_mean(x, grid, sieve_1e6)
+            rep = iv.ddt_mean(x, grid)
             for i, t in enumerate(grid):
                 direct = (
                     1.0

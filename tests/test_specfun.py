@@ -204,7 +204,7 @@ class TestHurwitz:
         got = sf.hurwitz_zeta(3.0, 0.25).real
         assert got == pytest.approx(want, abs=1e-9)
         # recomputed oracle value (the quoted 64.38964737 in the source sheet
-        # does not match its own stated oracle; see decisions ledger)
+        # does not match its own stated oracle)
         assert got == pytest.approx(64.66386996876846, abs=1e-9)
 
     def test_domain(self):
@@ -296,7 +296,7 @@ class TestPowBeta:
             2 * math.pi / math.sqrt(3), abs=1e-12
         )
         # recomputed quadrature oracle value (last digits of the quoted
-        # 7.416297853 disagree with the oracle; see ledger)
+        # 7.416297853 disagree with the oracle)
         assert sf.beta_fn(0.25, 0.25) == pytest.approx(7.416298709205487, abs=1e-10)
 
     def test_beta_domain(self):
@@ -327,7 +327,7 @@ class TestRegIncBeta:
             assert err < 1e-9
             assert sf.reg_inc_beta(t, u, v) == pytest.approx(want / b, abs=1e-9)
         # recomputed oracle value at t=0.3 (the quoted 0.47637 is the (u,v)-
-        # swapped value; see ledger)
+        # swapped value)
         assert sf.reg_inc_beta(0.3, u, v) == pytest.approx(0.2030211290780204, abs=1e-9)
 
     def test_complement(self, rng):
