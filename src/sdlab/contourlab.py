@@ -187,7 +187,7 @@ def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# frak M: grid maximum of |prod zeta(kappa_i s)|^2
+# frak M: maximum of |prod zeta(kappa_i s)|^2 on the outer ring of a grid
 # ----------------------------------------------------------------------------
 
 def frak_m(
@@ -197,12 +197,22 @@ def frak_m(
     density: int = 8,
     refine_check: bool = True,
 ) -> float:
-    """Grid maximum of |prod_i zeta(kappa_i s)|^2 over sigma >= varsigma,
-    1 <= |tau| <= T, at `density` samples per box side.
+    """Maximum of |prod_i zeta(kappa_i s)|^2 over sigma >= varsigma,
+    1 <= |tau| <= T, sampled on the outer ring of a grid with `density`
+    samples per box side.
 
     The sigma scan stops at 2/kappa_1 where the absolutely-convergent triangle
     bound prod zeta(2 kappa_i/kappa_1)^2 takes over (the max of the two is
-    returned).  Conjugate symmetry reduces tau to [1, T].
+    returned).  Conjugate symmetry reduces tau to [1, T].  The product is
+    analytic on the closed rectangle varsigma <= sigma <= 2/kappa_1,
+    1 <= tau <= T (its poles s = 1/kappa_i are real), so by the
+    maximum-modulus principle its maximum there lies on the boundary: only
+    the grid's first and last sigma columns and first and last tau rows are
+    evaluated.  They go in three zeta batches (left column, right column,
+    both rows) so that each batch has the largest |Im s| of a full column.
+    Euler-Maclaurin picks its head length and precision from that value, so
+    every ring value is bit-identical to the same node in a full-grid scan,
+    and no batch is longer than a column or the two rows.
     """
     k1 = spec.kappa1
     if varsigma < 1.0 / (2.0 * k1) - 1e-12:
@@ -218,9 +228,9 @@ def frak_m(
         sig = np.arange(varsigma, sig_hi + width / dens, width / dens)
         taus = np.arange(1.0, T + height / dens, height / dens)
         taus = taus[taus <= T]
+        rows = np.concatenate([sig + 1j * taus[0], sig + 1j * taus[-1]])
         best = 0.0
-        for sg in sig:
-            s = sg + 1j * taus
+        for s in (sig[0] + 1j * taus, sig[-1] + 1j * taus, rows):
             vals = np.ones_like(s)
             for k in spec.kappa.kappa:
                 vals = vals * specfun.zeta_many(k * s, _SCAN_PARAMS)

@@ -376,4 +376,4 @@ def test_criterion_10_contour_structure():
     assert stability >= 0.99
     assert finite_ok
     assert golden_ok
-    assert elapsed < 600.0
+    assert elapsed < 30.0

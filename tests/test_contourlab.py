@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -41,6 +42,30 @@ def grid200(zl_spec):
     return cl.classify_boxes(grid)
 
 
+@functools.lru_cache(maxsize=None)
+def _full_grid_max(varsigma, T, kappa, density):
+    """|prod zeta(kappa_i s)|^2 maximised over every node of the 2-D grid
+    (one zeta batch per sigma column), floored by the triangle bound.  Cached
+    by kappa: zeta L(chi_4) and pure zeta share the same zeta product."""
+    k1 = kappa[0]
+    lt = math.log(T)
+    dsig = 1.0 / (k1 * lt) / density
+    dtau = lt / k1 / density
+    sig = np.arange(varsigma, max(2.0 / k1, varsigma) + dsig, dsig)
+    taus = np.arange(1.0, T + dtau, dtau)
+    taus = taus[taus <= T]
+    best = 0.0
+    for sg in sig:
+        vals = np.ones(taus.size, dtype=np.complex128)
+        for k in kappa:
+            vals = vals * sf.zeta_many(k * (sg + 1j * taus), cl._SCAN_PARAMS)
+        best = max(best, float(np.max(np.abs(vals) ** 2)))
+    tail = 1.0
+    for k in kappa:
+        tail *= sf.zeta_complex(2.0 * k / k1).real ** 2
+    return max(best, tail)
+
+
 class TestFrakM:
     def test_triangle_bound_deep_right(self, zl_spec):
         # varsigma beyond the abscissa: value within the absolute-convergence
@@ -63,6 +88,49 @@ class TestFrakM:
     def test_domain(self, zl_spec):
         with pytest.raises(DomainError):
             cl.frak_m(0.3, 100.0, zl_spec)
+
+    @pytest.mark.parametrize(
+        "name, T, density",
+        [
+            (name, T, density)
+            for name in ("zl4", "zeta", "kappa23")
+            for T in (100.0, 400.0)
+            for density in (8, 16)
+            # kappa = (2, 3) samples zeta up to Im s = 3T on a grid twice as
+            # tall; its T = 400 full-grid oracle alone takes about 50 s
+            if not (name == "kappa23" and T == 400.0)
+        ],
+    )
+    def test_ring_equals_full_grid_oracle(self, zl_spec, name, T, density):
+        spec = {
+            "zl4": zl_spec,
+            "zeta": sd.SeriesSpec(
+                kappa=KappaVector((1.0,)), z=(1 + 0j,), w=(0j,), chis=(None,),
+                name="zeta",
+            ),
+            "kappa23": sd.SeriesSpec(
+                kappa=KappaVector((2.0, 3.0)), z=(1 + 0j, 1 + 0j), w=(0j, 0j),
+                chis=(None, None), name="kappa23",
+            ),
+        }[name]
+        k1 = spec.kappa1
+        for varsigma in (1.0 / (2.0 * k1), 0.8 / k1, 1.5 / k1):
+            got = cl.frak_m(varsigma, T, spec, density, refine_check=False)
+            assert got == _full_grid_max(varsigma, T, spec.kappa.kappa, density)
+
+    def test_ring_scan_cost(self, zl_spec, monkeypatch):
+        sizes = []
+        zeta_many = sf.zeta_many
+
+        def counting(s, params=sf.DEFAULT_PARAMS):
+            sizes.append(np.asarray(s).size)
+            return zeta_many(s, params)
+
+        monkeypatch.setattr(sf, "zeta_many", counting)
+        cl.frak_m(0.5, 1600.0, zl_spec, 8, refine_check=False)
+        # ring of the 90 x 1734 grid, 3,648 points: two columns, then both
+        # rows together (the full grid is 90 batches, 156,060 points)
+        assert sizes == [1734, 1734, 180]
 
 
 class TestBuildGrid:
@@ -130,13 +198,27 @@ class TestClassification:
         # no zeros off the critical line at these heights
         assert (grid200.classes[1] == 0).all()
 
-    def test_high_range_threshold(self, zl_spec, grid200):
-        # exercise the sampled-minimum branch directly on synthetic rows
-        m = cl.m_series_coeffs(zl_spec, 50)
-        mn = cl._classify_high_box(grid200, 1, 3, m.values)
-        assert mn > 0
-        # monotone consistency: the recorded class from a 1/2 threshold
-        assert (mn < 0.5) == (mn < 0.5)
+    def test_high_range_threshold(self, zl_spec):
+        # epsilon = 0.2 puts row 2 (sigma = 0.877) above 1 - epsilon, so it is
+        # classified by the sampled minimum of |zeta L M_N| with N = 2000
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            grid = cl.build_grid(
+                cl.ContourConfig(T=200.0, C0=0.1, epsilon=0.2, nj_cap=2000),
+                zl_spec,
+            )
+        cl.classify_boxes(grid)
+        assert grid.J_T == 2
+        assert [grid.regime_low(j) for j in range(3)] == [True, True, False]
+        assert grid.N_j[2] == 2000
+        mins = grid.sampled_min[2]
+        assert np.isfinite(mins).all()
+        assert np.isnan(grid.sampled_min[:2]).all()
+        assert np.array_equal(grid.classes[2], (mins < 0.5).astype(np.int8))
+        assert (grid.windings[2] == -1).all()
+        m = cl.m_series_coeffs(zl_spec, 2000).values
+        for k in (0, grid.K_T):
+            assert cl._classify_high_box(grid, 2, k, m) == mins[k]
 
     def test_stability_under_density_doubling(self, zl_spec, grid200):
         with warnings.catch_warnings():
