@@ -493,7 +493,7 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         sys.stderr.write(f"accuracy error: {exc}\n")
         return EXIT_ACCURACY
-    except (ToolkitError, ValueError, OSError, KeyError) as exc:
+    except (ToolkitError, ValueError, OverflowError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

@@ -3,10 +3,12 @@ squares window counts, Cesaro means of the divisor distribution F_n(t), and
 comparisons against their limit laws (arcsine, beta, and the square-full law).
 
 The window engine never factors individual integers.  Divisor statistics come
-from looping d <= sqrt(hi) over multiples (small divisors determine F_n(t) on
-both halves of [0,1] through the d <-> n/d pairing), square-full members come
-from the a^2 b^3 parametrization with b squarefree, and the two-squares
-indicator comes from a segmented parity sieve over primes p = 3 (mod 4).
+from looping d <= sqrt(hi) over multiples: small divisors determine F_n(t) on
+both halves of [0,1] through the d <-> n/d pairing, and arith's
+divisor_le_threshold decides both halves, the upper one on the cofactor n/d.
+Square-full members come from the a^2 b^3 parametrization with b squarefree,
+and the two-squares indicator comes from a segmented parity sieve over primes
+p = 3 (mod 4).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "two_squares_count_and_masks",
     "ddt_mean",
     "weighted_fn_mean",
-    "error_profile",
     "arcsine_law",
     "squarefull_divisor_law",
 ]
@@ -265,59 +266,46 @@ def count_two_squares(lo: int, hi: int) -> int:
 # Window divisor-distribution engine
 # ----------------------------------------------------------------------------
 
-def _divisor_lt_strict(d: int, n: int, w: float) -> bool:
-    """d < n**w with the complementary guard: exact complement of
-    divisor_le_threshold applied to the cofactor n/d at t = 1-w."""
-    if n == 1:
-        return False
-    return math.log(d) < w * math.log(n) - _THRESHOLD_GUARD
+def _t_grid(t_grid) -> tuple[float, ...]:
+    ts = tuple(float(t) for t in t_grid)
+    if not ts:
+        raise DomainError("t grid is empty")
+    if any(not 0.0 <= t <= 1.0 for t in ts):
+        raise DomainError("t grid must lie within [0, 1]")
+    return ts
 
 
-def _first_k_nonstrict(d: int, t: float, k_hint: int) -> int:
-    """Smallest k >= 1 with divisor_le_threshold(d, d*k, t)."""
-    k = max(1, k_hint)
-    while k > 1 and divisor_le_threshold(d, d * (k - 1), t):
-        k -= 1
-    while not divisor_le_threshold(d, d * k, t):
-        k += 1
-    return k
+def _run_start(d: int, t: float, upper: bool, hi: int):
+    """Smallest k >= 1 at which n = d*k passes the half's threshold test, or
+    None when that n lies past 2*hi (such a run is empty in every chunk).
 
+    Lower half: divisor_le_threshold(d, n, t).  Upper half: the cofactor k
+    exceeds n**t, i.e. not divisor_le_threshold(k, n, t).  Both tests hold
+    from their start on.  The hint n = d**(1/t), resp. d**(1/(1-t)), only
+    seeds a galloping search, since the predicate's guard band can move the
+    start far from it (d = 1 with t within 1e-12 of 1).
+    """
+    e = 1.0 - t if upper else t
+    log_d = math.log(d)
+    if log_d >= e * math.log(2.0 * hi):
+        return 1 if d == 1 and not upper else None  # divisor 1 is <= n**0
 
-def _first_k_strict(d: int, w: float, k_hint: int) -> int:
-    k = max(1, k_hint)
-    while k > 1 and _divisor_lt_strict(d, d * (k - 1), w):
-        k -= 1
-    while not _divisor_lt_strict(d, d * k, w):
-        k += 1
-    return k
+    def passes(k: int) -> bool:
+        if upper:
+            return not divisor_le_threshold(k, d * k, t)
+        return divisor_le_threshold(d, d * k, t)
 
-
-def _run_starts(d: int, lo_ts: list[float], hi_ws: list[float], hi: int):
-    """First multiple index k of d reaching each threshold (descending in the
-    threshold index), or None when unreachable below hi."""
-    kA = []
-    for t in lo_ts:
-        if d == 1:
-            kA.append(1)
-            continue
-        if t <= 0.0:
-            kA.append(None)
-            continue
-        hint = int(math.ceil(math.exp((math.log(d) - _THRESHOLD_GUARD) / t) / d)) if (
-            (math.log(d) - _THRESHOLD_GUARD) / t < math.log(hi * 2.0)
-        ) else None
-        kA.append(_first_k_nonstrict(d, t, hint) if hint is not None else None)
-    kB = []
-    for w in hi_ws:
-        if w <= 0.0:
-            kB.append(None)
-            continue
-        hint_log = (math.log(d) + _THRESHOLD_GUARD) / w
-        hint = (
-            int(math.ceil(math.exp(hint_log) / d)) if hint_log < math.log(hi * 2.0) else None
-        )
-        kB.append(_first_k_strict(d, w, hint) if hint is not None else None)
-    return kA, kB
+    k = math.ceil(math.exp(log_d / e) / d)
+    fail, ok, step = 0, 2 * hi // d + 1, 1  # the start lies in (fail, ok]
+    while ok - fail > 1:
+        if not fail < k < ok:
+            k = (fail + ok) // 2
+        if passes(k):
+            ok, k = k, k - step
+        else:
+            fail, k = k, k + step
+        step *= 2
+    return ok if d * ok <= 2 * hi else None
 
 
 def _mean_divisor_cdf(
@@ -329,25 +317,28 @@ def _mean_divisor_cdf(
 ):
     """(count, sums) with sums[i] = sum over selected n in (lo, hi] of F_n(t_i).
 
+    Each divisor of n pairs as d <-> n/d with d <= sqrt(n), and both halves
+    are decided by arith.divisor_le_threshold, as in the per-n divisor_cdf.
+    For t <= 1/2, F_n(t) is the share of small divisors d with d <= n**t.
+    For t > 1/2 every small divisor lies below n**t, and F_n(t) is 1 minus
+    the share of small divisors whose cofactor n/d exceeds n**t.
+
     mask_chunks: optional iterable of (chunk_lo, bool mask) aligned with the
     chunking used here; None selects every integer in the window.
     """
-    ts = [float(t) for t in t_grid]
-    if any(not 0.0 <= t <= 1.0 for t in ts):
-        raise DomainError("t grid must lie within [0, 1]")
-    lo_map = [i for i, t in enumerate(ts) if t <= 0.5]
-    hi_map = [i for i, t in enumerate(ts) if t > 0.5]
-    lo_ts = [ts[i] for i in lo_map]
-    hi_ws = [1.0 - ts[i] for i in hi_map]
-    # ascending thresholds give monotone run boundaries
-    loc_sortA = sorted(range(len(lo_ts)), key=lambda i: lo_ts[i])
-    loc_sortB = sorted(range(len(hi_ws)), key=lambda i: hi_ws[i])
-    L = [lo_ts[i] for i in loc_sortA]
-    W = [hi_ws[i] for i in loc_sortB]
-    nL, nW = len(L), len(W)
+    ts = _t_grid(t_grid)
+    # lower half by ascending t, upper half by descending t: run starts then
+    # descend within a half, so the runs nest and a cumsum counts them
+    lower = sorted((i for i, t in enumerate(ts) if t <= 0.5), key=lambda i: ts[i])
+    upper = sorted((i for i, t in enumerate(ts) if t > 0.5), key=lambda i: -ts[i])
+    order = lower + upper
+    halves = ((0, len(lower), False), (len(lower), len(order), True))
 
     D = isqrt(hi)
-    bounds = [_run_starts(d, L, W, hi) for d in range(1, D + 1)]
+    starts = [
+        [_run_start(d, ts[i], c >= len(lower), hi) for c, i in enumerate(order)]
+        for d in range(1, D + 1)
+    ]
 
     count = 0
     sums = np.zeros(len(ts), dtype=np.float64)
@@ -357,14 +348,12 @@ def _mean_divisor_cdf(
         chigh = min(clo + chunk, hi)
         m = chigh - clo
         tau = np.zeros(m, dtype=np.int32)
-        CA = np.zeros((m, nL), dtype=np.int16) if nL else None
-        CB = np.zeros((m, nW), dtype=np.int16) if nW else None
+        runs = np.zeros((m, len(order)), dtype=np.int16)
         for d in range(1, D + 1):
             k_lo = clo // d + 1
             k_hi = chigh // d
             if k_lo > k_hi:
                 continue
-            kA, kB = bounds[d - 1]
             off = d * k_lo - clo - 1  # position of first multiple in chunk
             # tau: pairs d < sqrt(n) add 2; d = sqrt(n) adds 1
             k_pair = max(k_lo, d + 1)
@@ -372,53 +361,33 @@ def _mean_divisor_cdf(
                 tau[off + (k_pair - k_lo) * d :: d] += 2
             if k_lo <= d <= k_hi:
                 tau[off + (d - k_lo) * d] += 1
-            prev = None  # run upper bound (exclusive); None = infinity
-            for i in range(nL):
-                ki = kA[i]
-                if ki is None:
-                    continue  # threshold unreachable below hi; run is empty
-                a = max(ki, k_lo)
-                b = min(prev if prev is not None else k_hi + 1, k_hi + 1)
-                if a < b:
-                    CA[off + (a - k_lo) * d : off + (b - 1 - k_lo) * d + 1 : d, i] += 1
-                prev = ki
-                if prev <= k_lo:
-                    break
-            prev = None
-            for j in range(nW):
-                kj = kB[j]
-                if kj is None:
-                    continue
-                a = max(kj, k_lo)
-                b = min(prev if prev is not None else k_hi + 1, k_hi + 1)
-                if a < b:
-                    CB[off + (a - k_lo) * d : off + (b - 1 - k_lo) * d + 1 : d, j] += 1
-                prev = kj
-                if prev <= k_lo:
-                    break
+            ks = starts[d - 1]
+            for c0, c1, _ in halves:
+                b = k_hi + 1  # run upper bound (exclusive)
+                for c in range(c0, c1):
+                    kc = ks[c]
+                    if kc is None:
+                        continue
+                    a = max(kc, k_lo)
+                    if a < b:
+                        runs[off + (a - k_lo) * d : off + (b - 1 - k_lo) * d + 1 : d, c] += 1
+                    if kc <= k_lo:
+                        break
+                    b = min(kc, k_hi + 1)
         if mask_iter is not None:
             mlo, mask = next(mask_iter)
             if mlo != clo or mask.shape[0] != m:
                 raise DomainError("mask chunks misaligned with window chunks")
-        else:
-            mask = None
-        tau_f = tau.astype(np.float64)
-        if mask is not None:
-            sel = mask
             count += int(mask.sum())
-            tau_sel = tau_f[sel]
+            runs, tau = runs[mask], tau[mask]
         else:
-            sel = slice(None)
             count += m
-            tau_sel = tau_f
-        if nL:
-            ca = np.cumsum(CA[sel].astype(np.float64), axis=1)
-            for loc, orig in enumerate(loc_sortA):
-                sums[lo_map[orig]] += float((ca[:, loc] / tau_sel).sum())
-        if nW:
-            cb = np.cumsum(CB[sel].astype(np.float64), axis=1)
-            for loc, orig in enumerate(loc_sortB):
-                sums[hi_map[orig]] += float((1.0 - cb[:, loc] / tau_sel).sum())
+        tau_f = tau.astype(np.float64)
+        for c0, c1, upper_half in halves:
+            cum = np.cumsum(runs[:, c0:c1], axis=1, dtype=np.float64)
+            for c in range(c0, c1):
+                frac = cum[:, c - c0] / tau_f
+                sums[order[c]] += float((1.0 - frac if upper_half else frac).sum())
     return count, sums
 
 
@@ -460,8 +429,11 @@ def ddt_mean(x: int, t_grid=DEFAULT_T_GRID) -> LawReport:
     """Plain Cesaro mean (1/x) sum_{n<=x} F_n(t) against the arcsine law."""
     if x < 2:
         raise DomainError("x must be at least 2")
-    count, sums = _mean_divisor_cdf(0, x, tuple(t_grid))
-    return _make_report("all", x, float(x), 1.0, tuple(t_grid), count, sums)
+    if x > _WIDTH_GUARD:
+        raise CapacityError(f"x={x} exceeds guard {_WIDTH_GUARD}")
+    ts = _t_grid(t_grid)
+    count, sums = _mean_divisor_cdf(0, x, ts)
+    return _make_report("all", x, float(x), 1.0, ts, count, sums)
 
 
 def _squarefull_window_mean(spec: IntervalSpec, ts):
@@ -516,7 +488,7 @@ def weighted_fn_mean(indicator: str, spec: IntervalSpec, t_grid=DEFAULT_T_GRID) 
     """Indicator-weighted mean of F_n(t) over the window, with the matching
     limit-law prediction: I_t(1/4, 1/4) for sums of two squares and
     squarefull_divisor_law for square-full n."""
-    ts = tuple(float(t) for t in t_grid)
+    ts = _t_grid(t_grid)
     if indicator == "squarefull":
         count, sums = _squarefull_window_mean(spec, ts)
     elif indicator == "two_squares":
@@ -527,17 +499,3 @@ def weighted_fn_mean(indicator: str, spec: IntervalSpec, t_grid=DEFAULT_T_GRID) 
     else:
         raise DomainError(f"unknown indicator {indicator!r}")
     return _make_report(indicator, spec.x, spec.y, spec.theta, ts, count, sums)
-
-
-def error_profile(indicator: str, xs, theta: float, t_grid=DEFAULT_T_GRID, kappa1: float | None = None) -> list[LawReport]:
-    """One LawReport per x; exhibits the decay of sup_error along xs."""
-    xs = list(xs)
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise DomainError("xs must be strictly increasing")
-    if kappa1 is None:
-        kappa1 = 2.0 if indicator == "squarefull" else 1.0
-    out = []
-    for x in xs:
-        spec = IntervalSpec(x=int(x), theta=float(theta), kappa1=kappa1)
-        out.append(weighted_fn_mean(indicator, spec, t_grid))
-    return out

@@ -107,6 +107,15 @@ class TestCommands:
         code, _, _ = run(["ddt"], capsys)  # missing --x
         assert code == 2
 
+    def test_infinite_bound_exit_2(self, capsys):
+        for args in (
+            ["ddt", "--x", "inf"],
+            ["count", "--indicator", "two_squares", "--lo", "0", "--hi", "inf"],
+        ):
+            code, _, err = run(args, capsys)
+            assert code == 2
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_expand_command(self, capsys):
         code, stdout, _ = run(["expand", "--app", "squarefull", "--order", "4"], capsys)
         assert code == 0

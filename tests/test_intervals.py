@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import warnings
@@ -136,6 +137,46 @@ class TestDdtMean:
         assert all(b >= a for a, b in zip(rep.empirical, rep.empirical[1:]))
         assert rep.empirical[-1] <= 1.0
 
+    def test_records_schema(self):
+        rep = iv.ddt_mean(1000)
+        rows = rep.records()
+        assert list(rows[0].keys()) == list(iv.RECORD_FIELDS)
+        assert len(rows) == len(iv.DEFAULT_T_GRID)
+
+    def test_guards(self):
+        with pytest.raises(DomainError, match="empty"):
+            iv.ddt_mean(10**6, ())
+        with pytest.raises(CapacityError):
+            iv.ddt_mean(10**9 + 1)
+
+
+class TestMeanDivisorCdf:
+    def test_chunk_boundaries_match_per_n_oracle(self, sieve_1e6):
+        # a chunk of 997 cuts the window into six chunks; the grid is unsorted,
+        # repeats 0.5 and holds both endpoints
+        lo, hi = 10**5 + 3, 10**5 + 5003
+        grid = (0.9, 0.1, 0.5, 0.0, 1.0, 0.75, 0.25, 0.5, 0.55)
+        for masks in (None, iv.two_squares_count_and_masks(lo, hi, chunk=997)):
+            count, sums = iv._mean_divisor_cdf(lo, hi, grid, mask_chunks=masks, chunk=997)
+            ns = [
+                n for n in range(lo + 1, hi + 1)
+                if masks is None or ar.is_sum_two_squares(n, sieve_1e6)
+            ]
+            assert count == len(ns)
+            for i, t in enumerate(grid):
+                direct = sum(float(ar.divisor_cdf(n, t, sieve_1e6)) for n in ns)
+                assert sums[i] / count == pytest.approx(direct / count, abs=1e-12), t
+
+    def test_run_start_far_from_hint(self):
+        # the guard band puts the d = 1 upper-half start at about
+        # exp(1e-11 / (1 - t)); the hint n = 1 misses it by 22,000 at
+        # t = 1 - 1e-12 and by more than 2*hi at t = 1 - 1e-13
+        t = 1.0 - 1e-12
+        want = next(k for k in itertools.count(1) if not ar.divisor_le_threshold(k, k, t))
+        assert want > 20000
+        assert iv._run_start(1, t, True, 10**12) == want
+        assert iv._run_start(1, 1.0 - 1e-13, True, 10**12) is None
+
 
 class TestWeightedMeans:
     def test_matches_brute_force(self, sieve_1e6):
@@ -182,6 +223,15 @@ class TestWeightedMeans:
         assert spec.hi < 144
         with pytest.raises(EmptyIntervalError):
             iv.weighted_fn_mean("squarefull", spec, (0.5,))
+
+    def test_empty_t_grid(self):
+        for indicator, theta, k1 in (
+            ("two_squares", 0.8, 1.0),
+            ("squarefull", 0.45, 2.0),
+        ):
+            spec = iv.IntervalSpec(x=10**6, theta=theta, kappa1=k1)
+            with pytest.raises(DomainError, match="empty"):
+                iv.weighted_fn_mean(indicator, spec, ())
 
     def test_unknown_indicator(self):
         spec = iv.IntervalSpec(x=1000, theta=0.5, kappa1=1.0)
@@ -254,22 +304,3 @@ class TestSquarefullLaw:
                 self.G(t)
             best = min(best, time.perf_counter() - t0)
         assert best < 0.05
-
-
-class TestErrorProfile:
-    def test_shapes(self):
-        reps = iv.error_profile("two_squares", [10**4, 10**5], 0.8)
-        assert [r.x for r in reps] == [10**4, 10**5]
-        assert iv.error_profile("two_squares", [], 0.8) == []
-        single = iv.error_profile("squarefull", [10**5], 0.45)
-        assert len(single) == 1
-
-    def test_xs_must_increase(self):
-        with pytest.raises(DomainError):
-            iv.error_profile("two_squares", [10**5, 10**4], 0.8)
-
-    def test_records_schema(self):
-        rep = iv.ddt_mean(1000)
-        rows = rep.records()
-        assert list(rows[0].keys()) == list(iv.RECORD_FIELDS)
-        assert len(rows) == len(iv.DEFAULT_T_GRID)
