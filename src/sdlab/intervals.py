@@ -6,8 +6,11 @@ The window engine never factors individual integers.  Divisor statistics come
 from looping d <= sqrt(hi) over multiples: small divisors determine F_n(t) on
 both halves of [0,1] through the d <-> n/d pairing, and arith's
 divisor_le_threshold decides both halves, the upper one on the cofactor n/d.
-Square-full members come from the a^2 b^3 parametrization with b squarefree,
-and the two-squares indicator comes from a segmented parity sieve over primes
+The passing multiples of each d form a run, and the mean is linear in the
+shares, so the engine sums w(n) = 1/tau(n) over each run and takes a prefix
+sum over the grid columns; it keeps no per-n count matrix.  Square-full
+members come from the a^2 b^3 parametrization with b squarefree, and the
+two-squares indicator comes from a segmented parity sieve over primes
 p = 3 (mod 4).
 """
 
@@ -323,45 +326,64 @@ def _mean_divisor_cdf(
     For t > 1/2 every small divisor lies below n**t, and F_n(t) is 1 minus
     the share of small divisors whose cofactor n/d exceeds n**t.
 
+    The sum is linear in those shares, so nothing is kept per n and grid
+    point.  A small divisor d passes a threshold on a run of its multiples
+    d*k, k >= start, and adds w(n) = 1/tau(n) to the share of each n there
+    (w = 0 for n outside the mask).  Columns are ordered so that the runs of
+    a half nest; each column records the sum of w over the part of its run
+    that the previous column lacks, and its total is the correctly rounded
+    sum (math.fsum) of its own and all earlier partial sums in its half.
+
     mask_chunks: optional iterable of (chunk_lo, bool mask) aligned with the
     chunking used here; None selects every integer in the window.
     """
     ts = _t_grid(t_grid)
     # lower half by ascending t, upper half by descending t: run starts then
-    # descend within a half, so the runs nest and a cumsum counts them
+    # descend within a half, so the runs nest
     lower = sorted((i for i, t in enumerate(ts) if t <= 0.5), key=lambda i: ts[i])
     upper = sorted((i for i, t in enumerate(ts) if t > 0.5), key=lambda i: -ts[i])
     order = lower + upper
     halves = ((0, len(lower), False), (len(lower), len(order), True))
 
     D = isqrt(hi)
-    starts = [
-        [_run_start(d, ts[i], c >= len(lower), hi) for c, i in enumerate(order)]
-        for d in range(1, D + 1)
-    ]
-
+    starts = [None] * D  # run starts of d, found when d first has a multiple
+    partials = [[] for _ in order]
     count = 0
-    sums = np.zeros(len(ts), dtype=np.float64)
     mask_iter = iter(mask_chunks) if mask_chunks is not None else None
 
     for clo in range(lo, hi, chunk):
         chigh = min(clo + chunk, hi)
         m = chigh - clo
         tau = np.zeros(m, dtype=np.int32)
-        runs = np.zeros((m, len(order)), dtype=np.int16)
+        live = []
         for d in range(1, D + 1):
             k_lo = clo // d + 1
             k_hi = chigh // d
             if k_lo > k_hi:
                 continue
             off = d * k_lo - clo - 1  # position of first multiple in chunk
+            live.append((d, k_lo, k_hi, off))
             # tau: pairs d < sqrt(n) add 2; d = sqrt(n) adds 1
             k_pair = max(k_lo, d + 1)
             if k_pair <= k_hi:
                 tau[off + (k_pair - k_lo) * d :: d] += 2
             if k_lo <= d <= k_hi:
                 tau[off + (d - k_lo) * d] += 1
+        w = 1.0 / tau
+        if mask_iter is not None:
+            mlo, mask = next(mask_iter, (None, None))
+            if mlo != clo or mask.shape[0] != m:
+                raise DomainError("mask chunks misaligned with window chunks")
+            count += int(mask.sum())
+            w[~mask] = 0.0
+        else:
+            count += m
+        for d, k_lo, k_hi, off in live:
             ks = starts[d - 1]
+            if ks is None:
+                ks = starts[d - 1] = [
+                    _run_start(d, ts[i], c >= len(lower), hi) for c, i in enumerate(order)
+                ]
             for c0, c1, _ in halves:
                 b = k_hi + 1  # run upper bound (exclusive)
                 for c in range(c0, c1):
@@ -370,24 +392,21 @@ def _mean_divisor_cdf(
                         continue
                     a = max(kc, k_lo)
                     if a < b:
-                        runs[off + (a - k_lo) * d : off + (b - 1 - k_lo) * d + 1 : d, c] += 1
+                        run = w[off + (a - k_lo) * d : off + (b - 1 - k_lo) * d + 1 : d]
+                        partials[c].append(float(run.sum()))
                     if kc <= k_lo:
                         break
                     b = min(kc, k_hi + 1)
-        if mask_iter is not None:
-            mlo, mask = next(mask_iter)
-            if mlo != clo or mask.shape[0] != m:
-                raise DomainError("mask chunks misaligned with window chunks")
-            count += int(mask.sum())
-            runs, tau = runs[mask], tau[mask]
-        else:
-            count += m
-        tau_f = tau.astype(np.float64)
-        for c0, c1, upper_half in halves:
-            cum = np.cumsum(runs[:, c0:c1], axis=1, dtype=np.float64)
-            for c in range(c0, c1):
-                frac = cum[:, c - c0] / tau_f
-                sums[order[c]] += float((1.0 - frac if upper_half else frac).sum())
+    if mask_iter is not None and next(mask_iter, None) is not None:
+        raise DomainError("mask chunks misaligned with window chunks")
+
+    sums = np.zeros(len(ts), dtype=np.float64)
+    for c0, c1, upper_half in halves:
+        prefix = []
+        for c in range(c0, c1):
+            prefix += partials[c]
+            s = math.fsum(prefix)
+            sums[order[c]] = count - s if upper_half else s
     return count, sums
 
 
@@ -440,16 +459,13 @@ def _squarefull_window_mean(spec: IntervalSpec, ts):
     members = enumerate_squarefull(spec.lo, spec.hi)
     if not members:
         raise EmptyIntervalError(f"no square-full numbers in ({spec.lo}, {spec.hi}]")
+    t_arr = np.array(ts, dtype=np.float64)
     sums = np.zeros(len(ts))
     for n in members:
         logs = _divisor_logs_squarefull(n)
         logs.sort()
-        ln_n = math.log(n)
-        for i, t in enumerate(ts):
-            sums[i] += (
-                np.searchsorted(logs, t * ln_n + _THRESHOLD_GUARD, side="right")
-                / logs.size
-            )
+        cut = t_arr * math.log(n) + _THRESHOLD_GUARD
+        sums += np.searchsorted(logs, cut, side="right") / logs.size
     return len(members), sums
 
 

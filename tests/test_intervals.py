@@ -1,7 +1,11 @@
+import bisect
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +181,74 @@ class TestMeanDivisorCdf:
         assert iv._run_start(1, t, True, 10**12) == want
         assert iv._run_start(1, 1.0 - 1e-13, True, 10**12) is None
 
+    def test_narrow_window_matches_per_n_oracle(self, sieve_1e6):
+        # the window is narrower than sqrt(hi) = 1000, so some d have no
+        # multiple in it and get no run starts
+        lo, hi = 10**6 - 300, 10**6
+        grid = iv.DEFAULT_T_GRID + (0.0, 1.0)
+        count, sums = iv._mean_divisor_cdf(lo, hi, grid)
+        assert count == hi - lo
+        for i, t in enumerate(grid):
+            direct = sum(float(ar.divisor_cdf(n, t, sieve_1e6)) for n in range(lo + 1, hi + 1))
+            assert sums[i] / count == pytest.approx(direct / count, abs=1e-12), t
+
+    def test_run_starts_only_for_divisors_with_multiples(self, monkeypatch):
+        calls = 0
+        run_start = iv._run_start
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return run_start(*args)
+
+        monkeypatch.setattr(iv, "_run_start", counting)
+        spec = iv.IntervalSpec(x=10**10, theta=0.3, kappa1=1.0)
+        iv.weighted_fn_mean("two_squares", spec)
+        live = sum(1 for d in range(1, math.isqrt(spec.hi) + 1) if spec.lo // d < spec.hi // d)
+        # a table for every d <= sqrt(hi) would take 19 * 100,000 calls
+        assert 0 < calls <= len(iv.DEFAULT_T_GRID) * live < 200_000
+
+    def test_mask_stream_length_must_match(self):
+        def masks():
+            return iv.two_squares_count_and_masks(0, 3000, chunk=1000)
+
+        for hi, stream in ((3000, itertools.islice(masks(), 2)), (2000, masks())):
+            with pytest.raises(DomainError, match="misaligned"):
+                iv._mean_divisor_cdf(0, hi, (0.5,), mask_chunks=stream, chunk=1000)
+
+    def test_peak_memory_independent_of_grid(self):
+        # three chunks of 2^20; a per-n count matrix over the 19 grid points
+        # and its float cumsum peaked at 290 MiB
+        tracemalloc.start()
+        try:
+            iv._mean_divisor_cdf(0, 3 * 2**20, iv.DEFAULT_T_GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_sums_within_rounding_of_exact(self, sieve_1e6):
+        # exact rational sums of F_n(t): the share of divisors with
+        # log d <= t log n + guard, the test of arith.divisor_le_threshold,
+        # counted by bisection over the sorted divisors' logs
+        lo, hi = 10**5, 12 * 10**4
+        grid = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
+        by_tau = [Counter() for _ in grid]
+        for n in range(lo + 1, hi + 1):
+            ds = ar.divisors(n, sieve_1e6)
+            logs = [math.log(d) for d in ds]
+            for i, t in enumerate(grid):
+                k = bisect.bisect_right(logs, t * math.log(n) + ar._THRESHOLD_GUARD)
+                if n <= lo + 100:
+                    assert Fraction(k, len(ds)) == ar.divisor_cdf(n, t, sieve_1e6)
+                by_tau[i][len(ds)] += k
+        exact = [sum(Fraction(k, tau) for tau, k in c.items()) for c in by_tau]
+        for chunk in (iv._CHUNK, 997):
+            count, sums = iv._mean_divisor_cdf(lo, hi, grid, chunk=chunk)
+            assert count == hi - lo
+            for s, e, t in zip(sums, exact, grid):
+                assert abs(Fraction(float(s)) - e) <= Fraction(1e-15) * count, (chunk, t)
+
 
 class TestWeightedMeans:
     def test_matches_brute_force(self, sieve_1e6):
@@ -209,6 +281,20 @@ class TestWeightedMeans:
         cnt, emp = brute("squarefull", spec.lo, spec.hi)
         assert rep.count == cnt
         np.testing.assert_allclose(rep.empirical, emp, atol=1e-12)
+
+    def test_squarefull_mean_matches_scalar_loop(self):
+        spec = iv.IntervalSpec(x=10**6, theta=0.5, kappa1=2.0)
+        ts = iv.DEFAULT_T_GRID + (0.0, 1.0)
+        count, sums = iv._squarefull_window_mean(spec, ts)
+        members = iv.enumerate_squarefull(spec.lo, spec.hi)
+        want = np.zeros(len(ts))
+        for n in members:
+            logs = np.sort(iv._divisor_logs_squarefull(n))
+            for i, t in enumerate(ts):
+                cut = t * math.log(n) + ar._THRESHOLD_GUARD
+                want[i] += np.searchsorted(logs, cut, side="right") / logs.size
+        assert count == len(members) > 500
+        assert np.array_equal(sums, want)
 
     def test_trivial_t_one(self):
         spec = iv.IntervalSpec(x=10**5, theta=0.8, kappa1=1.0)
