@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,11 @@ def chi4():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """Every test leaves no child process running: the window engine shuts
+    its worker pool down before it returns, also when a worker raised."""
+    yield
+    assert multiprocessing.active_children() == []

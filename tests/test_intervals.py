@@ -1,6 +1,8 @@
 import bisect
 import itertools
 import math
+import multiprocessing
+import threading
 import time
 import tracemalloc
 import warnings
@@ -35,6 +37,34 @@ def squarefull_law_oracle(t):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, _ = integrate.quad(f, lo, t, epsabs=1e-14, epsrel=1e-13, limit=200)
     return float(special.betainc(third, 2 * third, lo)) + val
+
+
+def trial_factor(n):
+    """(prime, exponent) pairs of n by trial division, ascending primes."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+# Mask callables reach worker processes by import path, so they live at
+# module level.
+def short_masks(lo, hi, chunk):
+    """Two-squares masks of (lo, hi] without its last chunk."""
+    return itertools.islice(iv.two_squares_count_and_masks(lo, hi, chunk), (hi - lo - 1) // chunk)
+
+
+def surplus_masks(lo, hi, chunk):
+    """Two-squares masks of (lo, hi] and one chunk past it."""
+    return iv.two_squares_count_and_masks(lo, hi + chunk, chunk)
 
 
 class TestEnumerateSquarefull:
@@ -86,6 +116,52 @@ class TestCountTwoSquares:
     def test_width_guard(self):
         with pytest.raises(CapacityError):
             iv.count_two_squares(0, 2 * 10**9)
+
+    def test_masks_match_trial_division(self):
+        # n is a sum of two squares iff every prime p = 3 (mod 4) divides it
+        # to an even power; trial division by the primes up to sqrt(hi)
+        # leaves a cofactor that is 1 or a prime
+        for lo, hi in ((0, 3000), (10**11 + 12345, 10**11 + 17345)):
+            primes = ar.primes_upto(math.isqrt(hi))
+            want = []
+            for n in range(lo + 1, hi + 1):
+                ok = True
+                for p in primes[n % primes == 0].tolist():
+                    e = 0
+                    while n % p == 0:
+                        n //= p
+                        e += 1
+                    ok &= p % 4 != 3 or e % 2 == 0
+                want.append(ok and n % 4 != 3)
+            got = list(iv.two_squares_count_and_masks(lo, hi, chunk=997))
+            assert [clo for clo, _ in got] == list(range(lo, hi, 997))
+            assert np.array_equal(np.concatenate([mask for _, mask in got]), want), lo
+
+    def test_count_independent_of_worker_count(self, monkeypatch):
+        lo, hi = 10**6, 10**6 + 3 * 2**20 + 5  # four chunks of 2^20
+        counts = []
+        for workers in (1, 2):
+            monkeypatch.setattr(iv, "_worker_count", lambda: workers)
+            counts.append(iv.count_two_squares(lo, hi))
+        assert counts[0] == counts[1] > 0
+
+    def test_one_worker_while_other_threads_run(self):
+        assert iv._worker_count() >= 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert iv._worker_count() == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_runs_inside_a_daemonic_worker(self):
+        # a multiprocessing.Pool worker may not start processes of its own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply(iv.count_two_squares, (0, 2 * 2**20))
+        assert got == iv.count_two_squares(0, 2 * 2**20)
 
 
 class TestIntervalSpec:
@@ -160,8 +236,8 @@ class TestMeanDivisorCdf:
         # repeats 0.5 and holds both endpoints
         lo, hi = 10**5 + 3, 10**5 + 5003
         grid = (0.9, 0.1, 0.5, 0.0, 1.0, 0.75, 0.25, 0.5, 0.55)
-        for masks in (None, iv.two_squares_count_and_masks(lo, hi, chunk=997)):
-            count, sums = iv._mean_divisor_cdf(lo, hi, grid, mask_chunks=masks, chunk=997)
+        for masks in (None, iv.two_squares_count_and_masks):
+            count, sums = iv._mean_divisor_cdf(lo, hi, grid, masks=masks, chunk=997)
             ns = [
                 n for n in range(lo + 1, hi + 1)
                 if masks is None or ar.is_sum_two_squares(n, sieve_1e6)
@@ -208,24 +284,63 @@ class TestMeanDivisorCdf:
         # a table for every d <= sqrt(hi) would take 19 * 100,000 calls
         assert 0 < calls <= len(iv.DEFAULT_T_GRID) * live < 200_000
 
-    def test_mask_stream_length_must_match(self):
-        def masks():
-            return iv.two_squares_count_and_masks(0, 3000, chunk=1000)
-
-        for hi, stream in ((3000, itertools.islice(masks(), 2)), (2000, masks())):
+    def test_mask_stream_length_must_match(self, monkeypatch):
+        monkeypatch.setattr(iv, "_worker_count", lambda: 1)
+        for masks in (short_masks, surplus_masks):
             with pytest.raises(DomainError, match="misaligned"):
-                iv._mean_divisor_cdf(0, hi, (0.5,), mask_chunks=stream, chunk=1000)
+                iv._mean_divisor_cdf(0, 3000, (0.5,), masks=masks, chunk=1000)
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(iv, "_worker_count", lambda: 2)
+        for masks in (short_masks, surplus_masks):
+            with pytest.raises(DomainError, match="^mask chunks misaligned with window chunks$") as err:
+                iv._mean_divisor_cdf(0, 3000, (0.5,), masks=masks, chunk=1000)
+            # raised in a worker process, not in this one
+            assert type(err.value.__cause__).__name__ == "_RemoteTraceback"
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("masks", [None, iv.two_squares_count_and_masks], ids=["dense", "masked"])
+    def test_sums_independent_of_worker_count(self, monkeypatch, masks):
+        # six chunks of 997, split into 1, 2 and 3 worker sub-ranges
+        lo, hi = 10**5 + 3, 10**5 + 5003
+        grid = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(iv, "_worker_count", lambda: workers)
+            runs.append(iv._mean_divisor_cdf(lo, hi, grid, masks=masks, chunk=997))
+        (count, sums), *others = runs
+        for other_count, other_sums in others:
+            assert other_count == count
+            assert np.array_equal(other_sums, sums)
+
+    def test_exact_terms_keep_the_exact_sum(self, rng):
+        # signed floats over 120 binary orders of magnitude, with cancellation
+        for size in (0, 1, 5, 1000):
+            xs = (rng.standard_normal(size) * 2.0 ** rng.integers(-60, 60, size)).tolist()
+            xs += [-x for x in xs[: size // 3]]
+            terms = iv._exact_terms(list(xs))
+            assert len(terms) <= 4
+            assert sum(map(Fraction, terms), Fraction(0)) == sum(map(Fraction, xs), Fraction(0))
+            ys = [1e-30, 3.0, -2.0**70]
+            assert math.fsum(terms + ys) == math.fsum(xs + ys)
 
     def test_peak_memory_independent_of_grid(self):
-        # three chunks of 2^20; a per-n count matrix over the 19 grid points
-        # and its float cumsum peaked at 290 MiB
+        # three chunks of 2^20, scanned in this process because tracemalloc
+        # cannot see into the worker processes of _mean_divisor_cdf; a per-n
+        # count matrix over the 19 grid points and its float cumsum peaked at
+        # 290 MiB
         tracemalloc.start()
         try:
-            iv._mean_divisor_cdf(0, 3 * 2**20, iv.DEFAULT_T_GRID)
+            _, partials = iv._window_partials(
+                0, 3 * 2**20, 3 * 2**20, iv.DEFAULT_T_GRID, None, iv._CHUNK
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+        # a column's run sums (up to 3,033 here) are compressed to a few
+        # exact terms after every chunk
+        assert max(map(len, partials)) <= 4
 
     def test_sums_within_rounding_of_exact(self, sieve_1e6):
         # exact rational sums of F_n(t): the share of divisors with
@@ -289,7 +404,7 @@ class TestWeightedMeans:
         members = iv.enumerate_squarefull(spec.lo, spec.hi)
         want = np.zeros(len(ts))
         for n in members:
-            logs = np.sort(iv._divisor_logs_squarefull(n))
+            logs = np.sort(iv._divisor_logs(trial_factor(n)))
             for i, t in enumerate(ts):
                 cut = t * math.log(n) + ar._THRESHOLD_GUARD
                 want[i] += np.searchsorted(logs, cut, side="right") / logs.size
@@ -318,6 +433,12 @@ class TestWeightedMeans:
             spec = iv.IntervalSpec(x=10**6, theta=theta, kappa1=k1)
             with pytest.raises(DomainError, match="empty"):
                 iv.weighted_fn_mean(indicator, spec, ())
+
+    def test_width_guard(self):
+        # checked before the window is split: each of two halves would pass it
+        spec = iv.IntervalSpec(x=15 * 10**8, theta=1.0, kappa1=1.0)
+        with pytest.raises(CapacityError):
+            iv.weighted_fn_mean("two_squares", spec, (0.5,))
 
     def test_unknown_indicator(self):
         spec = iv.IntervalSpec(x=1000, theta=0.5, kappa1=1.0)
