@@ -114,9 +114,11 @@ class BoxGrid:
             tops[k] = int(ws[-1]) if ws.size else -1
         return tops
 
-    def in_marked_region(self, s: complex) -> bool:
-        """Point test against the union of columns' boxes up to j_k."""
-        tops = self.column_tops()
+    def in_marked_region(self, s: complex, tops: np.ndarray | None = None) -> bool:
+        """Point test against the union of columns' boxes up to j_k; tops, if
+        given, is column_tops() of the grid as it stands."""
+        if tops is None:
+            tops = self.column_tops()
         k1 = self.spec.kappa1
         lt = math.log(self.config.T)
         tau = abs(s.imag)
@@ -439,11 +441,12 @@ def build_contour(grid: BoxGrid, cfg: ContourConfig | None = None) -> ContourPol
 
 
 def contour_clear_of_marked(grid: BoxGrid, poly: ContourPolyline, samples_per_segment: int = 64) -> bool:
+    tops = grid.column_tops()
     for a, b in poly.segments():
         f = np.linspace(0.0, 1.0, samples_per_segment)
         pts = a + (b - a) * f
         for p in pts:
-            if grid.in_marked_region(complex(p)):
+            if grid.in_marked_region(complex(p), tops):
                 return False
     return True
 

@@ -313,6 +313,23 @@ class TestContour:
         finally:
             grid200.classes[:] = saved
 
+    def test_polyline_through_marked_box_is_not_clear(self, grid200):
+        saved = grid200.classes.copy()
+        try:
+            grid200.classes[:] = 0
+            grid200.classes[0, 5] = 1
+            sig = 0.5 * (grid200.sigma[0] + grid200.sigma[1])
+            mid = complex(sig, 0.5 * (grid200.tau[5] + grid200.tau[6]))
+            assert grid200.in_marked_region(mid)
+            # a vertical run through the middle of box (0, 5), and one beside it
+            through = cl.ContourPolyline((complex(sig, grid200.tau[4]), complex(sig, grid200.tau[7])))
+            assert not cl.contour_clear_of_marked(grid200, through)
+            sig = 0.5 * (grid200.sigma[1] + grid200.sigma[2])
+            beside = cl.ContourPolyline((complex(sig, grid200.tau[4]), complex(sig, grid200.tau[7])))
+            assert cl.contour_clear_of_marked(grid200, beside)
+        finally:
+            grid200.classes[:] = saved
+
     def test_contour_avoids_marked_region(self, grid200):
         poly = cl.build_contour(grid200)
         assert cl.contour_clear_of_marked(grid200, poly)

@@ -55,6 +55,34 @@ def trial_factor(n):
     return out
 
 
+def squarefull_scalar_sums(lo, hi, ts):
+    """(count, sums) of F_n(t) over the square-full n in (lo, hi], one member
+    at a time in ascending order: n = a^2 b^3 with b squarefree, factored by
+    trial division of a and b, divisor logs by _divisor_logs, counts by
+    searchsorted and a sequential +=."""
+    members = []
+    b = 1
+    while b**3 <= hi:
+        if all(e == 1 for _, e in trial_factor(b)):
+            b3 = b**3
+            a = math.isqrt(lo // b3)
+            while a * a * b3 <= lo:
+                a += 1
+            while a * a * b3 <= hi:
+                members.append((a * a * b3, a, b))
+                a += 1
+        b += 1
+    sums = np.zeros(len(ts))
+    for n, a, b in sorted(members):
+        exps = {p: 2 * e for p, e in trial_factor(a)}
+        for p, _ in trial_factor(b):
+            exps[p] = exps.get(p, 0) + 3
+        logs = np.sort(iv._divisor_logs(sorted(exps.items())))
+        cut = np.array(ts) * math.log(n) + ar._THRESHOLD_GUARD
+        sums += np.searchsorted(logs, cut, side="right") / logs.size
+    return len(members), sums
+
+
 # Mask callables reach worker processes by import path, so they live at
 # module level.
 def short_masks(lo, hi, chunk):
@@ -257,6 +285,19 @@ class TestMeanDivisorCdf:
         assert iv._run_start(1, t, True, 10**12) == want
         assert iv._run_start(1, 1.0 - 1e-13, True, 10**12) is None
 
+    def test_run_starts_match_run_start(self):
+        # t = 0 and t = 1 put every d past the limit; 0.3 is repeated
+        grid = (0.0, 0.05, 0.3, 0.3, 0.5, 0.7, 0.95, 1.0)
+        order, n_lower = iv._columns(grid)
+        skipped = 0
+        for hi in (10**4, 3 * 10**5 + 7):
+            columns = iv._run_columns(grid, hi)
+            for d in range(1, math.isqrt(hi) + 1):
+                want = [iv._run_start(d, grid[i], c >= n_lower, hi) for c, i in enumerate(order)]
+                assert iv._run_starts(d, columns, hi) == want, (hi, d)
+                skipped += sum(math.log(d) >= limit for _, _, limit in columns)
+        assert skipped > 1000
+
     def test_narrow_window_matches_per_n_oracle(self, sieve_1e6):
         # the window is narrower than sqrt(hi) = 1000, so some d have no
         # multiple in it and get no run starts
@@ -410,6 +451,55 @@ class TestWeightedMeans:
                 want[i] += np.searchsorted(logs, cut, side="right") / logs.size
         assert count == len(members) > 500
         assert np.array_equal(sums, want)
+
+    def test_squarefull_blocks_match_scalar_loop(self, monkeypatch):
+        # 615 blocks of at most 7 members, the running sums carried across
+        monkeypatch.setattr(iv, "_SQUAREFULL_BLOCK", 7)
+        spec = iv.IntervalSpec(x=10**12, theta=0.3, kappa1=2.0)
+        ts = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
+        count, sums = iv._squarefull_window_mean(spec, ts)
+        want_count, want = squarefull_scalar_sums(spec.lo, spec.hi, ts)
+        assert count == want_count > 4000
+        assert np.array_equal(sums, want)
+        # n = 1 has no prime: its one divisor log is 0.0
+        count, sums = iv._squarefull_sums(0, 5000, ts)
+        want_count, want = squarefull_scalar_sums(0, 5000, ts)
+        assert count == want_count
+        assert np.array_equal(sums, want)
+
+    def test_shape_divisor_logs_are_divisor_logs(self, rng):
+        primes = ar.primes_upto(10**4)
+        for exps in ((2,), (3, 2), (2, 5, 4), (4, 3, 2, 7), (2, 2, 3, 2, 2, 3)):
+            P = np.sort(rng.choice(primes, size=(9, len(exps)), replace=True), axis=1)
+            P = P[(np.diff(P, axis=1) > 0).all(axis=1)]
+            L = np.array([[math.log(p) for p in row] for row in P.tolist()])
+            got = iv._shape_divisor_logs(L, exps)
+            for row, logs in zip(P.tolist(), got):
+                want = iv._divisor_logs(list(zip(row, exps)))
+                assert np.array_equal(np.sort(logs), np.sort(want)), (row, exps)
+
+    def test_squarefull_shared_leftover_prime(self):
+        # the one member q^5 = q^2 * q^3 has a = b = q above the trial bound
+        # sqrt(q), so both leftovers are q, with exponent 2 + 3
+        q = 997
+        ts = iv.DEFAULT_T_GRID
+        count, sums = iv._squarefull_sums(q**5 - 1, q**5, ts)
+        # divisors q^j with j <= 5t, of 6
+        want = [(1 + j) / 6 for j in (0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4)]
+        assert (count, sums.tolist()) == (1, want)
+        assert np.array_equal(sums, squarefull_scalar_sums(q**5 - 1, q**5, ts)[1])
+
+    def test_squarefull_mean_memory_independent_of_sqrt_hi(self):
+        # a smallest-prime-factor table up to sqrt(hi) = 1e7 peaked at 91 MiB
+        spec = iv.IntervalSpec(x=10**14, theta=0.2, kappa1=2.0)
+        tracemalloc.start()
+        try:
+            count, _ = iv._squarefull_window_mean(spec, iv.DEFAULT_T_GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 666
+        assert peak <= 8 * 2**20
 
     def test_trivial_t_one(self):
         spec = iv.IntervalSpec(x=10**5, theta=0.8, kappa1=1.0)
