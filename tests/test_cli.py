@@ -252,6 +252,14 @@ class TestGolden:
         code, _, _ = run(["verify", "--golden", "/nonexistent/g.json"], capsys)
         assert code == 2
 
+    def test_two_squares_expansion_golden_regression(self, capsys):
+        # the L(s, chi4) and truncated Euler-product path
+        golden = str(
+            __import__("pathlib").Path(__file__).parent / "golden" / "expand_two_squares.json"
+        )
+        code, stdout, _ = run(["verify", "--golden", golden], capsys)
+        assert code == 0
+
     def test_expansion_golden_regression(self, capsys):
         golden = str(
             __import__("pathlib").Path(__file__).parent / "golden" / "expand_squarefull.json"

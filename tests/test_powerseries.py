@@ -62,13 +62,13 @@ class TestTaylorAt:
         assert max(abs(c - w) for c, w in zip(ps.coeffs, want)) < 1e-13
 
     def test_exp(self):
-        ps = taylor_at(cmath.exp, 0j, 6, 0.9)
+        ps = taylor_at(np.exp, 0j, 6, 0.9)
         for j, c in enumerate(ps.coeffs):
             assert abs(c - 1.0 / math.factorial(j)) < 1e-12
 
     def test_zeta3s_vs_finite_differences(self):
         fn = lambda s: sf.zeta_complex(3 * s)
-        ps = taylor_at(fn, 0.5, 4, 0.15)
+        ps = taylor_at(lambda s: sf.zeta_many(3 * s), 0.5, 4, 0.15)
 
         def fd(h):
             xs = np.array([-3, -2, -1, 0, 1, 2, 3], dtype=float) * h + 0.5
@@ -106,7 +106,7 @@ class TestTaylorAt:
         )
 
     def test_radius_independence(self):
-        fn = lambda s: sf.zeta_complex(3 * s)
+        fn = lambda s: sf.zeta_many(3 * s)
         a = taylor_at(fn, 0.5, 4, 0.12)
         b = taylor_at(fn, 0.5, 4, 0.06)
         for j, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
@@ -116,7 +116,21 @@ class TestTaylorAt:
         # pole of zeta(3s) at s=1/3 almost touches |s-0.5| = 0.1665, so the
         # trapezoid sums converge too slowly for node doubling to agree
         with pytest.raises(AccuracyError):
-            taylor_at(lambda s: sf.zeta_complex(3 * s), 0.5, 4, 0.1665)
+            taylor_at(lambda s: sf.zeta_many(3 * s), 0.5, 4, 0.1665)
+
+    def test_one_call_on_512_nodes(self):
+        calls = []
+
+        def fn(s):
+            calls.append(np.array(s))
+            return np.exp(s)
+
+        taylor_at(fn, 0.25, 5, 0.5)
+        assert len(calls) == 1
+        assert calls[0].shape == (512,)
+        # the even nodes are the 256-node ring, bit for bit
+        theta = 2.0 * math.pi * np.arange(256) / 256
+        assert np.array_equal(calls[0][::2], 0.25 + 0.5 * np.exp(1j * theta))
 
     def test_radius_validation(self):
         with pytest.raises(DomainError):

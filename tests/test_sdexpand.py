@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from sdlab import sdexpand as sd
 from sdlab import specfun as sf
-from sdlab.arith import KappaVector, quadratic_character
+from sdlab.arith import KappaVector, primes_upto, quadratic_character
 from sdlab.errors import DomainError
 from sdlab.powerseries import PowerSeries, ps_pow
 
@@ -95,6 +96,17 @@ class TestApplicationSpecs:
         tail = spec.G.tail_log_estimate(1.0) + 1e-8
         assert abs(lam0 - oracle) <= 2 * tail
         assert lam0 == pytest.approx(0.76422365, abs=5e-7)
+
+    def test_two_squares_lambda1_is_shanks_constant(self):
+        # D. Shanks, "The second-order term in the asymptotic expansion of
+        # B(x)", Math. Comp. 18 (1964): lambda_1/lambda_0 = c - 1/2 with
+        # c = 0.5819486593...  The truncated Euler product (P = 1e5) leaves a
+        # gap of 2.5e-6; the exact regular factor (ROADMAP item 8) is to
+        # tighten this bound to 1e-10.
+        coeffs = sd.expansion_coeffs(sd.two_squares_series_spec(), order=4)
+        ratio = coeffs.lambda_ell[1] / coeffs.lambda_ell[0]
+        assert abs(ratio.real - 0.0819486593) <= 5e-6
+        assert abs(ratio.imag) < 1e-12
 
     def test_two_squares_expansion_matches_closed_form(self):
         spec = sd.two_squares_series_spec()
@@ -221,3 +233,87 @@ class TestExpansionRadius:
         b = sd.expansion_coeffs(spec, order=6, radius=1.0 / 24.0)
         for j, (x, y) in enumerate(zip(a.g_ell, b.g_ell)):
             assert abs(x - y) < 1e-9 * max(1.0, abs(x)), j
+
+
+def _ring(spec):
+    # the 512-node ring of taylor_at around 1/kappa_1
+    theta = 2.0 * math.pi * np.arange(512) / 512
+    return 1.0 / spec.kappa1 + sd._expansion_radius(spec) * np.exp(1j * theta)
+
+
+def _scalar_G(G, s):
+    # one node at a time, the scalar formulas of each regular-factor kind
+    if isinstance(G, sd.ZetaCompositionG):
+        out = 1.0 + 0j
+        for m, e in G.factors:
+            out *= sf.complex_pow_principal(sf.zeta_complex(m * s, G.params), e)
+        return out
+    if isinstance(G, sd.EulerProductG):
+        acc = 0j
+        for p0, a0, e0 in G.extra:
+            acc += e0 * cmath.log(1.0 - cmath.exp(-a0 * s * math.log(p0)))
+        primes = primes_upto(G.prime_limit)
+        lp = np.log(primes[np.isin(primes % G.modulus, G.residues)].astype(np.float64))
+        acc += G.e * complex(np.sum(np.log1p(-np.exp(-G.a * s * lp))))
+        return cmath.exp(acc)
+    return G.value
+
+
+def _scalar_regular_factor(spec, s):
+    out = complex(_scalar_G(spec.G, s))
+    k = spec.kappa.kappa
+    for i in range(1, spec.r):
+        if spec.z[i] != 0:
+            out *= sf.complex_pow_principal(sf.zeta_complex(k[i] * s), spec.z[i])
+    for i in range(spec.r):
+        if spec.w[i] != 0:
+            out *= sf.complex_pow_principal(sf.dirichlet_l(k[i] * s, spec.chis[i]), spec.w[i])
+    return out
+
+
+class TestVectorRegularFactor:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            sd.squarefull_series_spec,
+            sd.two_squares_series_spec,
+            lambda: sd.two_squares_series_spec(wrong_congruence=True),
+        ],
+        ids=["squarefull", "two_squares", "wrong_congruence"],
+    )
+    def test_ring_matches_per_node_loop(self, make):
+        spec = make()
+        ring = _ring(spec)
+        got = sd._regular_factor(spec, sf.DEFAULT_PARAMS)(ring)
+        want = np.array([_scalar_regular_factor(spec, complex(s)) for s in ring])
+        assert np.array_equal(got, want)
+
+    def test_euler_product_block_size(self):
+        spec = sd.two_squares_series_spec()
+        ring = _ring(spec)
+        G = spec.G
+        G.BLOCK = 512
+        whole = G.many(ring)
+        G.BLOCK = 7
+        assert np.array_equal(G.many(ring), whole)
+
+    def test_one_point_call_is_many(self):
+        for spec in (sd.squarefull_series_spec(), sd.two_squares_series_spec()):
+            ring = _ring(spec)[:5]
+            assert np.array_equal(np.array([spec.G(s) for s in ring]), spec.G.many(ring))
+        assert sd.ConstantG(2.5)(0.3 + 1j) == 2.5
+
+
+class TestEulerTail:
+    def test_q4_value_unchanged(self):
+        assert sd.two_squares_series_spec().G.tail_log_estimate(1.0) == 2.1714724095162593e-07
+
+    @pytest.mark.parametrize("modulus, residues", [(4, (3,)), (12, (11,))])
+    def test_bounds_the_neglected_tail(self, modulus, residues):
+        # the primes p = 11 (mod 12) have density 1/phi(12) = 1/4; the
+        # estimate must exceed the part of the tail out to 3e6 alone
+        G = sd.EulerProductG(a=2.0, e=-0.5, modulus=modulus, residues=residues)
+        p = primes_upto(3 * 10**6)
+        p = p[(p > G.prime_limit) & np.isin(p % modulus, residues)].astype(np.float64)
+        tail = 0.5 * float(-np.sum(np.log1p(-(p**-2.0))))
+        assert tail < G.tail_log_estimate(1.0) < 1.5 * tail
