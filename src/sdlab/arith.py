@@ -34,6 +34,7 @@ __all__ = [
     "is_sum_two_squares",
     "divisor_cdf",
     "divisor_le_threshold",
+    "threshold_log_cut",
     "KappaVector",
     "CharacterTable",
     "quadratic_character",
@@ -136,6 +137,12 @@ def divisor_le_threshold(d: int, n: int, t: float) -> bool:
     if n == 1:
         return False
     return math.log(d) <= t * math.log(n) + _THRESHOLD_GUARD
+
+
+def threshold_log_cut(log_n, t):
+    """The cut c with divisor_le_threshold(d, n, t) == (log d <= c) for
+    d, n >= 2, over numpy arrays of log n and t (broadcast together)."""
+    return t * log_n + _THRESHOLD_GUARD
 
 
 def divisor_cdf(n: int, t: float, sieve: FactorSieve) -> Fraction:
@@ -266,14 +273,9 @@ def ones_coeffs(limit: int) -> CoeffVector:
     return CoeffVector(limit, v)
 
 
-def moebius_coeffs(limit: int, sieve: FactorSieve) -> CoeffVector:
-    if sieve.limit < limit:
-        raise DomainError("sieve too small for requested limit")
-    v = np.zeros(limit + 1, dtype=np.int64)
-    for n in range(1, limit + 1):
-        fac = factorize(n, sieve)
-        v[n] = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
-    return CoeffVector(limit, v)
+def moebius_coeffs(limit: int) -> CoeffVector:
+    """mu(1..limit), exactly: the Dirichlet inverse of the all-ones series."""
+    return dirichlet_inverse(ones_coeffs(limit))
 
 
 # ----------------------------------------------------------------------------

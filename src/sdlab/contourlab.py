@@ -41,7 +41,9 @@ __all__ = [
     "contour_report",
 ]
 
-_SCAN_PARAMS = specfun.EvalParams(target_abs_tol=1e-9)
+# Euler-Maclaurin tolerance of every contour and frak_m evaluation; it sets
+# the head length M and the extended-phase switch on the T=200 contour.
+_SCAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class ContourConfig:
             raise DomainError("Aprime must be an integer >= 2")
         if self.grid_density < 4:
             raise DomainError("grid_density must be at least 4")
+        if self.nj_cap < 1:
+            raise DomainError("nj_cap must be at least 1")
 
     def describe(self) -> dict:
         return {
@@ -150,10 +154,9 @@ class ContourPolyline:
 # zeta * L product and Dirichlet polynomial evaluation
 # ----------------------------------------------------------------------------
 
-def zl_product_many(
-    s: np.ndarray, spec: SeriesSpec, params: specfun.EvalParams = _SCAN_PARAMS
-) -> np.ndarray:
-    """prod_i zeta(kappa_i s) L(kappa_i s, chi_i) on an array of points.
+def zl_product_many(s: np.ndarray, spec: SeriesSpec) -> np.ndarray:
+    """prod_i zeta(kappa_i s) L(kappa_i s, chi_i) on an array of points, to
+    the scan tolerance _SCAN_TOL.
 
     Components with chi_i = None contribute only their zeta factor, so pure
     zeta products are covered by the same machinery.
@@ -161,9 +164,9 @@ def zl_product_many(
     s = np.asarray(s, dtype=np.complex128)
     out = np.ones_like(s)
     for k, chi in zip(spec.kappa.kappa, spec.chis):
-        out = out * specfun.zeta_many(k * s, params)
+        out = out * specfun.zeta_many(k * s, _SCAN_TOL)
         if chi is not None:
-            out = out * specfun.dirichlet_l_many(k * s, chi, params)
+            out = out * specfun.dirichlet_l_many(k * s, chi, _SCAN_TOL)
     return out
 
 
@@ -235,7 +238,7 @@ def frak_m(
         for s in (sig[0] + 1j * taus, sig[-1] + 1j * taus, rows):
             vals = np.ones_like(s)
             for k in spec.kappa.kappa:
-                vals = vals * specfun.zeta_many(k * s, _SCAN_PARAMS)
+                vals = vals * specfun.zeta_many(k * s, _SCAN_TOL)
             best = max(best, float(np.max(np.abs(vals) ** 2)))
         return best
 
@@ -519,7 +522,6 @@ def bombieri_check(
     a,
     b=None,
     margin: float = 0.1,
-    params: specfun.EvalParams = specfun.DEFAULT_PARAMS,
 ) -> bool:
     """Verify sum_s |sum_n a_n n^{-s}|^2 <= (sum |a_n|^2 / b_n) *
     max_s sum_{s'} |B(conj(s) + s')|.
@@ -545,6 +547,8 @@ def bombieri_check(
         b_std = None
     else:
         b_std = np.asarray(b, dtype=np.float64)
+        if b_std.size < a.size:
+            raise DomainError(f"b has {b_std.size} terms, fewer than the {a.size} of a")
         if np.any(b_std < 0):
             raise DomainError("b must be non-negative")
         if np.any((np.abs(a) > 0) & (b_std[: a.size] <= 0)):
@@ -562,7 +566,7 @@ def bombieri_check(
         weight = float(np.sum(np.abs(a[nz]) ** 2 / b_std[: a.size][nz]))
 
     if b_std is None:
-        big_b = specfun.zeta_many(pair, params)
+        big_b = specfun.zeta_many(pair)
     else:
         logm = np.log(np.arange(1, b_std.size + 1, dtype=np.float64))
         big_b = (b_std * np.exp(-pair[..., None] * logm)).sum(axis=-1)

@@ -40,7 +40,7 @@ from math import isqrt
 import numpy as np
 
 from . import specfun
-from .arith import divisor_le_threshold, primes_upto, _THRESHOLD_GUARD
+from .arith import divisor_le_threshold, primes_upto, threshold_log_cut
 from .errors import CapacityError, DomainError, EmptyIntervalError
 
 __all__ = [
@@ -296,61 +296,58 @@ def _t_grid(t_grid) -> tuple[float, ...]:
     return ts
 
 
-def _run_start(d: int, t: float, upper: bool, hi: int):
-    """Smallest k >= 1 at which n = d*k passes the half's threshold test, or
-    None when that n lies past 2*hi (such a run is empty in every chunk).
+def _columns(ts: tuple[float, ...], hi: int) -> list[tuple[int, float, bool, float]]:
+    """(index, t, upper, limit) for each grid point, in column order: the
+    grid index, its t, whether it is in the upper half (t > 1/2), and the
+    bound e * log(2*hi), with e = 1 - t in the upper half and t in the lower,
+    at or above which log d has no run (_run_starts).
 
-    Lower half: divisor_le_threshold(d, n, t).  Upper half: the cofactor k
-    exceeds n**t, i.e. not divisor_le_threshold(k, n, t).  Both tests hold
-    from their start on.  The hint n = d**(1/t), resp. d**(1/(1-t)), only
-    seeds a galloping search, since the predicate's guard band can move the
-    start far from it (d = 1 with t within 1e-12 of 1).
+    Lower half by ascending t, upper half by descending t: run starts then
+    descend within a half, so the runs nest.
     """
-    e = 1.0 - t if upper else t
-    log_d = math.log(d)
-    if log_d >= e * math.log(2.0 * hi):
-        return 1 if d == 1 and not upper else None  # divisor 1 is <= n**0
-
-    def passes(k: int) -> bool:
-        if upper:
-            return not divisor_le_threshold(k, d * k, t)
-        return divisor_le_threshold(d, d * k, t)
-
-    k = math.ceil(math.exp(log_d / e) / d)
-    fail, ok, step = 0, 2 * hi // d + 1, 1  # the start lies in (fail, ok]
-    while ok - fail > 1:
-        if not fail < k < ok:
-            k = (fail + ok) // 2
-        if passes(k):
-            ok, k = k, k - step
-        else:
-            fail, k = k, k + step
-        step *= 2
-    return ok if d * ok <= 2 * hi else None
-
-
-def _run_columns(ts: tuple[float, ...], hi: int) -> list[tuple[float, bool, float]]:
-    """(t, upper, limit) for each column in _columns order: the column's t,
-    whether it is in the upper half, and the bound e * log(2*hi), with
-    e = 1 - t in the upper half and t in the lower, at or above which
-    _run_start finds no run for log d."""
-    order, n_lower = _columns(ts)
+    lower = sorted((i for i, t in enumerate(ts) if t <= 0.5), key=lambda i: ts[i])
+    upper = sorted((i for i, t in enumerate(ts) if t > 0.5), key=lambda i: -ts[i])
     log_2hi = math.log(2.0 * hi)
-    return [
-        (ts[i], c >= n_lower, (1.0 - ts[i] if c >= n_lower else ts[i]) * log_2hi)
-        for c, i in enumerate(order)
+    return [(i, ts[i], False, ts[i] * log_2hi) for i in lower] + [
+        (i, ts[i], True, (1.0 - ts[i]) * log_2hi) for i in upper
     ]
 
 
 def _run_starts(d: int, columns, hi: int) -> list:
-    """[_run_start(d, t, upper, hi) for (t, upper, limit) in columns], with
-    math.log(d) taken once and the search made only where log d < limit;
-    elsewhere _run_start returns 1 for d = 1 in the lower half and None."""
+    """Per column, the smallest k >= 1 at which n = d*k passes the column's
+    threshold test, or None when that n lies past 2*hi (such a run is empty
+    in every chunk).
+
+    Lower half: divisor_le_threshold(d, n, t).  Upper half: the cofactor k
+    exceeds n**t, i.e. not divisor_le_threshold(k, n, t).  Both tests hold
+    from their start on.  When log d reaches the column's limit there is no
+    run, except for the divisor 1 in the lower half (1 <= n**0).  Otherwise
+    the hint n = d**(1/t), resp. d**(1/(1-t)), only seeds a galloping search,
+    since the predicate's guard band can move the start far from it (d = 1
+    with t within 1e-12 of 1).
+    """
     log_d = math.log(d)
-    return [
-        _run_start(d, t, upper, hi) if log_d < limit else (1 if d == 1 and not upper else None)
-        for t, upper, limit in columns
-    ]
+    starts = []
+    for _, t, upper, limit in columns:
+        if log_d >= limit:
+            starts.append(1 if d == 1 and not upper else None)
+            continue
+        k = math.ceil(math.exp(log_d / (1.0 - t if upper else t)) / d)
+        fail, ok, step = 0, 2 * hi // d + 1, 1  # the start lies in (fail, ok]
+        while ok - fail > 1:
+            if not fail < k < ok:
+                k = (fail + ok) // 2
+            if upper:
+                passes = not divisor_le_threshold(k, d * k, t)
+            else:
+                passes = divisor_le_threshold(d, d * k, t)
+            if passes:
+                ok, k = k, k - step
+            else:
+                fail, k = k, k + step
+            step *= 2
+        starts.append(ok if d * ok <= 2 * hi else None)
+    return starts
 
 
 def _worker_count() -> int:
@@ -394,28 +391,17 @@ def _over_subranges(fn, lo: int, hi: int, chunk: int, *args) -> list:
         return [f.result() for f in futures]
 
 
-def _columns(ts: tuple[float, ...]) -> tuple[list[int], int]:
-    """Grid indices in column order, and how many columns the lower half has.
-
-    Lower half (t <= 1/2) by ascending t, upper half by descending t: run
-    starts then descend within a half, so the runs nest.
-    """
-    lower = sorted((i for i, t in enumerate(ts) if t <= 0.5), key=lambda i: ts[i])
-    upper = sorted((i for i, t in enumerate(ts) if t > 0.5), key=lambda i: -ts[i])
-    return lower + upper, len(lower)
-
-
 def _window_partials(lo: int, hi: int, window_hi: int, ts, masks, chunk: int):
     """(count, partials) of the engine's chunks of (lo, hi], a sub-range of a
     window that ends at window_hi: partials[c] holds floats whose exact sum
     is that of the run sums of column c (see _mean_divisor_cdf), each over
     one run inside one chunk.  The divisor bound and the run starts come
     from window_hi, so each chunk gets the run sums of a whole-window scan."""
-    order, n_lower = _columns(ts)
-    columns = _run_columns(ts, window_hi)
+    columns = _columns(ts, window_hi)
+    n_lower = sum(not upper for _, _, upper, _ in columns)
     D = isqrt(window_hi)
     starts = [None] * D  # run starts of d, found when d first has a multiple
-    partials = [[] for _ in order]
+    partials = [[] for _ in columns]
     count = 0
     mask_iter = iter(masks(lo, hi, chunk)) if masks is not None else None
 
@@ -450,7 +436,7 @@ def _window_partials(lo: int, hi: int, window_hi: int, ts, masks, chunk: int):
             ks = starts[d - 1]
             if ks is None:
                 ks = starts[d - 1] = _run_starts(d, columns, window_hi)
-            for c0, c1 in ((0, n_lower), (n_lower, len(order))):
+            for c0, c1 in ((0, n_lower), (n_lower, len(columns))):
                 b = k_hi + 1  # run upper bound (exclusive)
                 for c in range(c0, c1):
                     kc = ks[c]
@@ -517,17 +503,18 @@ def _mean_divisor_cdf(
     a sub-range in the chunking used here; None selects every integer.
     """
     ts = _t_grid(t_grid)
-    order, n_lower = _columns(ts)
+    columns = _columns(ts, hi)
+    n_lower = sum(not upper for _, _, upper, _ in columns)
     parts = _over_subranges(_window_partials, lo, hi, chunk, hi, ts, masks, chunk)
     count = sum(c for c, _ in parts)
     sums = np.zeros(len(ts), dtype=np.float64)
-    for c0, c1 in ((0, n_lower), (n_lower, len(order))):
+    for c0, c1 in ((0, n_lower), (n_lower, len(columns))):
         prefix = []
         for c in range(c0, c1):
             for _, partials in parts:
                 prefix += partials[c]
             s = math.fsum(prefix)
-            sums[order[c]] = count - s if c >= n_lower else s
+            sums[columns[c][0]] = count - s if c >= n_lower else s
     return count, sums
 
 
@@ -588,13 +575,13 @@ _COMPARE_BUDGET = 1 << 16
 _POWERS = tuple(np.arange(e + 1)[:, None] for e in range(64))  # 0, 1, ..., e as a column
 
 
-def _squarefull_window_mean(spec: IntervalSpec, ts):
-    """(count, sums) over the square-full n in the window: sums[i] is the sum
+def _squarefull_sums(lo: int, hi: int, ts):
+    """(count, sums) over the square-full n in (lo, hi]: sums[i] is the sum
     of F_n(ts[i]), the same bits as this loop over the members n in
     ascending order, factored with ascending primes p_j and exponents e_j:
 
         logs = _divisor_logs([(p_1, e_1), (p_2, e_2), ...])
-        cut = ts[i] * math.log(n) + _THRESHOLD_GUARD
+        cut = threshold_log_cut(math.log(n), ts[i])
         sums[i] += np.searchsorted(np.sort(logs), cut, side="right") / logs.size
 
     The members are int64 arrays (_squarefull_members), taken in blocks of
@@ -607,11 +594,6 @@ def _squarefull_window_mean(spec: IntervalSpec, ts):
     sum down the block, with the running sums added into its first row,
     makes the loop's additions in the loop's order.
     """
-    return _squarefull_sums(spec.lo, spec.hi, ts)
-
-
-def _squarefull_sums(lo: int, hi: int, ts):
-    """_squarefull_window_mean over the window (lo, hi]."""
     n, a, b = _squarefull_members(lo, hi)
     if not n.size:
         raise EmptyIntervalError(f"no square-full numbers in ({lo}, {hi}]")
@@ -629,7 +611,7 @@ def _squarefull_sums(lo: int, hi: int, ts):
 
 def _squarefull_counts(n, a, b, primes, t_arr):
     """(counts, tau): counts[r, i] is the number of divisors d of member r
-    with log d <= t_arr[i] * log n + _THRESHOLD_GUARD, and tau[r] = tau(n).
+    with log d <= threshold_log_cut(log n, t_arr[i]), and tau[r] = tau(n).
 
     The members are sorted by exponent shape (the exponents in
     ascending-prime order, which fix the order of the float additions), and
@@ -652,7 +634,7 @@ def _squarefull_counts(n, a, b, primes, t_arr):
         for r0 in range(s0, s1, step):
             r = slice(r0, min(r0 + step, s1))
             logs = _shape_divisor_logs(L[r], exps)
-            cut = log_n[r, None] * t_arr + _THRESHOLD_GUARD
+            cut = threshold_log_cut(log_n[r, None], t_arr)
             counts[order[r]] = (logs[:, None, :] <= cut[:, :, None]).sum(axis=2)
     return counts, tau
 
@@ -727,7 +709,7 @@ def weighted_fn_mean(indicator: str, spec: IntervalSpec, t_grid=DEFAULT_T_GRID) 
     squarefull_divisor_law for square-full n."""
     ts = _t_grid(t_grid)
     if indicator == "squarefull":
-        count, sums = _squarefull_window_mean(spec, ts)
+        count, sums = _squarefull_sums(spec.lo, spec.hi, ts)
     elif indicator == "two_squares":
         _check_two_squares_window(spec.lo, spec.hi)
         count, sums = _mean_divisor_cdf(spec.lo, spec.hi, ts, masks=two_squares_count_and_masks)

@@ -74,10 +74,6 @@ def gamma_coeffs(z: complex, kappa: float, order: int) -> tuple[complex, ...]:
 # Regular-factor evaluators
 # ----------------------------------------------------------------------------
 
-def _one_point(many, s: complex) -> complex:
-    return complex(many(np.array([complex(s)]))[0])
-
-
 class ConstantG:
     """G identically equal to a constant (default 1)."""
 
@@ -86,9 +82,6 @@ class ConstantG:
 
     def many(self, s: np.ndarray) -> np.ndarray:
         return np.full(np.shape(s), self.value)
-
-    def __call__(self, s: complex) -> complex:
-        return _one_point(self.many, s)
 
     def describe(self) -> dict:
         return {"kind": "constant", "value": self.value.real}
@@ -110,17 +103,13 @@ def _combine(first: np.ndarray, powers) -> np.ndarray:
 class ZetaCompositionG:
     """G(s) = prod_j zeta(m_j s)^{e_j} (closed-form zeta composition)."""
 
-    def __init__(self, factors, params: specfun.EvalParams = specfun.DEFAULT_PARAMS):
+    def __init__(self, factors):
         self.factors = tuple((float(m), float(e)) for m, e in factors)
-        self.params = params
 
     def many(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=np.complex128)
-        powers = [(specfun.zeta_many(m * s, self.params), e) for m, e in self.factors]
+        powers = [(specfun.zeta_many(m * s), e) for m, e in self.factors]
         return _combine(np.full(s.shape, 1.0 + 0j), powers)
-
-    def __call__(self, s: complex) -> complex:
-        return _one_point(self.many, s)
 
     def describe(self) -> dict:
         return {"kind": "zeta_composition", "factors": [list(f) for f in self.factors]}
@@ -176,9 +165,6 @@ class EulerProductG:
                 acc += self.e * row
                 out[k] = cmath.exp(acc)
         return out
-
-    def __call__(self, s: complex) -> complex:
-        return _one_point(self.many, s)
 
     def tail_log_estimate(self, sigma: float) -> float:
         """Deterministic bound on the neglected log-tail at real part sigma."""
@@ -268,7 +254,7 @@ class SeriesSpec:
         }
 
 
-def _regular_factor(spec: SeriesSpec, params: specfun.EvalParams):
+def _regular_factor(spec: SeriesSpec):
     """The analytic-at-1/kappa_1 factor: non-leading zetas, all L's, and G,
     as a vector callable over an array of nodes.
 
@@ -276,7 +262,7 @@ def _regular_factor(spec: SeriesSpec, params: specfun.EvalParams):
     values equal per-node scalar calls bit for bit only while every node gets
     the same Euler-Maclaurin head length M and the plain-double phase path,
     i.e. while |Im kappa_i s| stays below about 99 on the nodes (M = 64 up to
-    112, extended phases above 99.8 at the default parameters).  The shipped
+    112, extended phases above 99.8 at the default tolerance).  The shipped
     rings have |Im kappa_i s| <= 0.5.  The factors are then multiplied node
     by node in Python complex arithmetic (see _combine).
     """
@@ -285,12 +271,12 @@ def _regular_factor(spec: SeriesSpec, params: specfun.EvalParams):
         s = np.asarray(s, dtype=np.complex128)
         k = spec.kappa.kappa
         powers = [
-            (specfun.zeta_many(k[i] * s, params), spec.z[i])
+            (specfun.zeta_many(k[i] * s), spec.z[i])
             for i in range(1, spec.r)
             if spec.z[i] != 0
         ]
         powers += [
-            (specfun.dirichlet_l_many(k[i] * s, spec.chis[i], params), spec.w[i])
+            (specfun.dirichlet_l_many(k[i] * s, spec.chis[i]), spec.w[i])
             for i in range(spec.r)
             if spec.w[i] != 0
         ]
@@ -331,7 +317,6 @@ class ExpansionCoeffs:
 def expansion_coeffs(
     spec: SeriesSpec,
     order: int = 16,
-    params: specfun.EvalParams = specfun.DEFAULT_PARAMS,
     radius: float | None = None,
 ) -> ExpansionCoeffs:
     """Taylor data at s = 1/kappa_1: leading-factor coefficients times the
@@ -340,7 +325,7 @@ def expansion_coeffs(
     z1 = complex(spec.z[0])
     gam = gamma_coeffs(z1, k1, order)
     rad = _expansion_radius(spec) if radius is None else float(radius)
-    reg = taylor_at(_regular_factor(spec, params), 1.0 / k1, order, rad)
+    reg = taylor_at(_regular_factor(spec), 1.0 / k1, order, rad)
     g = [0j] * (order + 1)
     for j in range(order + 1):
         if gam[j] == 0:
@@ -357,24 +342,22 @@ def expansion_coeffs(
     )
 
 
-def lambda0_closed_form(
-    spec: SeriesSpec, params: specfun.EvalParams = specfun.DEFAULT_PARAMS
-) -> complex:
+def lambda0_closed_form(spec: SeriesSpec) -> complex:
     """Leading coefficient, evaluated directly: G(1/k1) k1^{-z1} / Gamma(z1)
     times the non-leading zeta and L values at kappa_i/kappa_1."""
     k = spec.kappa.kappa
     k1 = k[0]
     z1 = complex(spec.z[0])
-    out = complex(spec.G(1.0 / k1))
+    out = complex(spec.G.many(np.array([complex(1.0 / k1)]))[0])
     out *= specfun.complex_pow_principal(k1, -z1)
     out *= specfun.reciprocal_gamma(z1)
     for i in range(1, spec.r):
         if spec.z[i] != 0:
-            zv = specfun.zeta_complex(k[i] / k1, params)
+            zv = specfun.zeta_complex(k[i] / k1)
             out *= specfun.complex_pow_principal(zv, spec.z[i])
     for i in range(spec.r):
         if spec.w[i] != 0:
-            lv = specfun.dirichlet_l(k[i] / k1, spec.chis[i], params)
+            lv = specfun.dirichlet_l(k[i] / k1, spec.chis[i])
             out *= specfun.complex_pow_principal(lv, spec.w[i])
     return out
 

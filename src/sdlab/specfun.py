@@ -2,16 +2,17 @@
 powers, and the (regularized incomplete) beta function.
 
 All evaluations are double precision.  zeta and Hurwitz zeta use Euler-Maclaurin
-summation with a configurable base truncation; the number of leading terms is
-raised automatically with |Im s| so the correction series keeps a fixed decay
-ratio on the whole strip 0 < Re s, |Im s| <= 1e4.
+summation with a base head of 64 terms and Bernoulli corrections through B_30;
+the number of leading terms is raised automatically with |Im s| so the
+correction series keeps a fixed decay ratio on the whole strip 0 < Re s,
+|Im s| <= 1e4.  The vector functions take the absolute tolerance of that
+truncation (1e-12 by default); the scalar ones always use the default.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import numpy as np
@@ -24,8 +25,6 @@ from .errors import (
 )
 
 __all__ = [
-    "EvalParams",
-    "DEFAULT_PARAMS",
     "gamma_complex",
     "reciprocal_gamma",
     "zeta_complex",
@@ -40,24 +39,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalParams:
-    """Tuning knobs for the Euler-Maclaurin evaluations."""
-
-    euler_maclaurin_terms: int = 64
-    bernoulli_order: int = 30
-    target_abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.euler_maclaurin_terms < 1:
-            raise DomainError("euler_maclaurin_terms must be positive")
-        if self.bernoulli_order < 2 or self.bernoulli_order % 2:
-            raise DomainError("bernoulli_order must be a positive even integer")
-        if not self.target_abs_tol > 0:
-            raise DomainError("target_abs_tol must be positive")
-
-
-DEFAULT_PARAMS = EvalParams()
+# Euler-Maclaurin base head length and Bernoulli order (B_2 .. B_30).
+_EM_BASE_TERMS = 64
+_BERNOULLI_ORDER = 30
 
 
 # ----------------------------------------------------------------------------
@@ -91,19 +75,20 @@ def _bern_over_fact(order: int) -> np.ndarray:
 # Euler-Maclaurin core for Hurwitz zeta
 # ----------------------------------------------------------------------------
 
-def _em_head_terms(base_terms: int, tau_max: float, tol: float) -> int:
+def _em_head_terms(tau_max: float, tol: float) -> int:
     # Keep the correction-term ratio (|s| / 2 pi M)^2 small at the largest
     # imaginary part present, so bernoulli_order/2 corrections reach the
     # target; a looser tolerance gets away with a shorter head sum.
     factor = 0.5 if tol < 1e-8 else 0.3
-    return max(int(base_terms), int(math.ceil(factor * tau_max)) + 8)
+    return max(_EM_BASE_TERMS, int(math.ceil(factor * tau_max)) + 8)
 
 
 _TWO_PI_LD = 2.0 * np.pi * np.longdouble(1.0) + np.longdouble(2.4492935982947064e-16)
 
 
 def _pow_negs(s: np.ndarray, log_base_ld, extended: bool) -> np.ndarray:
-    """base**(-s) elementwise; optional extended-precision phase reduction.
+    """base**(-s) for s and each base, shape s.shape + shape of the bases;
+    optional extended-precision phase reduction.
 
     tau * log(base) can reach ~1e5 on the permitted strip, where plain double
     phases lose ~|phase| * eps.  The 80-bit path reduces mod 2pi before
@@ -111,16 +96,10 @@ def _pow_negs(s: np.ndarray, log_base_ld, extended: bool) -> np.ndarray:
     """
     log_base_ld = np.asarray(log_base_ld, dtype=np.longdouble)
     log_d = log_base_ld.astype(np.float64)
-    if log_base_ld.ndim == 0:
-        mag = np.exp(-s.real * float(log_d))
-        if not extended:
-            return mag * np.exp(-1j * (s.imag * float(log_d)))
-        phase_ld = s.imag.astype(np.longdouble) * log_base_ld
-    else:
-        mag = np.exp(-np.multiply.outer(s.real, log_d))
-        if not extended:
-            return mag * np.exp(-1j * np.multiply.outer(s.imag, log_d))
-        phase_ld = np.multiply.outer(s.imag.astype(np.longdouble), log_base_ld)
+    mag = np.exp(-np.multiply.outer(s.real, log_d))
+    if not extended:
+        return mag * np.exp(-1j * np.multiply.outer(s.imag, log_d))
+    phase_ld = np.multiply.outer(s.imag.astype(np.longdouble), log_base_ld)
     phase = np.mod(phase_ld, _TWO_PI_LD).astype(np.float64)
     return mag * (np.cos(phase) - 1j * np.sin(phase))
 
@@ -128,24 +107,28 @@ def _pow_negs(s: np.ndarray, log_base_ld, extended: bool) -> np.ndarray:
 def _hurwitz_em(
     s: np.ndarray,
     w: float,
-    params: EvalParams,
+    tol: float = 1e-12,
     deflate: bool = False,
 ) -> np.ndarray:
-    """Vector Euler-Maclaurin evaluation of zeta(s, w).
+    """Vector Euler-Maclaurin evaluation of zeta(s, w) to the absolute
+    tolerance tol, which sets the head length M, the extended-phase switch
+    and the tail bound past which AccuracyError is raised.
 
     With deflate=True the pole term 1/(s-1) is removed, i.e. the function
     returned is zeta(s, w) - 1/(s-1), which is entire in s.  This is what the
     L-function assembly needs at s = 1.
     """
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
     s = np.asarray(s, dtype=np.complex128)
     if s.size == 0:
         return s.copy()
-    tau_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    M = _em_head_terms(params.euler_maclaurin_terms, tau_max, params.target_abs_tol)
-    K = params.bernoulli_order // 2
+    tau_max = float(np.max(np.abs(s.imag)))
+    M = _em_head_terms(tau_max, tol)
+    K = _BERNOULLI_ORDER // 2
     # Double-precision phases already round to ~tau*log(M)*eps; go extended
     # only when that would eat into the requested tolerance.
-    extended = tau_max * math.log(M + 1.0) * 1.2e-16 > 0.05 * params.target_abs_tol
+    extended = tau_max * math.log(M + 1.0) * 1.2e-16 > 0.05 * tol
 
     # Head sum over n = 0..M-1 of (n+w)^{-s}, chunked to bound memory.
     log_ns_ld = np.log(np.arange(M, dtype=np.longdouble) + np.longdouble(w))
@@ -171,7 +154,7 @@ def _hurwitz_em(
         pole = mw * mw_pow_ms / (s - 1.0)
     half = 0.5 * mw_pow_ms
 
-    bof = _bern_over_fact(params.bernoulli_order)
+    bof = _bern_over_fact(_BERNOULLI_ORDER)
     poch = s.copy()                     # (s)_1
     fac = mw_pow_ms / mw                # (M+w)^{-s-1}
     corr = np.zeros_like(s)
@@ -182,11 +165,10 @@ def _hurwitz_em(
     # First omitted correction term bounds the truncation error up to a small
     # factor; treat it as the tail estimate.
     tail = np.max(np.abs(bof[K] * poch * fac)) if K < bof.size else math.inf
-    if tail > params.target_abs_tol:
+    if tail > tol:
         raise AccuracyError(
             f"Euler-Maclaurin tail estimate {tail:.3e} exceeds target "
-            f"{params.target_abs_tol:.3e} (M={M}, bernoulli_order="
-            f"{params.bernoulli_order})"
+            f"{tol:.3e} (M={M}, bernoulli_order={_BERNOULLI_ORDER})"
         )
     return head + pole + half + corr
 
@@ -196,28 +178,27 @@ def _check_strip(s: complex) -> None:
         raise DomainError(f"Euler-Maclaurin path requires Re s > 0, got {s}")
 
 
-def zeta_complex(s: complex, params: EvalParams = DEFAULT_PARAMS) -> complex:
+def zeta_complex(s: complex) -> complex:
     """Riemann zeta for Re s > 0, s != 1."""
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has its pole at s = 1")
     _check_strip(s)
-    return complex(_hurwitz_em(np.array([s]), 1.0, params)[0])
+    return complex(_hurwitz_em(np.array([s]), 1.0)[0])
 
 
-def zeta_many(s: np.ndarray, params: EvalParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Vector zeta over an array of points with Re s > 0, none equal to 1."""
+def zeta_many(s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Vector zeta over an array of points with Re s > 0, none equal to 1, to
+    the absolute Euler-Maclaurin tolerance tol."""
     s = np.asarray(s, dtype=np.complex128)
     if np.any(s == 1.0):
         raise PoleError("zeta has its pole at s = 1")
     if np.any(s.real <= 0.0):
         raise DomainError("zeta_many requires Re s > 0 everywhere")
-    return _hurwitz_em(s, 1.0, params)
+    return _hurwitz_em(s, 1.0, tol)
 
 
-def hurwitz_zeta(
-    s: complex, w: float, params: EvalParams = DEFAULT_PARAMS
-) -> complex:
+def hurwitz_zeta(s: complex, w: float) -> complex:
     """Hurwitz zeta(s, w) = sum_{n>=0} (n+w)^{-s} for Re s > 0, 0 < w <= 1."""
     s = complex(s)
     if not 0.0 < w <= 1.0:
@@ -225,17 +206,16 @@ def hurwitz_zeta(
     if s == 1.0:
         raise PoleError("zeta(s, w) has its pole at s = 1")
     _check_strip(s)
-    return complex(_hurwitz_em(np.array([s]), float(w), params)[0])
+    return complex(_hurwitz_em(np.array([s]), float(w))[0])
 
 
 # ----------------------------------------------------------------------------
 # Dirichlet L-functions
 # ----------------------------------------------------------------------------
 
-def dirichlet_l_many(
-    s: np.ndarray, chi, params: EvalParams = DEFAULT_PARAMS
-) -> np.ndarray:
-    """Vector L(s, chi) for non-principal chi, valid for Re s > 0.
+def dirichlet_l_many(s: np.ndarray, chi, tol: float = 1e-12) -> np.ndarray:
+    """Vector L(s, chi) for non-principal chi, valid for Re s > 0, with each
+    Hurwitz zeta to the absolute Euler-Maclaurin tolerance tol.
 
     Assembled from Hurwitz zeta at the residues a/q.  The Hurwitz pole terms
     cancel in the character sum because the character values sum to zero, so
@@ -256,18 +236,16 @@ def dirichlet_l_many(
         if cv == 0:
             continue
         frac = a / q
-        hz = _hurwitz_em(s, frac, params, deflate=True)
+        hz = _hurwitz_em(s, frac, tol, deflate=True)
         frac_pow = np.exp(-s * math.log(frac))
         out += cv * (hz - frac_pow)
         direct += cv * np.exp(-s * math.log(a))
     return np.exp(-s * math.log(q)) * out + direct
 
 
-def dirichlet_l(
-    s: complex, chi, params: EvalParams = DEFAULT_PARAMS
-) -> complex:
+def dirichlet_l(s: complex, chi) -> complex:
     """L(s, chi) for a non-principal character, Re s > 0 (entire there)."""
-    return complex(dirichlet_l_many(np.array([complex(s)]), chi, params)[0])
+    return complex(dirichlet_l_many(np.array([complex(s)]), chi)[0])
 
 
 # ----------------------------------------------------------------------------

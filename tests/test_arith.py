@@ -303,10 +303,13 @@ class TestConvolution:
 
 class TestInverse:
     def test_moebius(self, sieve_1e6):
-        inv = ar.dirichlet_inverse(ar.ones_coeffs(500))
-        mu = ar.moebius_coeffs(500, sieve_1e6)
-        assert np.array_equal(inv.values, mu.values)
-        assert inv[6] == 1
+        # against mu(n) read off each factorization
+        mu = ar.moebius_coeffs(500)
+        for n in range(1, 501):
+            fac = ar.factorize(n, sieve_1e6)
+            want = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
+            assert mu[n] == want, n
+        assert mu.exact and mu[6] == 1 and mu[30] == -1 and mu[12] == 0
 
     def test_non_invertible(self):
         vals = np.zeros(11, dtype=np.int64)
@@ -322,12 +325,12 @@ class TestInverse:
             back = ar.dirichlet_inverse(ar.dirichlet_inverse(a))
             assert np.array_equal(back.values, a.values)
 
-    def test_tau_inverse_formula(self, chi3, chi4, sieve_1e6):
+    def test_tau_inverse_formula(self, chi3, chi4):
         # inverse coefficients match the mu(m_i) mu(n_i) chi_i(n_i) enumeration
         kv = ar.KappaVector((2, 3))
         tau = ar.tau_chi_coeffs(1000, kv, (chi3, chi4))
         tinv = ar.dirichlet_inverse(tau)
-        mu = ar.moebius_coeffs(1000, sieve_1e6)
+        mu = ar.moebius_coeffs(1000)
 
         def direct(n):
             total = 0

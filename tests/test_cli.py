@@ -174,6 +174,17 @@ class TestCommands:
         code, _, _ = run(["contour", "--T", "200", "--format", "csv"], capsys)
         assert code == 2
 
+    def test_contour_nj_cap_rejected_before_zeta_work(self, capsys, monkeypatch):
+        from sdlab import contourlab
+
+        def never(*args, **kwargs):
+            raise AssertionError("frak_m ran before the config check")
+
+        monkeypatch.setattr(contourlab, "frak_m", never)
+        code, _, err = run(["contour", "--T", "200", "--nj-cap", "0"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "nj_cap" in err
+
     def test_accuracy_error_maps_to_exit_3(self, capsys, monkeypatch):
         from sdlab.errors import AccuracyError
 

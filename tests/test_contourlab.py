@@ -58,7 +58,7 @@ def _full_grid_max(varsigma, T, kappa, density):
     for sg in sig:
         vals = np.ones(taus.size, dtype=np.complex128)
         for k in kappa:
-            vals = vals * sf.zeta_many(k * (sg + 1j * taus), cl._SCAN_PARAMS)
+            vals = vals * sf.zeta_many(k * (sg + 1j * taus), cl._SCAN_TOL)
         best = max(best, float(np.max(np.abs(vals) ** 2)))
     tail = 1.0
     for k in kappa:
@@ -122,9 +122,9 @@ class TestFrakM:
         sizes = []
         zeta_many = sf.zeta_many
 
-        def counting(s, params=sf.DEFAULT_PARAMS):
+        def counting(s, tol=1e-12):
             sizes.append(np.asarray(s).size)
-            return zeta_many(s, params)
+            return zeta_many(s, tol)
 
         monkeypatch.setattr(sf, "zeta_many", counting)
         cl.frak_m(0.5, 1600.0, zl_spec, 8, refine_check=False)
@@ -269,7 +269,7 @@ class TestClassification:
     def test_boundary_zero_error_after_retries(self, grid200, monkeypatch):
         from sdlab.errors import BoundaryZeroError
 
-        def tiny(s, spec, params=None):
+        def tiny(s, spec):
             return np.full(np.asarray(s).shape, 1e-12 + 0j)
 
         monkeypatch.setattr(cl, "zl_product_many", tiny)
@@ -425,3 +425,9 @@ class TestBombieri:
         assert cl.bombieri_check([1.5 + 3j, 1.6 - 8j], a, b=b)
         with pytest.raises(DomainError):
             cl.bombieri_check([1.5 + 3j], [1.0, 1.0], b=np.array([1.0, 0.0]))
+
+    def test_weights_shorter_than_coefficients(self):
+        # a with a nonzero tail, and a whose tail is zero
+        for a in ([1.0, 2.0, 3.0], [1.0, 2.0, 0.0]):
+            with pytest.raises(DomainError, match="fewer"):
+                cl.bombieri_check([1.5 + 3j, 1.6 - 8j], a, b=np.ones(2))

@@ -282,21 +282,36 @@ class TestMeanDivisorCdf:
         t = 1.0 - 1e-12
         want = next(k for k in itertools.count(1) if not ar.divisor_le_threshold(k, k, t))
         assert want > 20000
-        assert iv._run_start(1, t, True, 10**12) == want
-        assert iv._run_start(1, 1.0 - 1e-13, True, 10**12) is None
+        hi = 10**12
+        assert iv._run_starts(1, iv._columns((t,), hi), hi) == [want]
+        assert iv._run_starts(1, iv._columns((1.0 - 1e-13,), hi), hi) == [None]
 
-    def test_run_starts_match_run_start(self):
-        # t = 0 and t = 1 put every d past the limit; 0.3 is repeated
+    def test_run_starts_match_run_start(self, rng):
+        # against a scan of every k with d*k <= 2*hi; t = 0 and t = 1 put
+        # every d > 1 past the limit; 0.3 is repeated
         grid = (0.0, 0.05, 0.3, 0.3, 0.5, 0.7, 0.95, 1.0)
-        order, n_lower = iv._columns(grid)
+
+        def scan(d, t, upper, hi):
+            for k in range(1, 2 * hi // d + 1):
+                le = ar.divisor_le_threshold(k if upper else d, d * k, t)
+                if le != upper:
+                    return k
+            return None
+
+        hi = 10**4
+        columns = iv._columns(grid, hi)
+        assert [i for i, *_ in columns] == [0, 1, 2, 3, 4, 7, 6, 5]
         skipped = 0
-        for hi in (10**4, 3 * 10**5 + 7):
-            columns = iv._run_columns(grid, hi)
-            for d in range(1, math.isqrt(hi) + 1):
-                want = [iv._run_start(d, grid[i], c >= n_lower, hi) for c, i in enumerate(order)]
-                assert iv._run_starts(d, columns, hi) == want, (hi, d)
-                skipped += sum(math.log(d) >= limit for _, _, limit in columns)
-        assert skipped > 1000
+        for d in range(1, math.isqrt(hi) + 1):
+            want = [scan(d, t, upper, hi) for _, t, upper, _ in columns]
+            assert iv._run_starts(d, columns, hi) == want, (hi, d)
+            skipped += sum(math.log(d) >= limit for *_, limit in columns)
+        assert skipped > 600
+        hi = 3 * 10**5 + 7
+        columns = iv._columns(grid, hi)
+        for d in [1] + sorted(rng.choice(np.arange(2, math.isqrt(hi) + 1), 40, replace=False).tolist()):
+            want = [scan(d, t, upper, hi) for _, t, upper, _ in columns]
+            assert iv._run_starts(d, columns, hi) == want, (hi, d)
 
     def test_narrow_window_matches_per_n_oracle(self, sieve_1e6):
         # the window is narrower than sqrt(hi) = 1000, so some d have no
@@ -311,19 +326,21 @@ class TestMeanDivisorCdf:
 
     def test_run_starts_only_for_divisors_with_multiples(self, monkeypatch):
         calls = 0
-        run_start = iv._run_start
+        run_starts = iv._run_starts
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return run_start(*args)
+            return run_starts(*args)
 
-        monkeypatch.setattr(iv, "_run_start", counting)
+        monkeypatch.setattr(iv, "_run_starts", counting)
         spec = iv.IntervalSpec(x=10**10, theta=0.3, kappa1=1.0)
         iv.weighted_fn_mean("two_squares", spec)
         live = sum(1 for d in range(1, math.isqrt(spec.hi) + 1) if spec.lo // d < spec.hi // d)
-        # a table for every d <= sqrt(hi) would take 19 * 100,000 calls
-        assert 0 < calls <= len(iv.DEFAULT_T_GRID) * live < 200_000
+        # a table for every d <= sqrt(hi) would take 100,000 calls, each
+        # searching the 19 columns
+        assert 0 < calls == live
+        assert len(iv.DEFAULT_T_GRID) * live < 200_000
 
     def test_mask_stream_length_must_match(self, monkeypatch):
         monkeypatch.setattr(iv, "_worker_count", lambda: 1)
@@ -441,7 +458,7 @@ class TestWeightedMeans:
     def test_squarefull_mean_matches_scalar_loop(self):
         spec = iv.IntervalSpec(x=10**6, theta=0.5, kappa1=2.0)
         ts = iv.DEFAULT_T_GRID + (0.0, 1.0)
-        count, sums = iv._squarefull_window_mean(spec, ts)
+        count, sums = iv._squarefull_sums(spec.lo, spec.hi, ts)
         members = iv.enumerate_squarefull(spec.lo, spec.hi)
         want = np.zeros(len(ts))
         for n in members:
@@ -457,7 +474,7 @@ class TestWeightedMeans:
         monkeypatch.setattr(iv, "_SQUAREFULL_BLOCK", 7)
         spec = iv.IntervalSpec(x=10**12, theta=0.3, kappa1=2.0)
         ts = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
-        count, sums = iv._squarefull_window_mean(spec, ts)
+        count, sums = iv._squarefull_sums(spec.lo, spec.hi, ts)
         want_count, want = squarefull_scalar_sums(spec.lo, spec.hi, ts)
         assert count == want_count > 4000
         assert np.array_equal(sums, want)
@@ -494,7 +511,7 @@ class TestWeightedMeans:
         spec = iv.IntervalSpec(x=10**14, theta=0.2, kappa1=2.0)
         tracemalloc.start()
         try:
-            count, _ = iv._squarefull_window_mean(spec, iv.DEFAULT_T_GRID)
+            count, _ = iv._squarefull_sums(spec.lo, spec.hi, iv.DEFAULT_T_GRID)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

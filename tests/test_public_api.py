@@ -3,7 +3,7 @@ import inspect
 
 import pytest
 
-from sdlab import arith, contourlab, intervals, sdexpand
+from sdlab import arith, contourlab, intervals, sdexpand, specfun
 
 MODULES = (
     "sdlab",
@@ -27,8 +27,27 @@ def test_all_names_resolve(name):
 
 def test_merged_duplicates_stay_gone():
     # one coefficient-stream builder (arith.tau_chi_coeffs), one prime sieve
-    # (arith.primes_upto), no uncalled truncated-series G
+    # (arith.primes_upto), no uncalled truncated-series G, one way to mu;
+    # one tolerance on the vector zeta and L functions instead of a knob
+    # object, and one evaluation path (G.many) per regular factor
     assert not hasattr(contourlab, "zl_coeffs")
     assert not hasattr(sdexpand, "DirichletSeriesG")
     assert not hasattr(arith.FactorSieve, "primes")
     assert "sieve" not in inspect.signature(intervals.ddt_mean).parameters
+    assert "sieve" not in inspect.signature(arith.moebius_coeffs).parameters
+    assert not hasattr(specfun, "EvalParams")
+    assert not hasattr(specfun, "DEFAULT_PARAMS")
+    assert not hasattr(sdexpand, "_one_point")
+    for cls in (sdexpand.ConstantG, sdexpand.ZetaCompositionG, sdexpand.EulerProductG):
+        assert "__call__" not in vars(cls), cls
+    for mod in (sdexpand, contourlab):
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert "params" not in inspect.signature(obj).parameters, name
+    tol = [
+        name for name in specfun.__all__
+        if inspect.isfunction(getattr(specfun, name))
+        and "tol" in inspect.signature(getattr(specfun, name)).parameters
+    ]
+    assert tol == ["zeta_many", "dirichlet_l_many"]

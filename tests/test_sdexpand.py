@@ -246,7 +246,7 @@ def _scalar_G(G, s):
     if isinstance(G, sd.ZetaCompositionG):
         out = 1.0 + 0j
         for m, e in G.factors:
-            out *= sf.complex_pow_principal(sf.zeta_complex(m * s, G.params), e)
+            out *= sf.complex_pow_principal(sf.zeta_complex(m * s), e)
         return out
     if isinstance(G, sd.EulerProductG):
         acc = 0j
@@ -284,7 +284,7 @@ class TestVectorRegularFactor:
     def test_ring_matches_per_node_loop(self, make):
         spec = make()
         ring = _ring(spec)
-        got = sd._regular_factor(spec, sf.DEFAULT_PARAMS)(ring)
+        got = sd._regular_factor(spec)(ring)
         want = np.array([_scalar_regular_factor(spec, complex(s)) for s in ring])
         assert np.array_equal(got, want)
 
@@ -296,12 +296,6 @@ class TestVectorRegularFactor:
         whole = G.many(ring)
         G.BLOCK = 7
         assert np.array_equal(G.many(ring), whole)
-
-    def test_one_point_call_is_many(self):
-        for spec in (sd.squarefull_series_spec(), sd.two_squares_series_spec()):
-            ring = _ring(spec)[:5]
-            assert np.array_equal(np.array([spec.G(s) for s in ring]), spec.G.many(ring))
-        assert sd.ConstantG(2.5)(0.3 + 1j) == 2.5
 
 
 class TestEulerTail:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -172,21 +173,24 @@ class TestZeta:
         with pytest.raises(DomainError):
             sf.zeta_complex(complex(-0.5, 3.0))
 
-    def test_accuracy_error_when_params_too_small(self):
-        weak = sf.EvalParams(euler_maclaurin_terms=4, bernoulli_order=4)
-        with pytest.raises(AccuracyError):
-            # 4 head terms + 2 correction terms cannot reach 1e-12 here
-            sf._hurwitz_em(np.array([complex(0.3, 0.0)]), 1.0, weak)
+    def test_accuracy_error_when_params_too_small(self, monkeypatch):
+        monkeypatch.setattr(sf, "_EM_BASE_TERMS", 4)
+        monkeypatch.setattr(sf, "_BERNOULLI_ORDER", 4)
+        with pytest.raises(AccuracyError, match="M=8"):
+            # 8 head terms + 2 correction terms cannot reach 1e-12 here
+            sf._hurwitz_em(np.array([complex(0.3, 0.0)]), 1.0)
+
+    def test_tol_must_be_positive(self):
+        for tol in (0.0, -1e-12, math.nan):
+            with pytest.raises(DomainError):
+                sf.zeta_many(np.array([2.0 + 0j]), tol)
 
     def test_high_strip_against_independent_truncation(self):
-        # same point, two very different parameter sets: the result must agree
-        # within both tolerances (independent truncation of the same series)
+        # an independent evaluation of the same point: mpmath at 30 digits
         s = complex(0.6, 5000.0)
-        a = sf.zeta_complex(s, sf.EvalParams(euler_maclaurin_terms=64, bernoulli_order=30))
-        b = sf.zeta_complex(
-            s, sf.EvalParams(euler_maclaurin_terms=4096, bernoulli_order=50)
-        )
-        assert abs(a - b) < 2e-12
+        with mpmath.workdps(30):
+            want = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+        assert abs(sf.zeta_complex(s) - want) < 2e-12
 
 
 class TestHurwitz:
