@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _SIEVE_GUARD = 10**9
+_INT64_MAX = 2**63 - 1
 
 
 # ----------------------------------------------------------------------------
@@ -247,6 +248,8 @@ class CoeffVector:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.limit < 1:
+            raise DomainError(f"limit must be at least 1, got {self.limit}")
         if self.values.shape != (self.limit + 1,):
             raise DomainError("values must have length limit + 1")
 
@@ -262,15 +265,15 @@ class CoeffVector:
 
 
 def unit_coeffs(limit: int) -> CoeffVector:
-    v = np.zeros(limit + 1, dtype=np.int64)
-    v[1] = 1
-    return CoeffVector(limit, v)
+    c = CoeffVector(limit, np.zeros(limit + 1, dtype=np.int64))
+    c.values[1] = 1
+    return c
 
 
 def ones_coeffs(limit: int) -> CoeffVector:
-    v = np.ones(limit + 1, dtype=np.int64)
-    v[0] = 0
-    return CoeffVector(limit, v)
+    c = CoeffVector(limit, np.ones(limit + 1, dtype=np.int64))
+    c.values[0] = 0
+    return c
 
 
 def moebius_coeffs(limit: int) -> CoeffVector:
@@ -328,22 +331,12 @@ def _power_stream(limit: int, k: int, weights=None, exact: bool = True) -> np.nd
     return v
 
 
-def _sparse_convolve(acc: np.ndarray, stream: np.ndarray, limit: int) -> np.ndarray:
-    out = np.zeros_like(acc, dtype=np.result_type(acc, stream))
-    support = np.nonzero(stream)[0]
-    for d in support:
-        if d > limit:
-            break
-        out[d::d] += stream[d] * acc[1 : limit // d + 1]
-    return out
-
-
 def tau_kk_coeffs(limit: int, kv: KappaVector) -> CoeffVector:
     """tau_{kappa,kappa}(n) for n <= limit via stream convolution (exact)."""
     kappas = kv.integer_exponents()
     acc = unit_coeffs(limit).values
     for k in kappas * 2:
-        acc = _sparse_convolve(acc, _power_stream(limit, k), limit)
+        acc = _convolve(_power_stream(limit, k), acc)
     return CoeffVector(limit, acc)
 
 
@@ -364,11 +357,11 @@ def tau_chi_coeffs(
     if not exact:
         acc = acc.astype(np.complex128)
     for k in kappas:
-        acc = _sparse_convolve(acc, _power_stream(limit, k, exact=exact), limit)
+        acc = _convolve(_power_stream(limit, k, exact=exact), acc)
     for k, chi in zip(kappas, chis):
         if chi is not None:
             stream = _power_stream(limit, k, weights=chi, exact=exact)
-            acc = _sparse_convolve(acc, stream, limit)
+            acc = _convolve(stream, acc)
     return CoeffVector(limit, acc)
 
 
@@ -376,20 +369,42 @@ def tau_chi_coeffs(
 # Dirichlet convolution and inversion
 # ----------------------------------------------------------------------------
 
+def _max_abs(v: np.ndarray) -> int:
+    return max(int(v.max()), -int(v.min()))
+
+
+def _convolve(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """out(m) = sum_{dk=m} a(d) b(k): one slice update per nonzero a(d), in
+    ascending d.  An int64 result raises CapacityError if the bound
+    max|b| * sum|a| leaves int64, before any update could wrap."""
+    n = av.size - 1
+    out = np.zeros(n + 1, dtype=np.result_type(av, bv))
+    support = np.flatnonzero(av[1:]) + 1
+    if out.dtype.kind in "iu":
+        if _max_abs(bv[1:]) * sum(map(abs, av[support].tolist())) > _INT64_MAX:
+            raise CapacityError("Dirichlet convolution may leave int64")
+    for d in support.tolist():
+        out[d::d] += av[d] * bv[1 : n // d + 1]
+    return out
+
+
 def dirichlet_convolve(a: CoeffVector, b: CoeffVector) -> CoeffVector:
+    """a * b in O(support of a) slice updates."""
     if a.limit != b.limit:
         raise LimitMismatchError(f"limits differ: {a.limit} vs {b.limit}")
-    n = a.limit
-    out = np.zeros(n + 1, dtype=np.result_type(a.values, b.values))
-    av, bv = a.values, b.values
-    for d in range(1, n + 1):
-        if av[d] != 0:
-            out[d::d] += av[d] * bv[1 : n // d + 1]
-    return CoeffVector(n, out)
+    return CoeffVector(a.limit, _convolve(a.values, b.values))
 
 
 def dirichlet_inverse(a: CoeffVector) -> CoeffVector:
-    """b with a*b = unit, by the forward sieve recursion."""
+    """b with a*b = unit, by the forward sieve recursion
+    b(dk) -= b(d) a(k) / a(1), k >= 2, applied for each nonzero b(d) in
+    ascending d.
+
+    The work runs in dyadic blocks [L, 2L).  A proper divisor of m < 2L is
+    at most m/2 < L, so once every d < L has been applied each b(m) in the
+    block is final, and only the block's nonzero entries need a step.  An
+    exact result raises CapacityError once max|a| * sum|b(d)| over the
+    applied d leaves int64, which bounds every partial value."""
     n = a.limit
     av = a.values
     lead = av[1]
@@ -401,10 +416,19 @@ def dirichlet_inverse(a: CoeffVector) -> CoeffVector:
     inv_lead = int(lead) if exact else 1.0 / complex(lead)
     b[1] = inv_lead
     av_c = av if exact else av.astype(np.complex128)
-    for d in range(1, n // 2 + 1):
-        if b[d] != 0:
-            # contributions of (d, k): b[d k] -= b[d] a[k] / a[1], k >= 2
+    amax = _max_abs(av[1:]) if exact else 0
+    applied = 0
+    lo = 1
+    while lo <= n // 2:
+        hi = min(2 * lo, n // 2 + 1)
+        support = np.flatnonzero(b[lo:hi]) + lo
+        if exact:
+            applied += sum(map(abs, b[support].tolist()))
+            if amax * applied > _INT64_MAX:
+                raise CapacityError("Dirichlet inverse may leave int64")
+        for d in support.tolist():
             b[2 * d :: d] -= (b[d] * inv_lead) * av_c[2 : n // d + 1]
+        lo = hi
     return CoeffVector(n, b)
 
 
@@ -416,7 +440,8 @@ def truncated_inverse_phi(
     if limit < x:
         raise DomainError("limit must be at least x")
     tau = tau_chi_coeffs(limit, kv, chis)
-    tauinv = dirichlet_inverse(tau)
-    truncated = tauinv.values.copy()
-    truncated[x + 1 :] = 0
+    # tauinv(1..x) does not depend on the coefficients above x
+    head = dirichlet_inverse(CoeffVector(x, tau.values[: x + 1])).values
+    truncated = np.zeros(limit + 1, dtype=head.dtype)
+    truncated[: x + 1] = head
     return dirichlet_convolve(CoeffVector(limit, truncated), tau)

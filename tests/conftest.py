@@ -2,8 +2,14 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sdlab import arith
+
+# Every run draws the same Hypothesis examples, so a failing property
+# reproduces; each test's own max_examples and deadline still apply.
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

@@ -369,6 +369,185 @@ class TestInverse:
         assert not conv.values[2:].any()
 
 
+# Reference loops with one step for every index up to the limit, which
+# dirichlet_convolve and dirichlet_inverse must match byte for byte.
+
+def convolve_full_range(a, b):
+    n = a.limit
+    out = np.zeros(n + 1, dtype=np.result_type(a.values, b.values))
+    av, bv = a.values, b.values
+    for d in range(1, n + 1):
+        if av[d] != 0:
+            out[d::d] += av[d] * bv[1 : n // d + 1]
+    return out
+
+
+def inverse_full_range(a):
+    n = a.limit
+    av = a.values
+    lead = av[1]
+    exact = a.exact and int(lead) in (1, -1)
+    b = np.zeros(n + 1, dtype=np.int64 if exact else np.complex128)
+    inv_lead = int(lead) if exact else 1.0 / complex(lead)
+    b[1] = inv_lead
+    av_c = av if exact else av.astype(np.complex128)
+    for d in range(1, n // 2 + 1):
+        if b[d] != 0:
+            b[2 * d :: d] -= (b[d] * inv_lead) * av_c[2 : n // d + 1]
+    return b
+
+
+def _signed_zero_vector():
+    # non-unit lead; nonzero entries with a -0.0 real or imaginary part, and
+    # entries -0.0-0.0j, which are zero and so get no step in either loop
+    r = np.random.default_rng(7)
+    n = 3000
+    v = np.zeros(n + 1, dtype=np.complex128)
+    v[1] = 2.0 - 0.5j
+    idx = r.choice(np.arange(2, n + 1), size=400, replace=False)
+    v[idx] = r.normal(size=400) + 1j * r.normal(size=400)
+    v[idx[:100]] = complex(-0.0, 1.0)
+    v[idx[100:150]] = complex(1.0, -0.0)
+    v[idx[150:200]] = complex(-0.0, -0.0)
+    return ar.CoeffVector(n, v)
+
+
+class TestSupportLoops:
+    @pytest.fixture(scope="class")
+    def vectors(self, chi3, chi4):
+        tau = ar.tau_chi_coeffs(10**5, ar.KappaVector((2, 3)), (chi3, chi4))
+        return {
+            "tau_1e5": tau,
+            "ones_1e4": ar.ones_coeffs(10**4),
+            "complex_signed_zeros": _signed_zero_vector(),
+        }
+
+    @pytest.mark.parametrize("name", ["tau_1e5", "ones_1e4", "complex_signed_zeros"])
+    def test_bytes_match_full_range_loops(self, vectors, name):
+        a = vectors[name]
+        want_inv = inverse_full_range(a)
+        inv = ar.dirichlet_inverse(a)
+        assert inv.values.dtype == want_inv.dtype
+        assert inv.values.tobytes() == want_inv.tobytes()
+        b = ar.CoeffVector(a.limit, want_inv)
+        want = convolve_full_range(a, b)
+        got = ar.dirichlet_convolve(a, b).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_truncated_inverse_phi_bytes(self, chi3, chi4):
+        kv = ar.KappaVector((2, 3))
+        x, limit = 1000, 10**5
+        tau = ar.tau_chi_coeffs(limit, kv, (chi3, chi4))
+        truncated = inverse_full_range(tau)
+        truncated[x + 1 :] = 0
+        want = convolve_full_range(ar.CoeffVector(limit, truncated), tau)
+        got = ar.truncated_inverse_phi(x, limit, kv, (chi3, chi4)).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _bigint_convolve(a, b):
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for k in range(1, n // d + 1):
+            out[d * k] += a[d] * b[k]
+    return out
+
+
+def _bigint_inverse(a):
+    n = len(a) - 1
+    b = [0] * (n + 1)
+    b[1] = a[1]  # a(1) = +-1 is its own inverse
+    for m in range(2, n + 1):
+        b[m] = -a[1] * sum(b[d] * a[m // d] for d in range(1, m) if m % d == 0)
+    return b
+
+
+def _fits_int64(values):
+    return all(-(2**63) <= v < 2**63 for v in values)
+
+
+_coeff_lists = st.integers(1, 64).flatmap(
+    lambda n: st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n)
+)
+
+
+class TestOverflow:
+    def test_inverse_repro_raises(self):
+        # a = (1, 1000, 1000, ...): b(128) is -10^21, which wrapped before
+        v = np.full(257, 1000, dtype=np.int64)
+        v[0], v[1] = 0, 1
+        with pytest.raises(CapacityError):
+            ar.dirichlet_inverse(ar.CoeffVector(256, v))
+
+    def test_inverse_negative_coefficient_raises(self):
+        # a(2) = -2^40: b(4) = 2^80 would wrap to 0; the bound must use |a|
+        v = np.zeros(9, dtype=np.int64)
+        v[1], v[2] = 1, -(2**40)
+        with pytest.raises(CapacityError):
+            ar.dirichlet_inverse(ar.CoeffVector(8, v))
+
+    @pytest.mark.parametrize("fill", [2**32, -(2**32)])
+    def test_convolve_raises(self, fill):
+        v = np.full(17, fill, dtype=np.int64)
+        v[0] = 0
+        a = ar.CoeffVector(16, v)
+        with pytest.raises(CapacityError):
+            ar.dirichlet_convolve(a, a)
+
+    def test_quiet_on_large_exact_vectors(self, chi3, chi4):
+        kv = ar.KappaVector((2, 3))
+        tau = ar.tau_chi_coeffs(10**6, kv, (chi3, chi4))
+        conv = ar.dirichlet_convolve(tau, ar.dirichlet_inverse(tau))
+        assert conv[1] == 1 and not conv.values[2:].any()
+        ar.truncated_inverse_phi(1000, 10**6, kv, (chi3, chi4))
+        mu = ar.moebius_coeffs(10**6)
+        assert mu[999983] == -1 and mu[10**6] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coeff_lists, st.sampled_from([1, -1]))
+    def test_inverse_exact_or_raises(self, tail, lead):
+        a = [0, lead] + tail[1:]
+        want = _bigint_inverse(a)
+        try:
+            got = ar.dirichlet_inverse(ar.CoeffVector(len(a) - 1, np.array(a, dtype=np.int64)))
+        except CapacityError:
+            return
+        assert _fits_int64(want)
+        assert got.values.tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coeff_lists)
+    def test_convolution_powers_exact_or_raise(self, tail):
+        # a, a*a, a*a*a, a*a*a*a: values reach 10^24 within four factors
+        a = [0] + tail
+        n = len(tail)
+        av = ar.CoeffVector(n, np.array(a, dtype=np.int64))
+        got, want = av, a
+        for _ in range(3):
+            want = _bigint_convolve(want, a)
+            try:
+                got = ar.dirichlet_convolve(got, av)
+            except CapacityError:
+                return
+            assert _fits_int64(want)
+            assert got.values.tolist() == want
+
+
+class TestLimitValidation:
+    @pytest.mark.parametrize("build", [
+        ar.unit_coeffs,
+        ar.ones_coeffs,
+        ar.moebius_coeffs,
+        lambda n: ar.tau_kk_coeffs(n, ar.KappaVector((1,))),
+        lambda n: ar.tau_chi_coeffs(n, ar.KappaVector((1,)), (None,)),
+    ], ids=["unit", "ones", "moebius", "tau_kk", "tau_chi"])
+    def test_limit_zero_rejected(self, build):
+        with pytest.raises(DomainError):
+            build(0)
+        assert build(1).limit == 1
+
+
 class TestTruncatedInverse:
     def test_identities(self, chi3, chi4):
         kv = ar.KappaVector((2, 3))
