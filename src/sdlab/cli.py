@@ -13,6 +13,7 @@ import io
 import json
 import random
 import sys
+import typing
 import warnings
 
 from . import arith, contourlab, intervals, sdexpand
@@ -115,8 +116,8 @@ def _law_artifact(config: dict, report: intervals.LawReport) -> dict:
 
 def run_sieve(config: dict) -> dict:
     limit = int(config["limit"])
-    if limit > 10**7:
-        raise CapacityError("sieve table emission capped at 1e7")
+    if limit > 10**6:
+        raise CapacityError("sieve table emission capped at 1e6")
     sieve = arith.build_sieve(limit)
     rows = []
     for n in range(2, limit + 1):
@@ -157,7 +158,7 @@ def run_count(config: dict) -> dict:
     indicator = config["indicator"]
     lo, hi = int(config["lo"]), int(config["hi"])
     if indicator == "squarefull":
-        count = len(intervals.enumerate_squarefull(lo, hi))
+        count = intervals.count_squarefull(lo, hi)
     elif indicator == "two_squares":
         count = intervals.count_two_squares(lo, hi)
     else:
@@ -199,8 +200,7 @@ def run_main_term(config: dict) -> dict:
     x = float(config["x"])
     y = x ** float(config["theta"])
     order = int(config["order"])
-    coeffs = sdexpand.expansion_coeffs(spec, order=max(order, 4))
-    result = sdexpand.main_term(spec, x, y, order, coeffs=coeffs)
+    result = sdexpand.main_term(spec, x, y, order)
     return {
         "command": "main_term",
         "config": config,
@@ -221,17 +221,9 @@ def run_main_term(config: dict) -> dict:
 
 
 def run_contour(config: dict) -> dict:
-    cfg = contourlab.ContourConfig(
-        T=float(config["T"]),
-        epsilon=float(config["epsilon"]),
-        C0=float(config["C0"]),
-        c0=float(config["c0"]),
-        Aprime=int(config["Aprime"]),
-        psi=float(config["psi"]),
-        eta=float(config["eta"]),
-        grid_density=int(config["grid_density"]),
-        nj_cap=int(config["nj_cap"]),
-    )
+    # each field cast to its annotated type: a golden's JSON holds 200 for 200.0
+    hints = typing.get_type_hints(contourlab.ContourConfig)
+    cfg = contourlab.ContourConfig(**{k: t(config[k]) for k, t in hints.items()})
     spec = sdexpand.SeriesSpec(
         kappa=arith.KappaVector((1.0,)),
         z=(1.0 + 0j,),
@@ -288,24 +280,6 @@ COMMANDS = {
     "bombieri": run_bombieri,
 }
 
-_CSV_FIELDS = {
-    "sieve": ("n", "spf", "tau", "mu", "squarefull", "two_squares"),
-    "ddt": intervals.RECORD_FIELDS,
-    "beta": intervals.RECORD_FIELDS,
-    "count": ("indicator", "lo", "hi", "count"),
-    "expand": ("ell", "g_re", "g_im", "lambda_re", "lambda_im"),
-    "main_term": (
-        "x",
-        "y",
-        "order",
-        "value_re",
-        "value_im",
-        "y_prime",
-        "envelope",
-        "envelope_label",
-    ),
-}
-
 
 def run_command(config: dict) -> dict:
     return COMMANDS[config["command"]](config)
@@ -315,7 +289,9 @@ def _emit(artifact: dict, config: dict, out_path: str | None) -> bytes:
     if config["format"] == "json":
         text = render_json(artifact)
     else:
-        text = render_csv(_CSV_FIELDS[config["command"]], artifact["records"])
+        # columns in the records' own key order; every CSV command emits rows
+        rows = artifact["records"]
+        text = render_csv(list(rows[0]), rows)
     data = text.encode()
     if out_path and out_path != "-":
         with open(out_path, "wb") as fh:
@@ -329,137 +305,101 @@ def _emit(artifact: dict, config: dict, out_path: str | None) -> bytes:
 # Argument parsing
 # ----------------------------------------------------------------------------
 
+def _opt(flag: str, convert=None, **kwargs) -> tuple:
+    """One option: its flag, its argparse keywords, whose dest is the config
+    key, and a converter run on the parsed value inside main's error handling."""
+    kwargs.setdefault("dest", flag[2:].replace("-", "_"))
+    return flag, kwargs, convert
+
+
+_CHOICES = ("squarefull", "two_squares")
+_INDICATOR = _opt("--indicator", choices=_CHOICES, required=True)
+_APP = _opt("--app", choices=_CHOICES, required=True)
+_X_INT = _opt("--x", int, type=float, required=True)
+_THETA = _opt("--theta", type=float, required=True)
+_T_GRID = _opt("--t-grid", _parse_t_grid, default="default")
+_PRIME_LIMIT = _opt("--prime-limit", type=int, default=10**5)
+
+# subcommand -> (help, renders CSV, *options); the config holds the command,
+# --format, --seed and one entry per option
+SUBCOMMANDS = {
+    "sieve": (
+        "factor table with indicator columns", True,
+        _opt("--limit", type=int, required=True),
+    ),
+    "ddt": ("Cesaro mean of F_n against the arcsine law", True, _X_INT, _T_GRID),
+    "beta": (
+        "indicator-weighted F_n means vs their limit law: I_t(1/4, 1/4) for "
+        "two squares, the square-full divisor law G for square-full n",
+        True, _INDICATOR, _X_INT, _THETA, _T_GRID,
+    ),
+    "count": (
+        "exact indicator counts in a window", True, _INDICATOR,
+        _opt("--lo", int, type=float, required=True),
+        _opt("--hi", int, type=float, required=True),
+    ),
+    "main-term": (
+        "predicted short-interval main term", True,
+        _APP, _opt("--x", type=float, required=True), _THETA,
+        _opt("--order", type=int, default=0), _PRIME_LIMIT,
+    ),
+    "expand": (
+        "expansion coefficient table", True,
+        _APP, _opt("--order", type=int, default=8), _PRIME_LIMIT,
+    ),
+    "contour": (
+        "box grid, classes, contour, envelopes", False,
+        _opt("--T", type=float, required=True),
+        _opt("--epsilon", type=float, default=0.05),
+        _opt("--C0", type=float, default=1.0),
+        _opt("--c0", type=float, default=1.0),
+        _opt("--aprime", type=int, default=10, dest="Aprime"),
+        _opt("--psi", type=float, default=2.4),
+        _opt("--eta", type=float, default=9.0),
+        _opt("--grid-density", type=int, default=8),
+        _opt("--nj-cap", type=int, default=10**6),
+        _opt("--chi-modulus", type=int, default=4),
+    ),
+    "bombieri": (
+        "randomized mean-value inequality check", False,
+        _opt("--instances", type=int, default=1000),
+        _opt("--max-n", type=int, default=50),
+        _opt("--max-set", type=int, default=10),
+        _opt("--sigma-min", type=float, default=1.2),
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sdlab",
         description="Short-interval arithmetic statistics toolkit",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (help_text, _, *options) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs, _ in options:
+            sp.add_argument(flag, **kwargs)
         sp.add_argument("--output", default="-", help="output path, '-' = stdout")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument(
             "--golden", default=None, help="byte-compare the artifact to this file"
         )
-
-    sp = sub.add_parser("sieve", help="factor table with indicator columns")
-    sp.add_argument("--limit", type=int, required=True)
-    common(sp)
-
-    sp = sub.add_parser("ddt", help="Cesaro mean of F_n against the arcsine law")
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--t-grid", default="default")
-    common(sp)
-
-    sp = sub.add_parser(
-        "beta",
-        help="indicator-weighted F_n means vs their limit law: I_t(1/4, 1/4) for "
-        "two squares, the square-full divisor law G for square-full n",
-    )
-    sp.add_argument("--indicator", choices=("squarefull", "two_squares"), required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--t-grid", default="default")
-    common(sp)
-
-    sp = sub.add_parser("count", help="exact indicator counts in a window")
-    sp.add_argument("--indicator", choices=("squarefull", "two_squares"), required=True)
-    sp.add_argument("--lo", type=float, required=True)
-    sp.add_argument("--hi", type=float, required=True)
-    common(sp)
-
-    sp = sub.add_parser("main-term", help="predicted short-interval main term")
-    sp.add_argument("--app", choices=("squarefull", "two_squares"), required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--order", type=int, default=0)
-    sp.add_argument("--prime-limit", type=int, default=10**5)
-    common(sp)
-
-    sp = sub.add_parser("expand", help="expansion coefficient table")
-    sp.add_argument("--app", choices=("squarefull", "two_squares"), required=True)
-    sp.add_argument("--order", type=int, default=8)
-    sp.add_argument("--prime-limit", type=int, default=10**5)
-    common(sp)
-
-    sp = sub.add_parser("contour", help="box grid, classes, contour, envelopes")
-    sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--epsilon", type=float, default=0.05)
-    sp.add_argument("--C0", type=float, default=1.0)
-    sp.add_argument("--c0", type=float, default=1.0)
-    sp.add_argument("--aprime", type=int, default=10)
-    sp.add_argument("--psi", type=float, default=2.4)
-    sp.add_argument("--eta", type=float, default=9.0)
-    sp.add_argument("--grid-density", type=int, default=8)
-    sp.add_argument("--nj-cap", type=int, default=10**6)
-    sp.add_argument("--chi-modulus", type=int, default=4)
-    common(sp)
-
-    sp = sub.add_parser("bombieri", help="randomized mean-value inequality check")
-    sp.add_argument("--instances", type=int, default=1000)
-    sp.add_argument("--max-n", type=int, default=50)
-    sp.add_argument("--max-set", type=int, default=10)
-    sp.add_argument("--sigma-min", type=float, default=1.2)
-    common(sp)
-
     sp = sub.add_parser("verify", help="re-run a golden artifact's config and diff")
     sp.add_argument("--golden", required=True)
     return p
 
 
 def _config_from_args(args) -> dict:
-    cmd = args.command.replace("-", "_")
     config = {
-        "command": cmd,
+        "command": args.command.replace("-", "_"),
         "format": args.format,
         "seed": args.seed,
     }
-    if cmd == "sieve":
-        config["limit"] = args.limit
-    elif cmd == "ddt":
-        config["x"] = int(args.x)
-        config["t_grid"] = _parse_t_grid(args.t_grid)
-    elif cmd == "beta":
-        config["indicator"] = args.indicator
-        config["x"] = int(args.x)
-        config["theta"] = args.theta
-        config["t_grid"] = _parse_t_grid(args.t_grid)
-    elif cmd == "count":
-        config["indicator"] = args.indicator
-        config["lo"] = int(args.lo)
-        config["hi"] = int(args.hi)
-    elif cmd == "main_term":
-        config["app"] = args.app
-        config["x"] = args.x
-        config["theta"] = args.theta
-        config["order"] = args.order
-        config["prime_limit"] = args.prime_limit
-    elif cmd == "expand":
-        config["app"] = args.app
-        config["order"] = args.order
-        config["prime_limit"] = args.prime_limit
-    elif cmd == "contour":
-        config.update(
-            T=args.T,
-            epsilon=args.epsilon,
-            C0=args.C0,
-            c0=args.c0,
-            Aprime=args.aprime,
-            psi=args.psi,
-            eta=args.eta,
-            grid_density=args.grid_density,
-            nj_cap=args.nj_cap,
-            chi_modulus=args.chi_modulus,
-        )
-    elif cmd == "bombieri":
-        config.update(
-            instances=args.instances,
-            max_n=args.max_n,
-            max_set=args.max_set,
-            sigma_min=args.sigma_min,
-        )
+    for _, kwargs, convert in SUBCOMMANDS[args.command][2:]:
+        value = getattr(args, kwargs["dest"])
+        config[kwargs["dest"]] = convert(value) if convert else value
     return config
 
 
@@ -479,7 +419,7 @@ def main(argv=None) -> int:
             produced = render_json(run_command(config)).encode()
         else:
             config = _config_from_args(args)
-            if config["format"] == "csv" and config["command"] not in _CSV_FIELDS:
+            if config["format"] == "csv" and not SUBCOMMANDS[args.command][1]:
                 raise DomainError(
                     f"command {config['command']!r} has no CSV representation"
                 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,17 +75,7 @@ class ContourConfig:
             raise DomainError("nj_cap must be at least 1")
 
     def describe(self) -> dict:
-        return {
-            "T": self.T,
-            "epsilon": self.epsilon,
-            "C0": self.C0,
-            "c0": self.c0,
-            "Aprime": self.Aprime,
-            "psi": self.psi,
-            "eta": self.eta,
-            "grid_density": self.grid_density,
-            "nj_cap": self.nj_cap,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -99,7 +89,6 @@ class BoxGrid:
     tau: np.ndarray           # edges tau_0..tau_{K_T+1}
     N_j: np.ndarray
     nj_capped: np.ndarray
-    frak_m_values: dict
     classes: np.ndarray       # (J_T+1, K_T+1): -1 unset, 0 Y, 1 W
     windings: np.ndarray      # rounded winding numbers (low range), else -1
     sampled_min: np.ndarray   # sampled min of |zeta L M_N| (high range), else nan
@@ -310,7 +299,6 @@ def build_grid(cfg: ContourConfig, spec: SeriesSpec) -> BoxGrid:
         tau=tau,
         N_j=nj,
         nj_capped=capped,
-        frak_m_values={str(k): v for k, v in fm_cache.items()},
         classes=np.full(shape, -1, dtype=np.int8),
         windings=np.full(shape, -1, dtype=np.int64),
         sampled_min=np.full(shape, np.nan),

@@ -48,6 +48,7 @@ __all__ = [
     "IntervalSpec",
     "LawReport",
     "enumerate_squarefull",
+    "count_squarefull",
     "count_two_squares",
     "two_squares_count_and_masks",
     "ddt_mean",
@@ -203,17 +204,29 @@ def _check_window(lo: int, hi: int) -> None:
         raise CapacityError(f"hi={hi} exceeds guard {_WINDOW_GUARD}")
 
 
-def _squarefull_members(lo: int, hi: int):
-    """(n, a, b): int64 arrays of every square-full n = a^2 b^3 in (lo, hi]
-    with b squarefree, ascending in n.  The representation is unique, so no
-    n repeats.  For each b, a runs from isqrt(lo // b^3) + 1 to
-    isqrt(hi // b^3); the ranges are laid end to end."""
+def _squarefull_ranges(lo: int, hi: int):
+    """(b, first, size): int64 arrays over the squarefree b with b^3 <= hi.
+    The square-full n = a^2 b^3 in (lo, hi] with this b are those with a from
+    first = isqrt(lo // b^3) + 1 to isqrt(hi // b^3), size of them."""
     _check_window(lo, hi)
     b = np.flatnonzero(_squarefree_table(round(hi ** (1.0 / 3.0)) + 2))
     b = b[b**3 <= hi]
     first = np.array([isqrt(v) + 1 for v in (lo // b**3).tolist()], dtype=np.int64)
     last = np.array([isqrt(v) for v in (hi // b**3).tolist()], dtype=np.int64)
-    size = np.maximum(last - first + 1, 0)
+    return b, first, np.maximum(last - first + 1, 0)
+
+
+def count_squarefull(lo: int, hi: int) -> int:
+    """Number of square-full integers in (lo, hi], without listing them."""
+    return int(_squarefull_ranges(lo, hi)[2].sum())
+
+
+def _squarefull_members(lo: int, hi: int):
+    """(n, a, b): int64 arrays of every square-full n = a^2 b^3 in (lo, hi]
+    with b squarefree, ascending in n.  The representation is unique, so no
+    n repeats.  The ranges of a for each b (_squarefull_ranges) are laid end
+    to end."""
+    b, first, size = _squarefull_ranges(lo, hi)
     offset = np.repeat(first - (np.cumsum(size) - size), size)
     a = np.arange(int(size.sum()), dtype=np.int64) + offset
     b = np.repeat(b, size)

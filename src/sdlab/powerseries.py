@@ -23,7 +23,6 @@ class PowerSeries:
 
     center: complex
     coeffs: tuple[complex, ...]
-    radius_hint: float = 0.0
 
     def __post_init__(self):
         if len(self.coeffs) < 1:
@@ -34,23 +33,13 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
     def _like(self, coeffs) -> "PowerSeries":
-        return PowerSeries(self.center, tuple(complex(c) for c in coeffs), self.radius_hint)
+        return PowerSeries(self.center, tuple(complex(c) for c in coeffs))
 
     def _check(self, other: "PowerSeries") -> None:
         if self.order != other.order:
             raise DomainError("series orders differ")
         if self.center != other.center:
             raise DomainError("series centers differ")
-
-    def __add__(self, other):
-        if isinstance(other, PowerSeries):
-            self._check(other)
-            return self._like(a + b for a, b in zip(self.coeffs, other.coeffs))
-        c = list(self.coeffs)
-        c[0] += complex(other)
-        return self._like(c)
-
-    __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
@@ -142,4 +131,4 @@ def taylor_at(fn, s0: complex, order: int, radius: float) -> PowerSeries:
             f"(max scaled change {err:.3e}); shrink the radius or check "
             f"analyticity"
         )
-    return PowerSeries(complex(s0), tuple(fine[: order + 1]), radius)
+    return PowerSeries(complex(s0), tuple(fine[: order + 1]))

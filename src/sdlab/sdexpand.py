@@ -58,8 +58,8 @@ def stieltjes_constants(count: int) -> tuple[float, ...]:
 def gamma_coeffs(z: complex, kappa: float, order: int) -> tuple[complex, ...]:
     """Taylor coefficients (index j) of {(kappa s - 1) zeta(kappa s)}^z about
     s = 1/kappa; entry j is gamma_j(z, kappa)/j!."""
-    if order > 24:
-        raise DomainError("gamma_coeffs order capped at 24")
+    if not 0 <= order <= 24:
+        raise DomainError(f"gamma_coeffs order must lie in [0, 24], got {order}")
     gam = stieltjes_constants(max(order, 1))
     base = [0j] * (order + 1)
     base[0] = 1.0 + 0j
@@ -321,6 +321,8 @@ def expansion_coeffs(
 ) -> ExpansionCoeffs:
     """Taylor data at s = 1/kappa_1: leading-factor coefficients times the
     regular factor, and the main-term lambda sequence."""
+    if order < 0:
+        raise DomainError(f"expansion order must be >= 0, got {order}")
     k1 = spec.kappa1
     z1 = complex(spec.z[0])
     gam = gamma_coeffs(z1, k1, order)

@@ -106,6 +106,9 @@ class TestCommands:
         assert code == 2
         code, _, _ = run(["ddt"], capsys)  # missing --x
         assert code == 2
+        code, _, err = run(["expand", "--app", "squarefull", "--order", "-1"], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_infinite_bound_exit_2(self, capsys):
         for args in (
@@ -162,8 +165,9 @@ class TestCommands:
         }
 
     def test_sieve_capacity_exit_2(self, capsys):
-        code, _, _ = run(["sieve", "--limit", "20000000"], capsys)
-        assert code == 2
+        for limit in ("20000000", "1000001"):
+            code, _, _ = run(["sieve", "--limit", limit], capsys)
+            assert code == 2
 
     def test_csv_unavailable_for_contour_exit_2(self, capsys, monkeypatch):
         # rejected before anything is computed
@@ -222,6 +226,71 @@ class TestCommands:
         run(["ddt", "--x", "300", "--seed", "0", "--output", str(a)], capsys)
         run(["ddt", "--x", "300", "--seed", "1", "--output", str(b)], capsys)
         assert json.loads(a.read_text())["records"] == json.loads(b.read_text())["records"]
+
+
+def _typed(value):
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return (type(value), value)
+
+
+_COMMON = {"format": "json", "seed": 0}
+
+
+_PINNED = [
+    (["sieve", "--limit", "30"], {"command": "sieve", "limit": 30}),
+    (
+        ["ddt", "--x", "2e3", "--t-grid", "0.25,0.5"],
+        {"command": "ddt", "x": 2000, "t_grid": [0.25, 0.5]},
+    ),
+    (
+        ["beta", "--indicator", "two_squares", "--x", "1e4", "--theta", "0.9",
+         "--format", "csv", "--seed", "3"],
+        {"command": "beta", "format": "csv", "seed": 3, "indicator": "two_squares",
+         "x": 10000, "theta": 0.9, "t_grid": list(iv.DEFAULT_T_GRID)},
+    ),
+    (
+        ["count", "--indicator", "squarefull", "--lo", "1e3", "--hi", "2e3"],
+        {"command": "count", "indicator": "squarefull", "lo": 1000, "hi": 2000},
+    ),
+    (
+        ["main-term", "--app", "squarefull", "--x", "1e6", "--theta", "0.4"],
+        {"command": "main_term", "app": "squarefull", "x": 1e6, "theta": 0.4,
+         "order": 0, "prime_limit": 100000},
+    ),
+    (
+        ["expand", "--app", "squarefull", "--order", "3"],
+        {"command": "expand", "app": "squarefull", "order": 3, "prime_limit": 100000},
+    ),
+    (
+        ["contour", "--T", "100", "--grid-density", "4", "--aprime", "5", "--C0", "0.9",
+         "--eta", "8", "--psi", "2", "--epsilon", "0.1", "--c0", "2"],
+        {"command": "contour", "T": 100.0, "epsilon": 0.1, "C0": 0.9, "c0": 2.0,
+         "Aprime": 5, "psi": 2.0, "eta": 8.0, "grid_density": 4, "nj_cap": 1000000,
+         "chi_modulus": 4},
+    ),
+    (
+        ["bombieri", "--instances", "5", "--sigma-min", "1.5"],
+        {"command": "bombieri", "instances": 5, "max_n": 50, "max_set": 10,
+         "sigma_min": 1.5},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, config", _PINNED, ids=[argv[0] for argv, _ in _PINNED])
+def test_artifact_config_pinned(argv, config, monkeypatch, capsys):
+    # the config each subcommand embeds, value types included: verify re-runs it
+    artifacts = []
+    runner = cli.COMMANDS[config["command"]]
+    monkeypatch.setitem(
+        cli.COMMANDS, config["command"], lambda c: artifacts.append(runner(c)) or artifacts[-1]
+    )
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    want = {**_COMMON, **config}
+    got = artifacts[0]["config"]
+    assert got == want
+    assert {k: _typed(v) for k, v in got.items()} == {k: _typed(v) for k, v in want.items()}
 
 
 class TestGolden:

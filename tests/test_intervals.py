@@ -114,10 +114,22 @@ class TestEnumerateSquarefull:
             assert got == want
 
     def test_guards(self):
-        with pytest.raises(DomainError):
-            iv.enumerate_squarefull(10, 10)
-        with pytest.raises(CapacityError):
-            iv.enumerate_squarefull(0, 10**15 + 1)
+        for fn in (iv.enumerate_squarefull, iv.count_squarefull):
+            with pytest.raises(DomainError):
+                fn(10, 10)
+            with pytest.raises(CapacityError):
+                fn(0, 10**15 + 1)
+
+    def test_count_matches_enumeration(self, rng):
+        # lo > 0, windows with no member, and random windows up to 1e10
+        windows = [(0, 1), (0, 100), (8, 9), (9, 15), (37, 48), (10**9, 11 * 10**8)]
+        for _ in range(6):
+            lo = int(rng.integers(0, 10**10))
+            windows.append((lo, lo + int(rng.integers(1, 10**7))))
+        for lo, hi in windows:
+            assert iv.count_squarefull(lo, hi) == len(iv.enumerate_squarefull(lo, hi))
+        assert iv.count_squarefull(9, 15) == 0
+        assert iv.count_squarefull(0, 10**13) == 6_840_384
 
 
 class TestCountTwoSquares:

@@ -1,9 +1,10 @@
+import dataclasses
 import importlib
 import inspect
 
 import pytest
 
-from sdlab import arith, contourlab, intervals, sdexpand, specfun
+from sdlab import arith, contourlab, intervals, powerseries, sdexpand, specfun
 
 MODULES = (
     "sdlab",
@@ -38,6 +39,12 @@ def test_merged_duplicates_stay_gone():
     assert not hasattr(specfun, "EvalParams")
     assert not hasattr(specfun, "DEFAULT_PARAMS")
     assert not hasattr(sdexpand, "_one_point")
+    # members nothing read or called: the Taylor radius, series addition and
+    # the per-row frak_m table of a grid
+    assert "radius_hint" not in {f.name for f in dataclasses.fields(powerseries.PowerSeries)}
+    assert not hasattr(powerseries.PowerSeries, "__add__")
+    assert not hasattr(powerseries.PowerSeries, "__radd__")
+    assert "frak_m_values" not in {f.name for f in dataclasses.fields(contourlab.BoxGrid)}
     for cls in (sdexpand.ConstantG, sdexpand.ZetaCompositionG, sdexpand.EulerProductG):
         assert "__call__" not in vars(cls), cls
     for mod in (sdexpand, contourlab):

@@ -64,6 +64,12 @@ class TestGammaCoeffs:
         with pytest.raises(DomainError):
             sd.gamma_coeffs(1.0, 1.0, 25)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(DomainError):
+            sd.gamma_coeffs(1.0, 1.0, -1)
+        with pytest.raises(DomainError):
+            sd.expansion_coeffs(sd.squarefull_series_spec(), order=-1)
+
 
 class TestApplicationSpecs:
     def test_squarefull_lambda0_closed_form(self):
