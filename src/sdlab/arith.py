@@ -277,8 +277,13 @@ def ones_coeffs(limit: int) -> CoeffVector:
 
 
 def moebius_coeffs(limit: int) -> CoeffVector:
-    """mu(1..limit), exactly: the Dirichlet inverse of the all-ones series."""
-    return dirichlet_inverse(ones_coeffs(limit))
+    """mu(1..limit), exactly, the Dirichlet inverse of the all-ones series:
+    each prime p flips the sign of its multiples and zeroes those of p^2."""
+    c = ones_coeffs(limit)
+    for p in primes_upto(limit).tolist():
+        c.values[p::p] *= -1
+        c.values[p * p :: p * p] = 0
+    return c
 
 
 # ----------------------------------------------------------------------------
@@ -317,18 +322,19 @@ def _exponent_tuple_count(e: int, kappas: tuple[int, ...]) -> int:
     return ways[e]
 
 
-def _power_stream(limit: int, k: int, weights=None, exact: bool = True) -> np.ndarray:
-    """Coefficients of sum_m w(m) m^{-k s}: w(m) at n = m^k, else 0."""
-    v = np.zeros(limit + 1, dtype=np.int64 if exact else np.complex128)
+def _power_stream(limit: int, k: int, weights=None, exact: bool = True):
+    """Sum_m w(m) m^{-k s} by its support: the ascending n = m^k <= limit with
+    w(m) != 0, and the values w(m) there."""
+    support, values = [], []
     m = 1
     while m**k <= limit:
-        if weights is None:
-            v[m**k] = 1
-        else:
-            w = complex(weights(m))
-            v[m**k] = int(w.real) if exact else w
+        w = 1 if weights is None else complex(weights(m))
+        if w != 0:
+            support.append(m**k)
+            values.append(int(w.real) if exact else w)
         m += 1
-    return v
+    dtype = np.int64 if exact else np.complex128
+    return np.array(support, dtype=np.int64), np.array(values, dtype=dtype)
 
 
 def tau_kk_coeffs(limit: int, kv: KappaVector) -> CoeffVector:
@@ -336,7 +342,7 @@ def tau_kk_coeffs(limit: int, kv: KappaVector) -> CoeffVector:
     kappas = kv.integer_exponents()
     acc = unit_coeffs(limit).values
     for k in kappas * 2:
-        acc = _convolve(_power_stream(limit, k), acc)
+        acc = _convolve(*_power_stream(limit, k), acc)
     return CoeffVector(limit, acc)
 
 
@@ -357,11 +363,10 @@ def tau_chi_coeffs(
     if not exact:
         acc = acc.astype(np.complex128)
     for k in kappas:
-        acc = _convolve(_power_stream(limit, k, exact=exact), acc)
+        acc = _convolve(*_power_stream(limit, k, exact=exact), acc)
     for k, chi in zip(kappas, chis):
         if chi is not None:
-            stream = _power_stream(limit, k, weights=chi, exact=exact)
-            acc = _convolve(stream, acc)
+            acc = _convolve(*_power_stream(limit, k, weights=chi, exact=exact), acc)
     return CoeffVector(limit, acc)
 
 
@@ -373,18 +378,18 @@ def _max_abs(v: np.ndarray) -> int:
     return max(int(v.max()), -int(v.min()))
 
 
-def _convolve(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """out(m) = sum_{dk=m} a(d) b(k): one slice update per nonzero a(d), in
-    ascending d.  An int64 result raises CapacityError if the bound
-    max|b| * sum|a| leaves int64, before any update could wrap."""
-    n = av.size - 1
-    out = np.zeros(n + 1, dtype=np.result_type(av, bv))
-    support = np.flatnonzero(av[1:]) + 1
+def _convolve(support: np.ndarray, a_vals: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """out(m) = sum_{dk=m} a(d) b(k), for a given by its values a_vals at the
+    ascending positions support (its nonzero entries): one slice update per
+    d.  An int64 result raises CapacityError if the bound max|b| * sum|a|
+    leaves int64, before any update could wrap."""
+    n = bv.size - 1
+    out = np.zeros(n + 1, dtype=np.result_type(a_vals, bv))
     if out.dtype.kind in "iu":
-        if _max_abs(bv[1:]) * sum(map(abs, av[support].tolist())) > _INT64_MAX:
+        if _max_abs(bv[1:]) * sum(map(abs, a_vals.tolist())) > _INT64_MAX:
             raise CapacityError("Dirichlet convolution may leave int64")
-    for d in support.tolist():
-        out[d::d] += av[d] * bv[1 : n // d + 1]
+    for d, ad in zip(support.tolist(), a_vals):
+        out[d::d] += ad * bv[1 : n // d + 1]
     return out
 
 
@@ -392,7 +397,8 @@ def dirichlet_convolve(a: CoeffVector, b: CoeffVector) -> CoeffVector:
     """a * b in O(support of a) slice updates."""
     if a.limit != b.limit:
         raise LimitMismatchError(f"limits differ: {a.limit} vs {b.limit}")
-    return CoeffVector(a.limit, _convolve(a.values, b.values))
+    support = np.flatnonzero(a.values[1:]) + 1
+    return CoeffVector(a.limit, _convolve(support, a.values[support], b.values))
 
 
 def dirichlet_inverse(a: CoeffVector) -> CoeffVector:

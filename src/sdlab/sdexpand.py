@@ -119,8 +119,8 @@ class EulerProductG:
     """G(s) = prod extra (1-p0^{-a0 s})^{e0} * prod_{p<=P, p mod q in residues}
     (1-p^{-a s})^{e}, truncated at P with a recorded tail estimate."""
 
-    # nodes per block of the node x prime matrix: 64 x 4,800 primes at
-    # P = 1e5 is 4.9 MB of complex128
+    # nodes in flight of the node x prime matrix, over all threads: 64 x
+    # 4,800 primes at P = 1e5 is 4.9 MB of complex128
     BLOCK = 64
 
     def __init__(
@@ -148,22 +148,34 @@ class EulerProductG:
         return self._log_primes
 
     def many(self, s: np.ndarray) -> np.ndarray:
-        """G over an array of nodes, BLOCK nodes at a time.  Each row of
-        log(1 - p^{-a s}) is C-contiguous, so its row sum is the same bits as
-        np.sum over that node alone."""
+        """G over an array of nodes, BLOCK nodes in flight, split between
+        threads (specfun._over_row_shares).  Each row of log(1 - p^{-a s}) is
+        C-contiguous in this call's buffer, so its row sum is the same bits
+        as np.sum over that node alone."""
         nodes = np.asarray(s, dtype=np.complex128).tolist()
         lp = self._primes()
+        scaled = np.array([-self.a * v for v in nodes], dtype=np.complex128)
+        row_sums = np.empty(len(nodes), dtype=np.complex128)
+        buf = np.empty((min(self.BLOCK, len(nodes)), lp.size), dtype=np.complex128)
+
+        def share(j, lo, hi, step):
+            for i in range(lo, hi, step):
+                k = min(i + step, hi)
+                rows = buf[j * step : j * step + k - i]
+                np.multiply.outer(scaled[i:k], lp, out=rows)
+                np.exp(rows, out=rows)
+                np.negative(rows, out=rows)
+                np.log1p(rows, out=rows)
+                rows.sum(axis=1, out=row_sums[i:k])
+
+        specfun._over_row_shares(share, len(nodes), self.BLOCK)
         out = np.empty(len(nodes), dtype=np.complex128)
-        for start in range(0, len(nodes), self.BLOCK):
-            block = nodes[start : start + self.BLOCK]
-            expo = np.multiply.outer(np.array([-self.a * v for v in block]), lp)
-            row_sums = np.log1p(-np.exp(expo)).sum(axis=1).tolist()
-            for k, (v, row) in enumerate(zip(block, row_sums), start):
-                acc = 0j
-                for p0, a0, e0 in self.extra:
-                    acc += e0 * cmath.log(1.0 - cmath.exp(-a0 * v * math.log(p0)))
-                acc += self.e * row
-                out[k] = cmath.exp(acc)
+        for k, (v, row) in enumerate(zip(nodes, row_sums.tolist())):
+            acc = 0j
+            for p0, a0, e0 in self.extra:
+                acc += e0 * cmath.log(1.0 - cmath.exp(-a0 * v * math.log(p0)))
+            acc += self.e * row
+            out[k] = cmath.exp(acc)
         return out
 
     def tail_log_estimate(self, sigma: float) -> float:

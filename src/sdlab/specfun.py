@@ -7,12 +7,17 @@ the number of leading terms is raised automatically with |Im s| so the
 correction series keeps a fixed decay ratio on the whole strip 0 < Re s,
 |Im s| <= 1e4.  The vector functions take the absolute tolerance of that
 truncation (1e-12 by default); the scalar ones always use the default.
+
+A vector call whose head sums span more than one block of points runs the
+blocks on one thread per CPU (_over_row_shares).  Each point's head sum is
+its own row, so the values are the same bits for any number of threads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 import numpy as np
@@ -42,6 +47,43 @@ __all__ = [
 # Euler-Maclaurin base head length and Bernoulli order (B_2 .. B_30).
 _EM_BASE_TERMS = 64
 _BERNOULLI_ORDER = 30
+
+
+# ----------------------------------------------------------------------------
+# Threads over independent rows
+# ----------------------------------------------------------------------------
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _over_row_shares(fn, n: int, block: int) -> None:
+    """fn(j, lo, hi, step) for the contiguous shares lo:hi of the rows
+    range(n), one share per thread of a pool that lives for this call only;
+    fn walks its share in steps of at most step rows.
+
+    There is one thread per CPU, but no more than the blocks of `block` rows
+    in range(n) or than block itself, and step = block // threads, so the
+    rows in flight stay within one block: share j may use rows
+    j*step:(j+1)*step of a buffer of `block` rows that the caller allocated.
+    A single share runs in this thread.  numpy releases the GIL inside its
+    array loops, and each share writes only its own rows, so the result does
+    not depend on the number of threads.
+    """
+    threads = max(1, min(_cpu_count(), -(-n // block), block))
+    step = max(1, block // threads)
+    if threads == 1:
+        fn(0, 0, n, step)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [n * j // threads for j in range(threads + 1)]
+    with ThreadPoolExecutor(threads) as pool:
+        # reading every result raises the first error of a share here
+        list(pool.map(fn, range(threads), cuts, cuts[1:], [step] * threads))
 
 
 # ----------------------------------------------------------------------------
@@ -130,14 +172,18 @@ def _hurwitz_em(
     # only when that would eat into the requested tolerance.
     extended = tau_max * math.log(M + 1.0) * 1.2e-16 > 0.05 * tol
 
-    # Head sum over n = 0..M-1 of (n+w)^{-s}, chunked to bound memory.
+    # Head sum over n = 0..M-1 of (n+w)^{-s}, one row per point, in blocks
+    # of 2^20 terms in flight.
     log_ns_ld = np.log(np.arange(M, dtype=np.longdouble) + np.longdouble(w))
     flat = s.reshape(-1)
-    chunk = max(1, (1 << 21) // max(M, 1))
     head = np.empty_like(flat)
-    for i in range(0, flat.size, chunk):
-        block = flat[i : i + chunk]
-        head[i : i + chunk] = _pow_negs(block, log_ns_ld, extended).sum(axis=1)
+
+    def head_rows(_, lo, hi, step):
+        for i in range(lo, hi, step):
+            j = min(i + step, hi)
+            head[i:j] = _pow_negs(flat[i:j], log_ns_ld, extended).sum(axis=1)
+
+    _over_row_shares(head_rows, flat.size, max(1, (1 << 20) // M))
     head = head.reshape(s.shape)
 
     mw = M + w

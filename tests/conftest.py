@@ -1,4 +1,5 @@
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -43,3 +44,14 @@ def no_stray_processes():
     its worker pool down before it returns, also when a worker raised."""
     yield
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(autouse=True)
+def no_stray_threads():
+    """Every test leaves no thread running: the vector kernels shut their
+    thread pools down before they return.  The window engine falls back to
+    one process while other threads run, so a leaked thread would quietly
+    halve its speed."""
+    before = set(threading.enumerate())
+    yield
+    assert [t for t in threading.enumerate() if t not in before] == []

@@ -311,6 +311,11 @@ class TestInverse:
             assert mu[n] == want, n
         assert mu.exact and mu[6] == 1 and mu[30] == -1 and mu[12] == 0
 
+    def test_moebius_is_the_inverse_of_ones(self):
+        mu = ar.moebius_coeffs(10**4)
+        assert mu.values.dtype == np.int64
+        assert np.array_equal(mu.values, ar.dirichlet_inverse(ar.ones_coeffs(10**4)).values)
+
     def test_non_invertible(self):
         vals = np.zeros(11, dtype=np.int64)
         with pytest.raises(NonInvertibleError):

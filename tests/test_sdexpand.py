@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -302,6 +304,36 @@ class TestVectorRegularFactor:
         whole = G.many(ring)
         G.BLOCK = 7
         assert np.array_equal(G.many(ring), whole)
+
+
+    @pytest.mark.parametrize("n", [0, 1, sd.EulerProductG.BLOCK - 1, 512, 515])
+    def test_euler_product_same_bits_for_any_thread_count(self, monkeypatch, n):
+        G = sd.two_squares_series_spec().G
+        s = 1.0 + 0.4 * np.exp(2j * math.pi * np.arange(n) / max(n, 1))
+        got = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(sf, "_cpu_count", lambda: cpus)
+            before = threading.active_count()
+            got.append(G.many(s))
+            assert threading.active_count() == before
+        assert got[0].shape == (n,)
+        assert np.array_equal(got[0].view(np.float64), got[1].view(np.float64))
+
+    def test_euler_product_threads_under_contention(self, monkeypatch):
+        # more threads than cores, switching often: each share still writes
+        # only its own rows of the shared buffer and of the row sums
+        G = sd.two_squares_series_spec().G
+        s = 1.0 + 0.4 * np.exp(2j * math.pi * np.arange(515) / 515)
+        monkeypatch.setattr(sf, "_cpu_count", lambda: 1)
+        want = G.many(s)
+        monkeypatch.setattr(sf, "_cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = G.many(s)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 class TestEulerTail:

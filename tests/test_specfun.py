@@ -1,5 +1,6 @@
 import cmath
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -191,6 +192,68 @@ class TestZeta:
         with mpmath.workdps(30):
             want = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
         assert abs(sf.zeta_complex(s) - want) < 2e-12
+
+
+def _per_cpu_count(monkeypatch, fn):
+    """fn() with specfun seeing 1 and then 2 CPUs; no thread outlives a call."""
+    out = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sf, "_cpu_count", lambda: cpus)
+        before = threading.active_count()
+        out.append(fn())
+        assert threading.active_count() == before
+    return out
+
+
+class TestRowShares:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n, block", [(0, 4), (1, 4), (4, 4), (7, 4), (10, 3), (9, 1), (515, 64)])
+    def test_shares_cover_the_rows_once(self, monkeypatch, cpus, n, block):
+        monkeypatch.setattr(sf, "_cpu_count", lambda: cpus)
+        calls = []
+        sf._over_row_shares(lambda *share: calls.append(share), n, block)
+        calls.sort()
+        threads = len(calls)
+        assert 1 <= threads <= min(cpus, max(1, -(-n // block)))
+        assert [j for j, *_ in calls] == list(range(threads))
+        assert calls[0][1] == 0 and calls[-1][2] == n
+        assert all(a[2] == b[1] for a, b in zip(calls, calls[1:]))
+        step = calls[0][3]
+        assert all(c[3] == step for c in calls) and 1 <= step and threads * step <= block
+
+    def test_error_in_a_share_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(sf, "_cpu_count", lambda: 2)
+
+        def fail(j, lo, hi, step):
+            if j == 1:
+                raise AccuracyError("share 1")
+
+        before = threading.active_count()
+        with pytest.raises(AccuracyError, match="share 1"):
+            sf._over_row_shares(fail, 10, 2)
+        assert threading.active_count() == before
+
+    def test_zeta_many_same_bits_for_any_thread_count(self, monkeypatch):
+        # 2,000 points up to Im s = 1600 span two head-sum blocks
+        rng = np.random.default_rng(14)
+        s = 0.3 + rng.random(2000) + 1600j * rng.random(2000)
+        threads = set()
+        pow_negs = sf._pow_negs
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return pow_negs(*args)
+
+        monkeypatch.setattr(sf, "_pow_negs", spy)
+        one, two = _per_cpu_count(monkeypatch, lambda: sf.zeta_many(s, 1e-9))
+        assert np.array_equal(one.view(np.float64), two.view(np.float64))
+        assert len(threads) > 1
+
+    def test_dirichlet_l_many_same_bits_for_any_thread_count(self, monkeypatch, chi4):
+        rng = np.random.default_rng(15)
+        s = 0.5 + 1200j * rng.random(1500)
+        one, two = _per_cpu_count(monkeypatch, lambda: sf.dirichlet_l_many(s, chi4, 1e-9))
+        assert np.array_equal(one.view(np.float64), two.view(np.float64))
 
 
 class TestHurwitz:
