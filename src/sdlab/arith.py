@@ -10,7 +10,7 @@ complex128 with a 1e-9 comparison tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -196,7 +196,6 @@ class CharacterTable:
 
     modulus: int
     values: tuple[complex, ...]
-    principal: bool = field(default=False)
 
     def __post_init__(self):
         q = self.modulus
@@ -217,6 +216,11 @@ class CharacterTable:
 
     def __call__(self, n: int) -> complex:
         return self.values[n % self.modulus]
+
+    @property
+    def principal(self) -> bool:
+        """chi(a) = 1 (to the table's tolerance) for every a coprime to q."""
+        return all(abs(v - 1) <= 1e-12 for a, v in enumerate(self.values) if gcd(a, self.modulus) == 1)
 
     @property
     def is_real_integer(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ _SCAN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Free constants of the construction; all echoed into every report."""
+    """Free constants of the construction; the CLI echoes them into every report."""
 
     T: float
     epsilon: float = 0.05
@@ -73,9 +73,6 @@ class ContourConfig:
             raise DomainError("grid_density must be at least 4")
         if self.nj_cap < 1:
             raise DomainError("nj_cap must be at least 1")
-
-    def describe(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -107,11 +104,9 @@ class BoxGrid:
             tops[k] = int(ws[-1]) if ws.size else -1
         return tops
 
-    def in_marked_region(self, s: complex, tops: np.ndarray | None = None) -> bool:
-        """Point test against the union of columns' boxes up to j_k; tops, if
-        given, is column_tops() of the grid as it stands."""
-        if tops is None:
-            tops = self.column_tops()
+    def in_marked_region(self, s: complex, tops: np.ndarray) -> bool:
+        """Point test against the union of columns' boxes up to j_k; tops is
+        column_tops() of the grid as it stands."""
         k1 = self.spec.kappa1
         lt = math.log(self.config.T)
         tau = abs(s.imag)
@@ -396,26 +391,19 @@ def classify_boxes(grid: BoxGrid) -> BoxGrid:
 # Contour construction
 # ----------------------------------------------------------------------------
 
-def _dv(cfg: ContourConfig, k1: float, sigma_ref: float) -> float:
-    if sigma_ref <= (1.0 - cfg.epsilon) / k1 + 1e-15:
-        return cfg.epsilon**2 / k1
-    return 1.0 / (k1 * math.log(cfg.T))
-
-
-def build_contour(grid: BoxGrid, cfg: ContourConfig | None = None) -> ContourPolyline:
+def build_contour(grid: BoxGrid) -> ContourPolyline:
     """Upper polyline: per column a vertical run at sigma_{j_k+1} + d_v,
-    horizontal jogs at d_h above/below the column boundary on the taller side."""
-    cfg = cfg or grid.config
-    spec = grid.spec
-    k1 = spec.kappa1
+    horizontal jogs at d_h above/below the column boundary on the taller side.
+    d_v is epsilon^2/kappa_1 in the low range and a box width above it."""
+    cfg = grid.config
+    k1 = grid.spec.kappa1
     tops = grid.column_tops()
     blocked = np.nonzero(tops >= grid.J_T)[0]
     if blocked.size:
         raise ContourBlockedError(int(blocked[0]))
     d_h = math.log(math.log(cfg.T)) / k1
-    sig_v = np.array(
-        [grid.sigma[t + 1] + _dv(cfg, k1, grid.sigma[t + 1]) for t in tops]
-    )
+    low_dv, high_dv = cfg.epsilon**2 / k1, 1.0 / (k1 * math.log(cfg.T))
+    sig_v = np.array([grid.sigma[t + 1] + (low_dv if grid.regime_low(t + 1) else high_dv) for t in tops])
     verts: list[complex] = [complex(sig_v[0], 0.0)]
     for k in range(grid.K_T):
         a, b = sig_v[k], sig_v[k + 1]
@@ -431,10 +419,11 @@ def build_contour(grid: BoxGrid, cfg: ContourConfig | None = None) -> ContourPol
     return ContourPolyline(tuple(verts))
 
 
-def contour_clear_of_marked(grid: BoxGrid, poly: ContourPolyline, samples_per_segment: int = 64) -> bool:
+def contour_clear_of_marked(grid: BoxGrid, poly: ContourPolyline) -> bool:
+    """No point of 64 even samples per segment lies in the marked region."""
     tops = grid.column_tops()
     for a, b in poly.segments():
-        f = np.linspace(0.0, 1.0, samples_per_segment)
+        f = np.linspace(0.0, 1.0, 64)
         pts = a + (b - a) * f
         for p in pts:
             if grid.in_marked_region(complex(p), tops):
@@ -446,12 +435,10 @@ def contour_clear_of_marked(grid: BoxGrid, poly: ContourPolyline, samples_per_se
 # Envelope reports
 # ----------------------------------------------------------------------------
 
-def check_prop31(
-    poly: ContourPolyline, grid: BoxGrid, cfg: ContourConfig | None = None
-) -> dict:
+def check_prop31(poly: ContourPolyline, grid: BoxGrid) -> dict:
     """Extremal log-gaps between |zeta L| on the contour and the two envelope
     shapes T^{+-c(eps) (1-kappa_1 sigma)} (log T)^{+-4} (constants free)."""
-    cfg = cfg or grid.config
+    cfg = grid.config
     spec = grid.spec
     k1 = spec.kappa1
     lt = math.log(cfg.T)
@@ -505,61 +492,40 @@ def count_w_per_column(grid: BoxGrid) -> dict:
 # Bombieri-type inequality check
 # ----------------------------------------------------------------------------
 
-def bombieri_check(
-    points,
-    a,
-    b=None,
-    margin: float = 0.1,
-) -> bool:
+def bombieri_check(points, a, b=None) -> bool:
     """Verify sum_s |sum_n a_n n^{-s}|^2 <= (sum |a_n|^2 / b_n) *
     max_s sum_{s'} |B(conj(s) + s')|.
 
     b=None uses b_n = 1 for all n (B = zeta), which requires
-    min Re(conj(s)+s') > 1 + margin for absolute convergence; an explicit
+    min Re(conj(s)+s') > 1.1 for absolute convergence; an explicit
     finite b sequence is treated as a Dirichlet polynomial.
     """
-    pts = [complex(p) for p in points]
-    if not pts:
+    pts = np.array([complex(p) for p in points], dtype=np.complex128)
+    if not pts.size:
         raise DomainError("need at least one point")
     a = np.asarray(a, dtype=np.complex128)
-    n = a.size
-    ns = np.arange(1, n + 1, dtype=np.float64)
-    pts_arr = np.array(pts)
-    pair = np.conj(pts_arr)[:, None] + pts_arr[None, :]  # conj(s) + s'
+    pair = np.conj(pts)[:, None] + pts[None, :]  # conj(s) + s'
     if b is None:
         min_re = float(pair.real.min())
-        if min_re <= 1.0 + margin:
-            raise ConvergenceError(
-                f"need min Re(conj(s)+s') > {1.0 + margin}, got {min_re}"
-            )
-        b_std = None
-    else:
-        b_std = np.asarray(b, dtype=np.float64)
-        if b_std.size < a.size:
-            raise DomainError(f"b has {b_std.size} terms, fewer than the {a.size} of a")
-        if np.any(b_std < 0):
-            raise DomainError("b must be non-negative")
-        if np.any((np.abs(a) > 0) & (b_std[: a.size] <= 0)):
-            raise DomainError("b_n must be positive wherever a_n is nonzero")
-
-    logn = np.log(ns)
-    lhs = 0.0
-    for p in pts:
-        lhs += abs(np.sum(a * np.exp(-p * logn))) ** 2
-
-    if b_std is None:
+        if min_re <= 1.1:
+            raise ConvergenceError(f"need min Re(conj(s)+s') > 1.1, got {min_re}")
         weight = float(np.sum(np.abs(a) ** 2))
-    else:
-        nz = np.abs(a) > 0
-        weight = float(np.sum(np.abs(a[nz]) ** 2 / b_std[: a.size][nz]))
-
-    if b_std is None:
         big_b = specfun.zeta_many(pair)
     else:
-        logm = np.log(np.arange(1, b_std.size + 1, dtype=np.float64))
-        big_b = (b_std * np.exp(-pair[..., None] * logm)).sum(axis=-1)
-    best = float(np.abs(big_b).sum(axis=1).max())
-    rhs = weight * best
+        b = np.asarray(b, dtype=np.float64)
+        if b.size < a.size:
+            raise DomainError(f"b has {b.size} terms, fewer than the {a.size} of a")
+        if np.any(b < 0):
+            raise DomainError("b must be non-negative")
+        nz = np.abs(a) > 0
+        if np.any(nz & (b[: a.size] <= 0)):
+            raise DomainError("b_n must be positive wherever a_n is nonzero")
+        weight = float(np.sum(np.abs(a[nz]) ** 2 / b[: a.size][nz]))
+        big_b = _dirichlet_poly(pair, np.concatenate(([0.0], b)))
+    lhs = 0.0
+    for v in _dirichlet_poly(pts, np.concatenate(([0], a))).tolist():
+        lhs += abs(v) ** 2
+    rhs = weight * float(np.abs(big_b).sum(axis=1).max())
     return lhs <= rhs * (1.0 + 1e-12)
 
 
@@ -568,14 +534,14 @@ def bombieri_check(
 # ----------------------------------------------------------------------------
 
 def contour_report(cfg: ContourConfig, spec: SeriesSpec) -> dict:
-    """Build, classify, route, and measure; returns the full JSON-ready dict."""
+    """Build, classify, route, and measure; returns a JSON-ready dict, to
+    which the CLI adds the config it ran."""
     grid = build_grid(cfg, spec)
     classify_boxes(grid)
     poly = build_contour(grid)
     prop31 = check_prop31(poly, grid)
     wcounts = count_w_per_column(grid)
     return {
-        "config": cfg.describe(),
         "spec": spec.describe(),
         "delta_T": grid.delta_T,
         "J_T": grid.J_T,

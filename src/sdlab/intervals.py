@@ -9,7 +9,7 @@ divisor_le_threshold decides both halves, the upper one on the cofactor n/d.
 The passing multiples of each d form a run, and the mean is linear in the
 shares, so the engine sums w(n) = 1/tau(n) over each run and takes a prefix
 sum over the grid columns; it keeps no per-n count matrix.  The window is
-scanned in chunks of 2^20 integers; a window of several chunks is cut at
+scanned in chunks of a fixed 2^20 integers (_CHUNK); a window of several chunks is cut at
 chunk boundaries into one contiguous sub-range per CPU, and forked worker
 processes scan the sub-ranges.  Every partial sum depends only on its own
 chunk, and math.fsum rounds correctly whatever the order of its inputs, so
@@ -27,7 +27,8 @@ below each threshold are integers, and the shares count / tau(n) are added
 by a cumulative sum in member order; so the sums are the bits of a
 member-by-member loop.  The window at x = 1e10, theta = 0.42 (16,421
 members) takes about 0.2 s.  The two-squares indicator comes from a
-segmented parity sieve over primes p = 3 (mod 4).
+segmented parity sieve over primes p = 3 (mod 4); the engine walks the
+sieve's own chunks, so each mask is scanned with the chunk it belongs to.
 """
 
 from __future__ import annotations
@@ -249,9 +250,10 @@ def _check_two_squares_window(lo: int, hi: int) -> None:
         raise CapacityError(f"window width {hi - lo} exceeds guard {_WIDTH_GUARD}")
 
 
-def two_squares_count_and_masks(lo: int, hi: int, chunk: int = _CHUNK):
+def two_squares_count_and_masks(lo: int, hi: int):
     """Yield (chunk_lo, mask) for n in (chunk_lo, chunk_lo+len(mask)] where
-    mask marks integers representable as a sum of two squares.
+    mask marks integers representable as a sum of two squares; the chunks
+    are those of the window engine, _CHUNK integers each.
 
     Exactness: n fails when a prime p = 3 (mod 4) up to sqrt(hi) divides it
     to an odd power; the sieve tracks each such exponent's parity.  When all
@@ -263,8 +265,8 @@ def two_squares_count_and_masks(lo: int, hi: int, chunk: int = _CHUNK):
     _check_two_squares_window(lo, hi)
     primes = primes_upto(isqrt(hi))
     primes3 = [int(p) for p in primes[primes % 4 == 3]]
-    for clo in range(lo, hi, chunk):
-        chi_ = min(clo + chunk, hi)
+    for clo in range(lo, hi, _CHUNK):
+        chi_ = min(clo + _CHUNK, hi)
         m = chi_ - clo
         bad = np.zeros(m, dtype=bool)
         flip = np.zeros(m, dtype=bool)
@@ -292,7 +294,7 @@ def _count_two_squares_part(lo: int, hi: int) -> int:
 def count_two_squares(lo: int, hi: int) -> int:
     """Exact count of sums of two squares in (lo, hi]."""
     _check_two_squares_window(lo, hi)
-    return sum(_over_subranges(_count_two_squares_part, lo, hi, _CHUNK))
+    return sum(_over_subranges(_count_two_squares_part, lo, hi))
 
 
 # ----------------------------------------------------------------------------
@@ -380,17 +382,17 @@ def _worker_count() -> int:
     return specfun._cpu_count()
 
 
-def _over_subranges(fn, lo: int, hi: int, chunk: int, *args) -> list:
+def _over_subranges(fn, lo: int, hi: int, *args) -> list:
     """[fn(a, b, *args) for each sub-range (a, b] of (lo, hi]], in order.
 
     The sub-ranges are contiguous, one per worker, and cut at the chunk
-    boundaries lo + k*chunk nearest to equal shares of the integers.  They
+    boundaries lo + k*_CHUNK nearest to equal shares of the integers.  They
     run in forked worker processes of a pool that lives for this call only;
     with one sub-range, fn runs in this process.
     """
-    workers = min(_worker_count(), -(-(hi - lo) // chunk))
-    per_worker = (hi - lo) / (workers * chunk)  # chunks, possibly fractional
-    cuts = sorted({lo, hi} | {lo + chunk * round(j * per_worker) for j in range(1, workers)})
+    workers = min(_worker_count(), -(-(hi - lo) // _CHUNK))
+    per_worker = (hi - lo) / (workers * _CHUNK)  # chunks, possibly fractional
+    cuts = sorted({lo, hi} | {lo + _CHUNK * round(j * per_worker) for j in range(1, workers)})
     if len(cuts) == 2:
         return [fn(lo, hi, *args)]
     import multiprocessing
@@ -401,22 +403,29 @@ def _over_subranges(fn, lo: int, hi: int, chunk: int, *args) -> list:
         return [f.result() for f in futures]
 
 
-def _window_partials(lo: int, hi: int, window_hi: int, ts, masks, chunk: int):
+def _window_partials(lo: int, hi: int, window_hi: int, ts, two_squares: bool):
     """(count, partials) of the engine's chunks of (lo, hi], a sub-range of a
     window that ends at window_hi: partials[c] holds floats whose exact sum
     is that of the run sums of column c (see _mean_divisor_cdf), each over
     one run inside one chunk.  The divisor bound and the run starts come
-    from window_hi, so each chunk gets the run sums of a whole-window scan."""
+    from window_hi, so each chunk gets the run sums of a whole-window scan.
+
+    The chunks are those of the iterator scanned: the parity sieve's
+    (chunk_lo, mask) pairs for sums of two squares, else (chunk_lo, None)
+    for every integer.  A mask thus always belongs to its own chunk."""
     columns = _columns(ts, window_hi)
     n_lower = sum(not upper for _, _, upper, _ in columns)
     D = isqrt(window_hi)
     starts = [None] * D  # run starts of d, found when d first has a multiple
     partials = [[] for _ in columns]
     count = 0
-    mask_iter = iter(masks(lo, hi, chunk)) if masks is not None else None
+    if two_squares:
+        chunks = two_squares_count_and_masks(lo, hi)
+    else:
+        chunks = ((clo, None) for clo in range(lo, hi, _CHUNK))
 
-    for clo in range(lo, hi, chunk):
-        chigh = min(clo + chunk, hi)
+    for clo, mask in chunks:
+        chigh = min(clo + _CHUNK, hi)
         m = chigh - clo
         tau = np.zeros(m, dtype=np.int32)
         live = []
@@ -434,14 +443,11 @@ def _window_partials(lo: int, hi: int, window_hi: int, ts, masks, chunk: int):
             if k_lo <= d <= k_hi:
                 tau[off + (d - k_lo) * d] += 1
         w = 1.0 / tau
-        if mask_iter is not None:
-            mlo, mask = next(mask_iter, (None, None))
-            if mlo != clo or mask.shape[0] != m:
-                raise DomainError("mask chunks misaligned with window chunks")
+        if mask is None:
+            count += m
+        else:
             count += int(mask.sum())
             w[~mask] = 0.0
-        else:
-            count += m
         for d, k_lo, k_hi, off in live:
             ks = starts[d - 1]
             if ks is None:
@@ -469,8 +475,6 @@ def _window_partials(lo: int, hi: int, window_hi: int, ts, masks, chunk: int):
                         break
                     b = min(kc, k_hi + 1)
         partials = [_exact_terms(xs) for xs in partials]
-    if mask_iter is not None and next(mask_iter, None) is not None:
-        raise DomainError("mask chunks misaligned with window chunks")
     return count, partials
 
 
@@ -487,13 +491,7 @@ def _exact_terms(xs: list[float]) -> list[float]:
     return terms
 
 
-def _mean_divisor_cdf(
-    lo: int,
-    hi: int,
-    t_grid: tuple[float, ...],
-    masks=None,
-    chunk: int = _CHUNK,
-):
+def _mean_divisor_cdf(lo: int, hi: int, t_grid: tuple[float, ...], two_squares: bool = False):
     """(count, sums) with sums[i] = sum over selected n in (lo, hi] of F_n(t_i).
 
     Each divisor of n pairs as d <-> n/d with d <= sqrt(n), and both halves
@@ -505,7 +503,7 @@ def _mean_divisor_cdf(
     The sum is linear in those shares, so nothing is kept per n and grid
     point.  A small divisor d passes a threshold on a run of its multiples
     d*k, k >= start, and adds w(n) = 1/tau(n) to the share of each n there
-    (w = 0 for n outside the mask).  Columns are ordered so that the runs of
+    (w = 0 for n that are not sums of two squares when two_squares is set).  Columns are ordered so that the runs of
     a half nest; each column records the sum of w over the part of its run
     that the previous column lacks, and its total is the correctly rounded
     sum (math.fsum) of its own and all earlier partial sums in its half.
@@ -516,15 +514,11 @@ def _mean_divisor_cdf(
     are the same bits for any number of workers.  After every chunk each
     column's partial sums are replaced by a few floats with the same exact
     sum (_exact_terms), so memory does not grow with the window.
-
-    masks: optional callable masks(lo, hi, chunk), such as
-    two_squares_count_and_masks, yielding the (chunk_lo, bool mask) pairs of
-    a sub-range in the chunking used here; None selects every integer.
     """
     ts = _t_grid(t_grid)
     columns = _columns(ts, hi)
     n_lower = sum(not upper for _, _, upper, _ in columns)
-    parts = _over_subranges(_window_partials, lo, hi, chunk, hi, ts, masks, chunk)
+    parts = _over_subranges(_window_partials, lo, hi, hi, ts, two_squares)
     count = sum(c for c, _ in parts)
     sums = np.zeros(len(ts), dtype=np.float64)
     for c0, c1 in ((0, n_lower), (n_lower, len(columns))):
@@ -731,7 +725,7 @@ def weighted_fn_mean(indicator: str, spec: IntervalSpec, t_grid=DEFAULT_T_GRID) 
         count, sums = _squarefull_sums(spec.lo, spec.hi, ts)
     elif indicator == "two_squares":
         _check_two_squares_window(spec.lo, spec.hi)
-        count, sums = _mean_divisor_cdf(spec.lo, spec.hi, ts, masks=two_squares_count_and_masks)
+        count, sums = _mean_divisor_cdf(spec.lo, spec.hi, ts, two_squares=True)
         if count == 0:
             raise EmptyIntervalError(f"no sums of two squares in ({spec.lo}, {spec.hi}]")
     else:

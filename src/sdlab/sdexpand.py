@@ -340,18 +340,13 @@ def expansion_coeffs(
     gam = gamma_coeffs(z1, k1, order)
     rad = _expansion_radius(spec) if radius is None else float(radius)
     reg = taylor_at(_regular_factor(spec), 1.0 / k1, order, rad)
-    g = [0j] * (order + 1)
-    for j in range(order + 1):
-        if gam[j] == 0:
-            continue
-        for m in range(order + 1 - j):
-            g[j + m] += gam[j] * reg.coeffs[m]
+    g = (PowerSeries(1.0 / k1, gam) * reg).coeffs
     k1_pow = specfun.complex_pow_principal(k1, -z1)
     lam = [k1_pow * g[l] * specfun.reciprocal_gamma(z1 - l) for l in range(order + 1)]
     return ExpansionCoeffs(
         order=order,
         gamma_j=tuple(gam),
-        g_ell=tuple(g),
+        g_ell=g,
         lambda_ell=tuple(lam),
     )
 

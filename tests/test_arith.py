@@ -136,6 +136,21 @@ class TestKappaAndCharacters:
         with pytest.raises(DomainError):
             ar.CharacterTable(5, (0, 1, 1, 1, -1))
 
+    def test_principal_follows_the_values(self, chi3, chi4):
+        # no caller flag: the principal character mod 4 is recognised from
+        # its values wherever a non-principal one is required
+        from sdlab import sdexpand, specfun
+
+        chi0 = ar.CharacterTable(4, (0, 1, 0, 1))
+        assert chi0.principal and ar.CharacterTable(1, (1,)).principal
+        assert not chi3.principal and not chi4.principal
+        with pytest.raises(PrincipalCharacterError):
+            specfun.dirichlet_l(2.0, chi0)
+        with pytest.raises(PrincipalCharacterError):
+            ar.tau_chi_coeffs(50, ar.KappaVector((1.0,)), (chi0,))
+        with pytest.raises(DomainError, match="non-principal"):
+            sdexpand.SeriesSpec(ar.KappaVector((1.0,)), (0.5,), (0.5,), (chi0,))
+
     def test_quadratic_character_mod_7(self):
         chi7 = ar.quadratic_character(7)
         for a in range(1, 7):
@@ -232,7 +247,7 @@ class TestTauChi:
         assert np.all(np.abs(tau.values) <= bound.values)
 
     def test_principal_rejected(self, chi3):
-        principal = ar.CharacterTable(4, (0, 1, 0, 1), principal=True)
+        principal = ar.CharacterTable(4, (0, 1, 0, 1))
         with pytest.raises(PrincipalCharacterError):
             ar.tau_chi_coeffs(50, ar.KappaVector((2, 3)), (chi3, principal))
 
@@ -250,7 +265,7 @@ class TestTauChi:
                     if n <= 400:
                         want[n] += chi4(c)
         assert tau.values[1:].tolist() == want[1:]
-        principal = ar.CharacterTable(4, (0, 1, 0, 1), principal=True)
+        principal = ar.CharacterTable(4, (0, 1, 0, 1))
         with pytest.raises(PrincipalCharacterError):
             ar.tau_chi_coeffs(50, kv, (None, principal))
 

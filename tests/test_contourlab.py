@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -320,7 +321,7 @@ class TestContour:
             grid200.classes[0, 5] = 1
             sig = 0.5 * (grid200.sigma[0] + grid200.sigma[1])
             mid = complex(sig, 0.5 * (grid200.tau[5] + grid200.tau[6]))
-            assert grid200.in_marked_region(mid)
+            assert grid200.in_marked_region(mid, grid200.column_tops())
             # a vertical run through the middle of box (0, 5), and one beside it
             through = cl.ContourPolyline((complex(sig, grid200.tau[4]), complex(sig, grid200.tau[7])))
             assert not cl.contour_clear_of_marked(grid200, through)
@@ -373,7 +374,7 @@ class TestProp31:
         poly = cl.build_contour(grid200)
         base = cl.check_prop31(poly, grid200)
         fine = cl.check_prop31(
-            poly, grid200, cl.ContourConfig(T=200.0, grid_density=16)
+            poly, dataclasses.replace(grid200, config=cl.ContourConfig(T=200.0, grid_density=16))
         )
         for key in ("max_upper_logratio", "max_lower_logratio"):
             assert abs(fine[key] - base[key]) < 0.10 * abs(base[key])

@@ -83,18 +83,6 @@ def squarefull_scalar_sums(lo, hi, ts):
     return len(members), sums
 
 
-# Mask callables reach worker processes by import path, so they live at
-# module level.
-def short_masks(lo, hi, chunk):
-    """Two-squares masks of (lo, hi] without its last chunk."""
-    return itertools.islice(iv.two_squares_count_and_masks(lo, hi, chunk), (hi - lo - 1) // chunk)
-
-
-def surplus_masks(lo, hi, chunk):
-    """Two-squares masks of (lo, hi] and one chunk past it."""
-    return iv.two_squares_count_and_masks(lo, hi + chunk, chunk)
-
-
 class TestEnumerateSquarefull:
     def test_first_window(self):
         assert iv.enumerate_squarefull(0, 100) == [
@@ -157,7 +145,7 @@ class TestCountTwoSquares:
         with pytest.raises(CapacityError):
             iv.count_two_squares(0, 2 * 10**9)
 
-    def test_masks_match_trial_division(self):
+    def test_masks_match_trial_division(self, monkeypatch):
         # n is a sum of two squares iff every prime p = 3 (mod 4) divides it
         # to an even power; trial division by the primes up to sqrt(hi)
         # leaves a cofactor that is 1 or a prime
@@ -173,7 +161,8 @@ class TestCountTwoSquares:
                         e += 1
                     ok &= p % 4 != 3 or e % 2 == 0
                 want.append(ok and n % 4 != 3)
-            got = list(iv.two_squares_count_and_masks(lo, hi, chunk=997))
+            monkeypatch.setattr(iv, "_CHUNK", 997)
+            got = list(iv.two_squares_count_and_masks(lo, hi))
             assert [clo for clo, _ in got] == list(range(lo, hi, 997))
             assert np.array_equal(np.concatenate([mask for _, mask in got]), want), lo
 
@@ -271,16 +260,17 @@ class TestDdtMean:
 
 
 class TestMeanDivisorCdf:
-    def test_chunk_boundaries_match_per_n_oracle(self, sieve_1e6):
+    def test_chunk_boundaries_match_per_n_oracle(self, sieve_1e6, monkeypatch):
         # a chunk of 997 cuts the window into six chunks; the grid is unsorted,
         # repeats 0.5 and holds both endpoints
         lo, hi = 10**5 + 3, 10**5 + 5003
         grid = (0.9, 0.1, 0.5, 0.0, 1.0, 0.75, 0.25, 0.5, 0.55)
-        for masks in (None, iv.two_squares_count_and_masks):
-            count, sums = iv._mean_divisor_cdf(lo, hi, grid, masks=masks, chunk=997)
+        monkeypatch.setattr(iv, "_CHUNK", 997)
+        for two_squares in (False, True):
+            count, sums = iv._mean_divisor_cdf(lo, hi, grid, two_squares)
             ns = [
                 n for n in range(lo + 1, hi + 1)
-                if masks is None or ar.is_sum_two_squares(n, sieve_1e6)
+                if not two_squares or ar.is_sum_two_squares(n, sieve_1e6)
             ]
             assert count == len(ns)
             for i, t in enumerate(grid):
@@ -354,30 +344,31 @@ class TestMeanDivisorCdf:
         assert 0 < calls == live
         assert len(iv.DEFAULT_T_GRID) * live < 200_000
 
-    def test_mask_stream_length_must_match(self, monkeypatch):
-        monkeypatch.setattr(iv, "_worker_count", lambda: 1)
-        for masks in (short_masks, surplus_masks):
-            with pytest.raises(DomainError, match="misaligned"):
-                iv._mean_divisor_cdf(0, 3000, (0.5,), masks=masks, chunk=1000)
-
     def test_worker_error_reaches_caller(self, monkeypatch):
+        # the forked workers inherit the patched _run_starts
+        def failing(*args):
+            raise DomainError("run starts failed")
+
+        monkeypatch.setattr(iv, "_run_starts", failing)
         monkeypatch.setattr(iv, "_worker_count", lambda: 2)
-        for masks in (short_masks, surplus_masks):
-            with pytest.raises(DomainError, match="^mask chunks misaligned with window chunks$") as err:
-                iv._mean_divisor_cdf(0, 3000, (0.5,), masks=masks, chunk=1000)
+        monkeypatch.setattr(iv, "_CHUNK", 1000)
+        for two_squares in (False, True):
+            with pytest.raises(DomainError, match="^run starts failed$") as err:
+                iv._mean_divisor_cdf(0, 3000, (0.5,), two_squares)
             # raised in a worker process, not in this one
             assert type(err.value.__cause__).__name__ == "_RemoteTraceback"
             assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("masks", [None, iv.two_squares_count_and_masks], ids=["dense", "masked"])
-    def test_sums_independent_of_worker_count(self, monkeypatch, masks):
+    @pytest.mark.parametrize("two_squares", [False, True], ids=["dense", "masked"])
+    def test_sums_independent_of_worker_count(self, monkeypatch, two_squares):
         # six chunks of 997, split into 1, 2 and 3 worker sub-ranges
         lo, hi = 10**5 + 3, 10**5 + 5003
         grid = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
+        monkeypatch.setattr(iv, "_CHUNK", 997)
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(iv, "_worker_count", lambda: workers)
-            runs.append(iv._mean_divisor_cdf(lo, hi, grid, masks=masks, chunk=997))
+            runs.append(iv._mean_divisor_cdf(lo, hi, grid, two_squares))
         (count, sums), *others = runs
         for other_count, other_sums in others:
             assert other_count == count
@@ -401,9 +392,7 @@ class TestMeanDivisorCdf:
         # 290 MiB
         tracemalloc.start()
         try:
-            _, partials = iv._window_partials(
-                0, 3 * 2**20, 3 * 2**20, iv.DEFAULT_T_GRID, None, iv._CHUNK
-            )
+            _, partials = iv._window_partials(0, 3 * 2**20, 3 * 2**20, iv.DEFAULT_T_GRID, False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -412,7 +401,7 @@ class TestMeanDivisorCdf:
         # exact terms after every chunk
         assert max(map(len, partials)) <= 4
 
-    def test_sums_within_rounding_of_exact(self, sieve_1e6):
+    def test_sums_within_rounding_of_exact(self, sieve_1e6, monkeypatch):
         # exact rational sums of F_n(t): the share of divisors with
         # log d <= t log n + guard, the test of arith.divisor_le_threshold,
         # counted by bisection over the sorted divisors' logs
@@ -429,13 +418,24 @@ class TestMeanDivisorCdf:
                 by_tau[i][len(ds)] += k
         exact = [sum(Fraction(k, tau) for tau, k in c.items()) for c in by_tau]
         for chunk in (iv._CHUNK, 997):
-            count, sums = iv._mean_divisor_cdf(lo, hi, grid, chunk=chunk)
+            monkeypatch.setattr(iv, "_CHUNK", chunk)
+            count, sums = iv._mean_divisor_cdf(lo, hi, grid)
             assert count == hi - lo
             for s, e, t in zip(sums, exact, grid):
                 assert abs(Fraction(float(s)) - e) <= Fraction(1e-15) * count, (chunk, t)
 
 
 class TestWeightedMeans:
+    def test_two_squares_count_matches_count_two_squares(self, monkeypatch):
+        # chunks of 997 cut the window (1e5, 1e5 + 5623] into six
+        spec = iv.IntervalSpec(x=10**5, theta=0.75, kappa1=1.0)
+        monkeypatch.setattr(iv, "_CHUNK", 997)
+        assert (spec.hi - spec.lo) // iv._CHUNK >= 5
+        want = iv.count_two_squares(spec.lo, spec.hi)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(iv, "_worker_count", lambda: workers)
+            assert iv.weighted_fn_mean("two_squares", spec).count == want, workers
+
     def test_matches_brute_force(self, sieve_1e6):
         grid = iv.DEFAULT_T_GRID
 

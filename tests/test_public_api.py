@@ -45,6 +45,26 @@ def test_merged_duplicates_stay_gone():
     assert not hasattr(powerseries.PowerSeries, "__add__")
     assert not hasattr(powerseries.PowerSeries, "__radd__")
     assert "frak_m_values" not in {f.name for f in dataclasses.fields(contourlab.BoxGrid)}
+    # arguments only tests set or nothing sets: the window engine takes its
+    # chunks from the iterator it scans and reads the fixed _CHUNK, the
+    # contour lab reads its grid's config, and principality comes from a
+    # character's values
+    for fn in (
+        intervals.two_squares_count_and_masks,
+        intervals._over_subranges,
+        intervals._window_partials,
+        intervals._mean_divisor_cdf,
+    ):
+        assert not {"masks", "chunk"} & set(inspect.signature(fn).parameters), fn
+    assert not hasattr(contourlab, "_dv")
+    assert not hasattr(contourlab.ContourConfig, "describe")
+    assert "cfg" not in inspect.signature(contourlab.build_contour).parameters
+    assert "cfg" not in inspect.signature(contourlab.check_prop31).parameters
+    assert "samples_per_segment" not in inspect.signature(contourlab.contour_clear_of_marked).parameters
+    assert "margin" not in inspect.signature(contourlab.bombieri_check).parameters
+    tops = inspect.signature(contourlab.BoxGrid.in_marked_region).parameters["tops"]
+    assert tops.default is inspect.Parameter.empty
+    assert "principal" not in {f.name for f in dataclasses.fields(arith.CharacterTable)}
     for cls in (sdexpand.ConstantG, sdexpand.ZetaCompositionG, sdexpand.EulerProductG):
         assert "__call__" not in vars(cls), cls
     for mod in (sdexpand, contourlab):

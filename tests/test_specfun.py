@@ -306,7 +306,7 @@ class TestDirichletL:
     def test_principal_rejected(self):
         from sdlab.arith import CharacterTable
 
-        principal = CharacterTable(4, (0, 1, 0, 1), principal=True)
+        principal = CharacterTable(4, (0, 1, 0, 1))
         with pytest.raises(PrincipalCharacterError):
             sf.dirichlet_l(1.0, principal)
 
