@@ -1,6 +1,7 @@
-"""Exact integer arithmetic: factor sieves, indicator functions, divisor
-statistics, generalized divisor coefficients with character twists, and exact
-Dirichlet convolution / inversion.
+"""Exact integer arithmetic: a prime sieve, one vector factor table with
+indicator columns, the divisor-threshold predicate, generalized divisor
+coefficients with character twists, and exact Dirichlet convolution /
+inversion.
 
 Coefficient vectors hold int64 whenever every input is integer-valued (the
 convolution identities are then checked exactly); otherwise they fall back to
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -26,13 +26,7 @@ from .errors import (
 
 __all__ = [
     "primes_upto",
-    "FactorSieve",
-    "build_sieve",
-    "factorize",
-    "divisors",
-    "is_squarefull",
-    "is_sum_two_squares",
-    "divisor_cdf",
+    "factor_columns",
     "divisor_le_threshold",
     "threshold_log_cut",
     "KappaVector",
@@ -50,7 +44,6 @@ __all__ = [
     "truncated_inverse_phi",
 ]
 
-_SIEVE_GUARD = 10**9
 _INT64_MAX = 2**63 - 1
 
 
@@ -68,19 +61,14 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.nonzero(sieve)[0]
 
 
-@dataclass(frozen=True)
-class FactorSieve:
-    """Smallest-prime-factor table for 2..limit."""
-
-    limit: int
-    spf: np.ndarray
-
-
-def build_sieve(limit: int) -> FactorSieve:
+def factor_columns(limit: int) -> dict[str, np.ndarray]:
+    """Columns over n = 2..limit: smallest prime factor spf (int64), tau
+    (int32), mu and the square-full and two-squares flags (int8, 0/1), from
+    one smallest-prime-factor table.  Each pass strips from every n above 1
+    the full power p^e of its smallest remaining prime p and folds e into the
+    columns: at most 7 passes below 1e6, as 2*3*5*7*11*13*17 = 510510."""
     if limit < 2:
         raise CapacityError(f"sieve limit must be at least 2, got {limit}")
-    if limit > _SIEVE_GUARD:
-        raise CapacityError(f"sieve limit {limit} exceeds guard {_SIEVE_GUARD}")
     spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
@@ -88,42 +76,25 @@ def build_sieve(limit: int) -> FactorSieve:
             view[view == 0] = p
     rest = np.nonzero(spf[2:] == 0)[0] + 2
     spf[rest] = rest
-    return FactorSieve(limit=limit, spf=spf)
-
-
-def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n <= sieve.limit, ascending primes."""
-    if not 1 <= n <= sieve.limit:
-        raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    out = []
-    spf = sieve.spf
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
-def divisors(n: int, sieve: FactorSieve) -> list[int]:
-    ds = [1]
-    for p, e in factorize(n, sieve):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
-def is_squarefull(n: int, sieve: FactorSieve) -> bool:
-    """True iff every prime exponent of n is >= 2 (vacuously true at n=1)."""
-    return all(e >= 2 for _, e in factorize(n, sieve))
-
-
-def is_sum_two_squares(n: int, sieve: FactorSieve) -> bool:
-    """True iff no prime p = 3 (mod 4) divides n to an odd power."""
-    return all(
-        e % 2 == 0 for p, e in factorize(n, sieve) if p % 4 == 3
-    )
+    tau = np.ones(limit - 1, dtype=np.int32)
+    mu, squarefull, two_squares = (np.ones(limit - 1, dtype=np.int8) for _ in range(3))
+    at = np.arange(limit - 1)  # positions of the n not yet reduced to 1
+    m = at + 2  # their unstripped parts
+    while at.size:
+        p = spf[m]
+        e = np.zeros_like(m)
+        k = np.arange(m.size)
+        while k.size:
+            m[k] //= p[k]
+            e[k] += 1
+            k = k[m[k] % p[k] == 0]
+        tau[at] *= e + 1
+        mu[at] = np.where(e > 1, 0, -mu[at])
+        squarefull[at[e == 1]] = 0
+        two_squares[at[(p % 4 == 3) & (e % 2 == 1)]] = 0
+        keep = m > 1
+        at, m = at[keep], m[keep]
+    return dict(spf=spf[2:], tau=tau, mu=mu, squarefull=squarefull, two_squares=two_squares)
 
 
 # Knife-edge guard for the float comparison log d <= t log n; genuine
@@ -144,17 +115,6 @@ def threshold_log_cut(log_n, t):
     """The cut c with divisor_le_threshold(d, n, t) == (log d <= c) for
     d, n >= 2, over numpy arrays of log n and t (broadcast together)."""
     return t * log_n + _THRESHOLD_GUARD
-
-
-def divisor_cdf(n: int, t: float, sieve: FactorSieve) -> Fraction:
-    """F_n(t): fraction of divisors d of n with d <= n**t (exact rational)."""
-    if n < 2:
-        raise DomainError("divisor_cdf is defined for n >= 2")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
-    ds = divisors(n, sieve)
-    count = sum(1 for d in ds if divisor_le_threshold(d, n, t))
-    return Fraction(count, len(ds))
 
 
 # ----------------------------------------------------------------------------

@@ -9,6 +9,7 @@ Mersenne Twister (random.Random) seeded from --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import random
@@ -114,28 +115,23 @@ def _law_artifact(config: dict, report: intervals.LawReport) -> dict:
     }
 
 
+# n per block of rows: the columns become lists a block at a time, into a row
+# list allocated once, so the peak RSS stays near that of the rows alone
+_ROW_BLOCK = 2**16
+
+
 def run_sieve(config: dict) -> dict:
     limit = int(config["limit"])
     if limit > 10**6:
         raise CapacityError("sieve table emission capped at 1e6")
-    sieve = arith.build_sieve(limit)
-    rows = []
-    for n in range(2, limit + 1):
-        fac = arith.factorize(n, sieve)
-        tau = 1
-        for _, e in fac:
-            tau *= e + 1
-        mu = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
-        rows.append(
-            {
-                "n": n,
-                "spf": int(sieve.spf[n]),
-                "tau": tau,
-                "mu": mu,
-                "squarefull": int(all(e >= 2 for _, e in fac)),
-                "two_squares": int(arith.is_sum_two_squares(n, sieve)),
-            }
-        )
+    cols = arith.factor_columns(limit)
+    rows = [None] * (limit - 1)
+    for s in range(0, limit - 1, _ROW_BLOCK):
+        blocks = [cols[k][s : s + _ROW_BLOCK].tolist() for k in cols]
+        rows[s : s + _ROW_BLOCK] = [
+            {"n": n, "spf": p, "tau": tau, "mu": mu, "squarefull": sf, "two_squares": ts}
+            for n, p, tau, mu, sf, ts in zip(range(s + 2, limit + 1), *blocks)
+        ]
     return {"command": "sieve", "config": config, "records": rows}
 
 
@@ -244,6 +240,9 @@ def run_bombieri(config: dict) -> dict:
     instances = int(config["instances"])
     max_n = int(config["max_n"])
     max_set = int(config["max_set"])
+    for flag, value in (("--instances", instances), ("--max-n", max_n), ("--max-set", max_set)):
+        if value < 1:
+            raise DomainError(f"{flag} must be at least 1, got {value}")
     sigma_min = float(config["sigma_min"])
     violations = 0
     for _ in range(instances):
@@ -312,6 +311,17 @@ def _opt(flag: str, convert=None, **kwargs) -> tuple:
     return flag, kwargs, convert
 
 
+def _fields_opts(cls, **flags) -> list:
+    """One option per field of the dataclass cls, typed and defaulted as the
+    field (required if it has no default); flags renames a field's --name."""
+    hints = typing.get_type_hints(cls)
+    return [
+        _opt(flags.get(f.name, "--" + f.name.replace("_", "-")), type=hints[f.name], dest=f.name,
+             required=f.default is dataclasses.MISSING, default=f.default)
+        for f in dataclasses.fields(cls)
+    ]
+
+
 _CHOICES = ("squarefull", "two_squares")
 _INDICATOR = _opt("--indicator", choices=_CHOICES, required=True)
 _APP = _opt("--app", choices=_CHOICES, required=True)
@@ -349,15 +359,7 @@ SUBCOMMANDS = {
     ),
     "contour": (
         "box grid, classes, contour, envelopes", False,
-        _opt("--T", type=float, required=True),
-        _opt("--epsilon", type=float, default=0.05),
-        _opt("--C0", type=float, default=1.0),
-        _opt("--c0", type=float, default=1.0),
-        _opt("--aprime", type=int, default=10, dest="Aprime"),
-        _opt("--psi", type=float, default=2.4),
-        _opt("--eta", type=float, default=9.0),
-        _opt("--grid-density", type=int, default=8),
-        _opt("--nj-cap", type=int, default=10**6),
+        *_fields_opts(contourlab.ContourConfig, Aprime="--aprime"),
         _opt("--chi-modulus", type=int, default=4),
     ),
     "bombieri": (
@@ -415,7 +417,10 @@ def main(argv=None) -> int:
             with open(args.golden, "rb") as fh:
                 expected = fh.read()
         if args.command == "verify":
-            config = json.loads(expected)["config"]
+            doc = json.loads(expected)
+            config = doc.get("config") if isinstance(doc, dict) else None
+            if not isinstance(config, dict):
+                raise DomainError("golden must be a JSON object with a config object")
             produced = render_json(run_command(config)).encode()
         else:
             config = _config_from_args(args)

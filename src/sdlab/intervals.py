@@ -495,7 +495,8 @@ def _mean_divisor_cdf(lo: int, hi: int, t_grid: tuple[float, ...], two_squares: 
     """(count, sums) with sums[i] = sum over selected n in (lo, hi] of F_n(t_i).
 
     Each divisor of n pairs as d <-> n/d with d <= sqrt(n), and both halves
-    are decided by arith.divisor_le_threshold, as in the per-n divisor_cdf.
+    are decided by arith.divisor_le_threshold, the predicate of the exact
+    per-n F_n(t) that the tests hold as their oracle.
     For t <= 1/2, F_n(t) is the share of small divisors d with d <= n**t.
     For t > 1/2 every small divisor lies below n**t, and F_n(t) is 1 minus
     the share of small divisors whose cofactor n/d exceeds n**t.

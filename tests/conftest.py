@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import oracles
 from sdlab import arith
 
 # Every run draws the same Hypothesis examples, so a failing property
@@ -15,12 +16,12 @@ settings.load_profile("reproducible")
 
 @pytest.fixture(scope="session")
 def sieve_1e6():
-    return arith.build_sieve(10**6)
+    return oracles.build_sieve(10**6)
 
 
 @pytest.fixture(scope="session")
 def sieve_1e5():
-    return arith.build_sieve(10**5)
+    return oracles.build_sieve(10**5)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,85 @@
+"""Per-n reference implementations that the tests compare the package's vector
+paths against: a smallest-prime-factor table, factorization and divisors read
+off it, the two indicators, and the exact rational divisor CDF F_n(t)."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+
+import numpy as np
+
+from sdlab.arith import divisor_le_threshold
+from sdlab.errors import CapacityError, DomainError
+
+_SIEVE_GUARD = 10**9
+
+
+@dataclass(frozen=True)
+class FactorSieve:
+    """Smallest-prime-factor table for 2..limit."""
+
+    limit: int
+    spf: np.ndarray
+
+
+def build_sieve(limit: int) -> FactorSieve:
+    if limit < 2:
+        raise CapacityError(f"sieve limit must be at least 2, got {limit}")
+    if limit > _SIEVE_GUARD:
+        raise CapacityError(f"sieve limit {limit} exceeds guard {_SIEVE_GUARD}")
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == 0:
+            view = spf[p * p :: p]
+            view[view == 0] = p
+    rest = np.nonzero(spf[2:] == 0)[0] + 2
+    spf[rest] = rest
+    return FactorSieve(limit=limit, spf=spf)
+
+
+def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n <= sieve.limit, ascending primes."""
+    if not 1 <= n <= sieve.limit:
+        raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
+    out = []
+    spf = sieve.spf
+    while n > 1:
+        p = int(spf[n])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
+def divisors(n: int, sieve: FactorSieve) -> list[int]:
+    ds = [1]
+    for p, e in factorize(n, sieve):
+        ds = [d * p**k for d in ds for k in range(e + 1)]
+    return sorted(ds)
+
+
+def is_squarefull(n: int, sieve: FactorSieve) -> bool:
+    """True iff every prime exponent of n is >= 2 (vacuously true at n=1)."""
+    return all(e >= 2 for _, e in factorize(n, sieve))
+
+
+def is_sum_two_squares(n: int, sieve: FactorSieve) -> bool:
+    """True iff no prime p = 3 (mod 4) divides n to an odd power."""
+    return all(
+        e % 2 == 0 for p, e in factorize(n, sieve) if p % 4 == 3
+    )
+
+
+def divisor_cdf(n: int, t: float, sieve: FactorSieve) -> Fraction:
+    """F_n(t): fraction of divisors d of n with d <= n**t (exact rational)."""
+    if n < 2:
+        raise DomainError("divisor_cdf is defined for n >= 2")
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"t must lie in [0, 1], got {t}")
+    ds = divisors(n, sieve)
+    count = sum(1 for d in ds if divisor_le_threshold(d, n, t))
+    return Fraction(count, len(ds))

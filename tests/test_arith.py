@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sdlab import arith as ar
 from sdlab.errors import (
     CapacityError,
@@ -18,23 +19,37 @@ from sdlab.errors import (
 
 
 # ---------------------------------------------------------------------------
-# sieve
+# factor table columns, against the per-n oracles in oracles.py
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def columns():
+    # entry n - 2 of each column belongs to n
+    return ar.factor_columns(10**6)
+
+
 class TestSieve:
-    def test_examples(self, sieve_1e6):
-        assert sieve_1e6.spf[9] == 3
-        assert sieve_1e6.spf[91] == 7
+    def test_examples(self, columns):
+        assert columns["spf"][9 - 2] == 3
+        assert columns["spf"][91 - 2] == 7
+        assert {k: v.tolist() for k, v in ar.factor_columns(2).items()} == {
+            "spf": [2], "tau": [2], "mu": [-1], "squarefull": [0], "two_squares": [1],
+        }
 
     def test_guards(self):
-        with pytest.raises(CapacityError):
-            ar.build_sieve(1)
-        with pytest.raises(CapacityError):
-            ar.build_sieve(10**9 + 1)
+        for limit in (1, 0, -3):
+            with pytest.raises(CapacityError, match="at least 2"):
+                ar.factor_columns(limit)
 
-    def test_reconstruction_all_n(self, sieve_1e6):
+    def test_oracle_guards(self):
+        with pytest.raises(CapacityError):
+            oracles.build_sieve(1)
+        with pytest.raises(CapacityError):
+            oracles.build_sieve(10**9 + 1)
+
+    def test_reconstruction_all_n(self, columns):
         # product of extracted prime powers recovers n, for every n <= 1e6
-        spf = sieve_1e6.spf
+        spf = np.concatenate(([0, 1], columns["spf"]))
         n = np.arange(2, 10**6 + 1, dtype=np.int64)
         residual = n.copy()
         product = np.ones_like(n)
@@ -45,27 +60,38 @@ class TestSieve:
             residual[active] //= p
         assert np.array_equal(product, n)
 
-    def test_spf_is_smallest(self, sieve_1e6):
-        spf = sieve_1e6.spf
+    def test_spf_is_smallest(self, columns):
         for n in (2, 4, 15, 77, 121, 999983, 2 * 499979):
-            p = int(spf[n])
+            p = int(columns["spf"][n - 2])
             assert n % p == 0
             assert all(n % q for q in range(2, p))
 
-    def test_primes_upto_matches_spf(self, sieve_1e5):
+    def test_primes_upto_matches_spf(self, columns):
         n = np.arange(2, 10**5 + 1)
-        assert np.array_equal(ar.primes_upto(10**5), n[sieve_1e5.spf[2:] == n])
+        assert np.array_equal(ar.primes_upto(10**5), n[columns["spf"][: 10**5 - 1] == n])
         assert ar.primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert ar.primes_upto(1).size == 0
 
+    def test_columns_match_oracle_factorize(self, sieve_1e6):
+        # every column at every n <= 2e5, read off the oracle's factorization
+        cols = {k: v.tolist() for k, v in ar.factor_columns(2 * 10**5).items()}
+        for n in range(2, 2 * 10**5 + 1):
+            fac = oracles.factorize(n, sieve_1e6)
+            tau = math.prod(e + 1 for _, e in fac)
+            mu = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
+            want = (fac[0][0], tau, mu, oracles.is_squarefull(n, sieve_1e6),
+                    oracles.is_sum_two_squares(n, sieve_1e6))
+            got = tuple(cols[k][n - 2] for k in ("spf", "tau", "mu", "squarefull", "two_squares"))
+            assert got == want, n
+
 
 class TestIndicators:
-    def test_squarefull_examples(self, sieve_1e6):
-        assert ar.is_squarefull(1, sieve_1e6)
-        assert ar.is_squarefull(72, sieve_1e6)
-        assert not ar.is_squarefull(12, sieve_1e6)
+    def test_squarefull_examples(self, columns, sieve_1e6):
+        assert oracles.is_squarefull(1, sieve_1e6)
+        assert columns["squarefull"][72 - 2] == 1
+        assert columns["squarefull"][12 - 2] == 0
 
-    def test_squarefull_against_a2b3_enumeration(self, sieve_1e6):
+    def test_squarefull_against_a2b3_enumeration(self, columns):
         limit = 10**6
         members = set()
         b = 1
@@ -78,38 +104,35 @@ class TestIndicators:
             b += 1
         flags = np.zeros(limit + 1, dtype=bool)
         flags[list(members)] = True
-        for n in range(1, limit + 1):
-            assert ar.is_squarefull(n, sieve_1e6) == bool(flags[n]), n
+        assert np.array_equal(columns["squarefull"], flags[2:])
 
-    def test_two_squares_examples(self, sieve_1e6):
-        assert ar.is_sum_two_squares(9, sieve_1e6)
-        assert not ar.is_sum_two_squares(7, sieve_1e6)
-        assert ar.is_sum_two_squares(2, sieve_1e6)
+    def test_two_squares_examples(self, columns):
+        for n, want in ((9, 1), (7, 0), (2, 1)):
+            assert columns["two_squares"][n - 2] == want, n
 
-    def test_two_squares_brute_force(self, sieve_1e5):
+    def test_two_squares_brute_force(self, columns):
         limit = 10**5
         rep = np.zeros(limit + 1, dtype=bool)
         amax = isqrt(limit)
         for a in range(amax + 1):
             b2 = np.arange(0, isqrt(limit - a * a) + 1) ** 2
             rep[a * a + b2] = True
-        for n in range(1, limit + 1):
-            assert ar.is_sum_two_squares(n, sieve_1e5) == bool(rep[n]), n
+        assert np.array_equal(columns["two_squares"][: limit - 1], rep[2:])
 
 
 class TestDivisorCdf:
     def test_example_n12(self, sieve_1e6):
-        assert ar.divisor_cdf(12, 0.5, sieve_1e6) == Fraction(1, 2)
+        assert oracles.divisor_cdf(12, 0.5, sieve_1e6) == Fraction(1, 2)
 
     def test_endpoints(self, sieve_1e6):
         for n in (2, 12, 97, 360):
-            tau = len(ar.divisors(n, sieve_1e6))
-            assert ar.divisor_cdf(n, 1.0, sieve_1e6) == 1
-            assert ar.divisor_cdf(n, 0.0, sieve_1e6) == Fraction(1, tau)
+            tau = len(oracles.divisors(n, sieve_1e6))
+            assert oracles.divisor_cdf(n, 1.0, sieve_1e6) == 1
+            assert oracles.divisor_cdf(n, 0.0, sieve_1e6) == Fraction(1, tau)
 
     def test_monotone_cdf(self, sieve_1e6, rng):
         for n in rng.integers(2, 10**6, size=20):
-            vals = [ar.divisor_cdf(int(n), 0.05 * i, sieve_1e6) for i in range(21)]
+            vals = [oracles.divisor_cdf(int(n), 0.05 * i, sieve_1e6) for i in range(21)]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -321,7 +344,7 @@ class TestInverse:
         # against mu(n) read off each factorization
         mu = ar.moebius_coeffs(500)
         for n in range(1, 501):
-            fac = ar.factorize(n, sieve_1e6)
+            fac = oracles.factorize(n, sieve_1e6)
             want = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
             assert mu[n] == want, n
         assert mu.exact and mu[6] == 1 and mu[30] == -1 and mu[12] == 0

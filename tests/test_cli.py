@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -169,6 +170,44 @@ class TestCommands:
             code, _, _ = run(["sieve", "--limit", limit], capsys)
             assert code == 2
 
+    def test_sieve_limit_below_2_exit_2(self, capsys):
+        for limit in ("1", "0", "-3"):
+            code, _, err = run(["sieve", "--limit", limit], capsys)
+            assert code == 2
+            assert err == f"error: sieve limit must be at least 2, got {limit}\n"
+
+    @pytest.mark.parametrize("option", ["--instances", "--max-n", "--max-set"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_bombieri_counts_below_1_exit_2(self, option, value, capsys, monkeypatch):
+        # rejected by name before any instance is drawn or checked
+        from sdlab import contourlab
+
+        def never(*args):
+            raise AssertionError("an instance was checked")
+
+        monkeypatch.setattr(contourlab, "bombieri_check", never)
+        code, stdout, err = run(["bombieri", option, value], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {option} must be at least 1, got {value}\n"
+
+    def test_contour_defaults_are_the_config_defaults(self, capsys, monkeypatch):
+        from sdlab import contourlab
+
+        seen = []
+
+        def capture(cfg, spec):
+            seen.append(cfg)
+            return {}
+
+        monkeypatch.setattr(contourlab, "contour_report", capture)
+        code, _, _ = run(["contour", "--T", "200"], capsys)
+        assert code == 0
+        want = contourlab.ContourConfig(T=200.0)
+        for f in dataclasses.fields(contourlab.ContourConfig):
+            got = getattr(seen[0], f.name)
+            assert (type(got), got) == (type(getattr(want, f.name)), getattr(want, f.name)), f.name
+
     def test_csv_unavailable_for_contour_exit_2(self, capsys, monkeypatch):
         # rejected before anything is computed
         def never(config):
@@ -331,6 +370,14 @@ class TestGolden:
     def test_verify_missing_file(self, capsys):
         code, _, _ = run(["verify", "--golden", "/nonexistent/g.json"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["[1,2]", '{"config": 5}', '{"config": [1]}', "{}", '"x"'])
+    def test_verify_golden_of_wrong_shape_exit_2(self, text, tmp_path, capsys):
+        golden = tmp_path / "g.json"
+        golden.write_text(text)
+        code, _, err = run(["verify", "--golden", str(golden)], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_two_squares_expansion_golden_regression(self, capsys):
         # the L(s, chi4) and truncated Euler-product path

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from sdlab import arith as ar
 from sdlab import intervals as iv
 from sdlab import specfun as sf
@@ -98,7 +99,7 @@ class TestEnumerateSquarefull:
             lo = int(rng.integers(0, 9 * 10**5))
             hi = lo + int(rng.integers(1, 10**5))
             got = iv.enumerate_squarefull(lo, hi)
-            want = [n for n in range(lo + 1, hi + 1) if ar.is_squarefull(n, sieve_1e6)]
+            want = [n for n in range(lo + 1, hi + 1) if oracles.is_squarefull(n, sieve_1e6)]
             assert got == want
 
     def test_guards(self):
@@ -128,7 +129,7 @@ class TestCountTwoSquares:
 
     def test_matches_indicator_sum(self, sieve_1e5):
         want = sum(
-            1 for n in range(1, 10**5 + 1) if ar.is_sum_two_squares(n, sieve_1e5)
+            1 for n in range(1, 10**5 + 1) if oracles.is_sum_two_squares(n, sieve_1e5)
         )
         assert iv.count_two_squares(0, 10**5) == want
 
@@ -137,7 +138,7 @@ class TestCountTwoSquares:
             lo = int(rng.integers(0, 9 * 10**5))
             hi = lo + int(rng.integers(1, 5 * 10**4))
             want = sum(
-                1 for n in range(lo + 1, hi + 1) if ar.is_sum_two_squares(n, sieve_1e6)
+                1 for n in range(lo + 1, hi + 1) if oracles.is_sum_two_squares(n, sieve_1e6)
             )
             assert iv.count_two_squares(lo, hi) == want
 
@@ -224,7 +225,7 @@ class TestDdtMean:
                 direct = (
                     1.0
                     + sum(
-                        float(ar.divisor_cdf(n, t, sieve_1e6)) for n in range(2, x + 1)
+                        float(oracles.divisor_cdf(n, t, sieve_1e6)) for n in range(2, x + 1)
                     )
                 ) / x
                 assert rep.empirical[i] == pytest.approx(direct, abs=1e-12), (x, t)
@@ -270,11 +271,11 @@ class TestMeanDivisorCdf:
             count, sums = iv._mean_divisor_cdf(lo, hi, grid, two_squares)
             ns = [
                 n for n in range(lo + 1, hi + 1)
-                if not two_squares or ar.is_sum_two_squares(n, sieve_1e6)
+                if not two_squares or oracles.is_sum_two_squares(n, sieve_1e6)
             ]
             assert count == len(ns)
             for i, t in enumerate(grid):
-                direct = sum(float(ar.divisor_cdf(n, t, sieve_1e6)) for n in ns)
+                direct = sum(float(oracles.divisor_cdf(n, t, sieve_1e6)) for n in ns)
                 assert sums[i] / count == pytest.approx(direct / count, abs=1e-12), t
 
     def test_run_start_far_from_hint(self):
@@ -323,7 +324,7 @@ class TestMeanDivisorCdf:
         count, sums = iv._mean_divisor_cdf(lo, hi, grid)
         assert count == hi - lo
         for i, t in enumerate(grid):
-            direct = sum(float(ar.divisor_cdf(n, t, sieve_1e6)) for n in range(lo + 1, hi + 1))
+            direct = sum(float(oracles.divisor_cdf(n, t, sieve_1e6)) for n in range(lo + 1, hi + 1))
             assert sums[i] / count == pytest.approx(direct / count, abs=1e-12), t
 
     def test_run_starts_only_for_divisors_with_multiples(self, monkeypatch):
@@ -409,12 +410,12 @@ class TestMeanDivisorCdf:
         grid = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
         by_tau = [Counter() for _ in grid]
         for n in range(lo + 1, hi + 1):
-            ds = ar.divisors(n, sieve_1e6)
+            ds = oracles.divisors(n, sieve_1e6)
             logs = [math.log(d) for d in ds]
             for i, t in enumerate(grid):
                 k = bisect.bisect_right(logs, t * math.log(n) + ar._THRESHOLD_GUARD)
                 if n <= lo + 100:
-                    assert Fraction(k, len(ds)) == ar.divisor_cdf(n, t, sieve_1e6)
+                    assert Fraction(k, len(ds)) == oracles.divisor_cdf(n, t, sieve_1e6)
                 by_tau[i][len(ds)] += k
         exact = [sum(Fraction(k, tau) for tau, k in c.items()) for c in by_tau]
         for chunk in (iv._CHUNK, 997):
@@ -444,15 +445,15 @@ class TestWeightedMeans:
             cnt = 0
             for n in range(lo + 1, hi + 1):
                 ok = (
-                    ar.is_squarefull(n, sieve_1e6)
+                    oracles.is_squarefull(n, sieve_1e6)
                     if indicator == "squarefull"
-                    else ar.is_sum_two_squares(n, sieve_1e6)
+                    else oracles.is_sum_two_squares(n, sieve_1e6)
                 )
                 if not ok:
                     continue
                 cnt += 1
                 for i, t in enumerate(grid):
-                    tot[i] += float(ar.divisor_cdf(n, t, sieve_1e6))
+                    tot[i] += float(oracles.divisor_cdf(n, t, sieve_1e6))
             return cnt, tot / cnt
 
         spec = iv.IntervalSpec(x=10**5, theta=0.75, kappa1=1.0)

@@ -33,7 +33,13 @@ def test_merged_duplicates_stay_gone():
     # object, and one evaluation path (G.many) per regular factor
     assert not hasattr(contourlab, "zl_coeffs")
     assert not hasattr(sdexpand, "DirichletSeriesG")
-    assert not hasattr(arith.FactorSieve, "primes")
+    # one vector factor table (arith.factor_columns); the per-n path is the
+    # tests' oracle (tests/oracles.py), not package API
+    for name in (
+        "FactorSieve", "build_sieve", "factorize", "divisors", "is_squarefull",
+        "is_sum_two_squares", "divisor_cdf", "_SIEVE_GUARD",
+    ):
+        assert not hasattr(arith, name), name
     assert "sieve" not in inspect.signature(intervals.ddt_mean).parameters
     assert "sieve" not in inspect.signature(arith.moebius_coeffs).parameters
     assert not hasattr(specfun, "EvalParams")
