@@ -244,7 +244,7 @@ def run_bombieri(config: dict) -> dict:
         if value < 1:
             raise DomainError(f"{flag} must be at least 1, got {value}")
     sigma_min = float(config["sigma_min"])
-    violations = 0
+    drawn = []
     for _ in range(instances):
         n = rng.randint(1, max_n)
         a = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
@@ -253,8 +253,8 @@ def run_bombieri(config: dict) -> dict:
             complex(sigma_min + rng.random(), (rng.random() - 0.5) * 100.0)
             for _ in range(npts)
         ]
-        if not contourlab.bombieri_check(pts, a):
-            violations += 1
+        drawn.append((pts, a))
+    violations = contourlab.bombieri_check_many(drawn).count(False)
     return {
         "command": "bombieri",
         "config": config,
@@ -304,11 +304,13 @@ def _emit(artifact: dict, config: dict, out_path: str | None) -> bytes:
 # Argument parsing
 # ----------------------------------------------------------------------------
 
-def _opt(flag: str, convert=None, **kwargs) -> tuple:
+def _opt(flag: str, convert=None, kind=None, **kwargs) -> tuple:
     """One option: its flag, its argparse keywords, whose dest is the config
-    key, and a converter run on the parsed value inside main's error handling."""
+    key, a converter run on the parsed value inside main's error handling,
+    and the kind of value its config entry holds (int, float, str or list):
+    by default the converter if it is a type, else the parsed type."""
     kwargs.setdefault("dest", flag[2:].replace("-", "_"))
-    return flag, kwargs, convert
+    return flag, kwargs, convert, kind or convert or kwargs.get("type", str)
 
 
 def _fields_opts(cls, **flags) -> list:
@@ -327,7 +329,7 @@ _INDICATOR = _opt("--indicator", choices=_CHOICES, required=True)
 _APP = _opt("--app", choices=_CHOICES, required=True)
 _X_INT = _opt("--x", int, type=float, required=True)
 _THETA = _opt("--theta", type=float, required=True)
-_T_GRID = _opt("--t-grid", _parse_t_grid, default="default")
+_T_GRID = _opt("--t-grid", _parse_t_grid, list, default="default")
 _PRIME_LIMIT = _opt("--prime-limit", type=int, default=10**5)
 
 # subcommand -> (help, renders CSV, *options); the config holds the command,
@@ -380,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, _, *options) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        for flag, kwargs, _ in options:
+        for flag, kwargs, *_ in options:
             sp.add_argument(flag, **kwargs)
         sp.add_argument("--output", default="-", help="output path, '-' = stdout")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -399,10 +401,38 @@ def _config_from_args(args) -> dict:
         "format": args.format,
         "seed": args.seed,
     }
-    for _, kwargs, convert in SUBCOMMANDS[args.command][2:]:
+    for _, kwargs, convert, _ in SUBCOMMANDS[args.command][2:]:
         value = getattr(args, kwargs["dest"])
         config[kwargs["dest"]] = convert(value) if convert else value
     return config
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# kind -> (test of a JSON value, its name); a float entry may hold an integer
+_KINDS = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers"),
+}
+
+
+def _check_config(config: dict) -> None:
+    """Reject a golden's config whose command is unknown, or whose entries do
+    not hold their option's kind of value, before anything runs."""
+    command = config.get("command")
+    if not (isinstance(command, str) and command in COMMANDS):
+        raise DomainError(f"golden config has no known command: {command!r}")
+    options = [("seed", int)] + [
+        (kw["dest"], kind) for _, kw, _, kind in SUBCOMMANDS[command.replace("_", "-")][2:]
+    ]
+    for key, kind in options:
+        holds, name = _KINDS[kind]
+        if key in config and not holds(config[key]):
+            raise DomainError(f"golden config {key!r} must be {name}, got {json.dumps(config[key])}")
 
 
 def main(argv=None) -> int:
@@ -421,6 +451,7 @@ def main(argv=None) -> int:
             config = doc.get("config") if isinstance(doc, dict) else None
             if not isinstance(config, dict):
                 raise DomainError("golden must be a JSON object with a config object")
+            _check_config(config)
             produced = render_json(run_command(config)).encode()
         else:
             config = _config_from_args(args)

@@ -36,6 +36,7 @@ __all__ = [
     "check_prop31",
     "count_w_per_column",
     "bombieri_check",
+    "bombieri_check_many",
     "zl_product_many",
     "m_series_coeffs",
     "contour_report",
@@ -197,11 +198,9 @@ def frak_m(
     1 <= tau <= T (its poles s = 1/kappa_i are real), so by the
     maximum-modulus principle its maximum there lies on the boundary: only
     the grid's first and last sigma columns and first and last tau rows are
-    evaluated.  They go in three zeta batches (left column, right column,
-    both rows) so that each batch has the largest |Im s| of a full column.
-    Euler-Maclaurin picks its head length and precision from that value, so
-    every ring value is bit-identical to the same node in a full-grid scan,
-    and no batch is longer than a column or the two rows.
+    evaluated, in one zeta batch per factor.  A zeta value depends only on
+    its own point, so every ring value is bit-identical to the same node in
+    a full-grid scan.
     """
     k1 = spec.kappa1
     if varsigma < 1.0 / (2.0 * k1) - 1e-12:
@@ -217,14 +216,13 @@ def frak_m(
         sig = np.arange(varsigma, sig_hi + width / dens, width / dens)
         taus = np.arange(1.0, T + height / dens, height / dens)
         taus = taus[taus <= T]
-        rows = np.concatenate([sig + 1j * taus[0], sig + 1j * taus[-1]])
-        best = 0.0
-        for s in (sig[0] + 1j * taus, sig[-1] + 1j * taus, rows):
-            vals = np.ones_like(s)
-            for k in spec.kappa.kappa:
-                vals = vals * specfun.zeta_many(k * s, _SCAN_TOL)
-            best = max(best, float(np.max(np.abs(vals) ** 2)))
-        return best
+        s = np.concatenate([
+            sig[0] + 1j * taus, sig[-1] + 1j * taus, sig + 1j * taus[0], sig + 1j * taus[-1]
+        ])
+        vals = np.ones_like(s)
+        for k in spec.kappa.kappa:
+            vals = vals * specfun.zeta_many(k * s, _SCAN_TOL)
+        return float(np.max(np.abs(vals) ** 2))
 
     base = grid_max(density)
     tail = 1.0
@@ -300,14 +298,16 @@ def build_grid(cfg: ContourConfig, spec: SeriesSpec) -> BoxGrid:
     )
 
 
-def _rect_boundary(s_lo, s_hi, t_lo, t_hi, per_side: int) -> np.ndarray:
-    """Counterclockwise boundary samples of a rectangle (no repeated corner)."""
-    f = np.linspace(0.0, 1.0, per_side, endpoint=False)
+def _rect_boundary(s_lo, s_hi, t_lo, t_hi, f: np.ndarray) -> np.ndarray:
+    """Counterclockwise boundary samples of a rectangle at the fractions f of
+    each side, one row per side (bottom, right, top, left); with
+    f = linspace(0, 1, n, endpoint=False) the rows, read in order, are the
+    ring without a repeated corner."""
     bottom = (s_lo + (s_hi - s_lo) * f) + 1j * t_lo
     right = s_hi + 1j * (t_lo + (t_hi - t_lo) * f)
     top = (s_hi - (s_hi - s_lo) * f) + 1j * t_hi
     left = s_lo + 1j * (t_hi - (t_hi - t_lo) * f)
-    return np.concatenate([bottom, right, top, left])
+    return np.stack([bottom, right, top, left])
 
 
 def _winding_number(vals: np.ndarray) -> tuple[float, float]:
@@ -317,42 +317,58 @@ def _winding_number(vals: np.ndarray) -> tuple[float, float]:
     return float(steps.sum() / (2.0 * math.pi)), float(np.abs(steps).max())
 
 
-def _classify_low_box(grid: BoxGrid, j: int, k: int) -> int:
-    """Zero count in (half-open) box by the argument principle.
+def _classify_low_row(grid: BoxGrid, j: int, ks) -> list[int]:
+    """Zero counts in the (half-open) boxes (j, k), k in ks, by the argument
+    principle.
 
     The winding rectangle is the box shifted left/down by half a box width and
     a small height fraction, matching the closed-left/open-right semantics:
     numerically relevant zeros sit on the left edge of the bottom row, which
-    the shift turns into interior points.  The ring is refined while a phase
+    the shift turns into interior points.  A ring is refined while a phase
     step exceeds pi/2: a zero close to the ring turns the phase by more than
     pi between samples, which aliases to a step of the other sign and loses
     a whole turn without leaving a fractional winding.
+
+    Each attempt evaluates the rings of all boxes still open in one
+    zl_product_many call.  A doubled ring evaluates only its new odd samples:
+    its even samples are the old ring's samples bit for bit (linspace without
+    endpoint), and each value depends only on its point.
     """
-    cfg, spec = grid.config, grid.spec
-    width = grid.sigma[j + 1] - grid.sigma[j]
-    height = grid.tau[k + 1] - grid.tau[k]
-    hs = 0.5 * width
-    ht = height / 1024.0
-    per_side = 4 * cfg.grid_density
+    hs = 0.5 * (grid.sigma[j + 1] - grid.sigma[j])
+    rects = {}
+    for k in ks:
+        ht = (grid.tau[k + 1] - grid.tau[k]) / 1024.0
+        rects[k] = (grid.sigma[j] - hs, grid.sigma[j + 1] - hs, grid.tau[k] - ht, grid.tau[k + 1] - ht)
+    per_side = 4 * grid.config.grid_density
+    f = np.linspace(0.0, 1.0, per_side, endpoint=False)
+    rings, winds, todo = {}, {}, list(ks)
     for attempt in range(4):
-        ring = _rect_boundary(
-            grid.sigma[j] - hs,
-            grid.sigma[j + 1] - hs,
-            grid.tau[k] - ht,
-            grid.tau[k + 1] - ht,
-            per_side,
-        )
-        vals = zl_product_many(ring, spec)
-        if float(np.min(np.abs(vals))) < 1e-8:
-            per_side *= 2
-            continue
-        wind, max_step = _winding_number(vals)
-        if max_step <= 0.5 * math.pi and abs(wind - round(wind)) < 0.1:
-            return int(round(wind))
+        pts = np.concatenate([_rect_boundary(*rects[k], f) for k in todo], axis=1)
+        new = np.split(zl_product_many(pts, grid.spec), len(todo), axis=1)
+        for k, vals in zip(todo, new):
+            # old and new samples interleaved, side by side
+            rings[k] = np.stack((rings[k], vals), axis=-1).reshape(4, -1) if attempt else vals
+            winds[k] = _settled_winding(rings[k].reshape(-1))
+        todo = [k for k in todo if winds[k] is None]
+        if not todo:
+            return [winds[k] for k in ks]
         per_side *= 2
+        f = np.linspace(0.0, 1.0, per_side, endpoint=False)[1::2]
     raise BoundaryZeroError(
-        f"box (j={j}, k={k}): boundary too close to a zero after 3 retries"
+        f"box (j={j}, k={todo[0]}): boundary too close to a zero after 3 retries"
     )
+
+
+def _settled_winding(vals: np.ndarray) -> int | None:
+    """The winding number of a sampled ring, or None while a sample nearly
+    vanishes, a phase step exceeds pi/2 or the winding is not near an
+    integer."""
+    if float(np.min(np.abs(vals))) < 1e-8:
+        return None
+    wind, max_step = _winding_number(vals)
+    if max_step <= 0.5 * math.pi and abs(wind - round(wind)) < 0.1:
+        return int(round(wind))
+    return None
 
 
 def _classify_high_box(grid: BoxGrid, j: int, k: int, m_coeffs) -> float:
@@ -372,10 +388,9 @@ def classify_boxes(grid: BoxGrid) -> BoxGrid:
     m_cache: dict[int, np.ndarray] = {}
     for j in range(grid.J_T + 1):
         if grid.regime_low(j):
-            for k in range(grid.K_T + 1):
-                wind = _classify_low_box(grid, j, k)
-                grid.windings[j, k] = wind
-                grid.classes[j, k] = 1 if wind >= 1 else 0
+            winds = _classify_low_row(grid, j, range(grid.K_T + 1))
+            grid.windings[j] = winds
+            grid.classes[j] = [1 if wind >= 1 else 0 for wind in winds]
         else:
             nj = int(grid.N_j[j])
             if nj not in m_cache:
@@ -500,33 +515,61 @@ def bombieri_check(points, a, b=None) -> bool:
     min Re(conj(s)+s') > 1.1 for absolute convergence; an explicit
     finite b sequence is treated as a Dirichlet polynomial.
     """
-    pts = np.array([complex(p) for p in points], dtype=np.complex128)
-    if not pts.size:
-        raise DomainError("need at least one point")
-    a = np.asarray(a, dtype=np.complex128)
-    pair = np.conj(pts)[:, None] + pts[None, :]  # conj(s) + s'
-    if b is None:
-        min_re = float(pair.real.min())
-        if min_re <= 1.1:
-            raise ConvergenceError(f"need min Re(conj(s)+s') > 1.1, got {min_re}")
-        weight = float(np.sum(np.abs(a) ** 2))
-        big_b = specfun.zeta_many(pair)
+    return bombieri_check_many([(points, a)], b)[0]
+
+
+# Pair points per zeta_many call of bombieri_check_many.
+_BOMBIERI_SLICE = 1 << 13
+
+
+def bombieri_check_many(instances, b=None) -> list[bool]:
+    """bombieri_check(points, a, b) for each (points, a) of instances.
+
+    With b=None the zeta values of every instance's pairs conj(s) + s' go
+    through zeta_many in slices of at most _BOMBIERI_SLICE points; each value
+    depends only on its point, so the result is that of one instance at a
+    time.
+    """
+    checks = []
+    for points, a in instances:
+        pts = np.array([complex(p) for p in points], dtype=np.complex128)
+        if not pts.size:
+            raise DomainError("need at least one point")
+        a = np.asarray(a, dtype=np.complex128)
+        pair = np.conj(pts)[:, None] + pts[None, :]  # conj(s) + s'
+        if b is None:
+            min_re = float(pair.real.min())
+            if min_re <= 1.1:
+                raise ConvergenceError(f"need min Re(conj(s)+s') > 1.1, got {min_re}")
+            weight = float(np.sum(np.abs(a) ** 2))
+        else:
+            b = np.asarray(b, dtype=np.float64)
+            if b.size < a.size:
+                raise DomainError(f"b has {b.size} terms, fewer than the {a.size} of a")
+            if np.any(b < 0):
+                raise DomainError("b must be non-negative")
+            nz = np.abs(a) > 0
+            if np.any(nz & (b[: a.size] <= 0)):
+                raise DomainError("b_n must be positive wherever a_n is nonzero")
+            weight = float(np.sum(np.abs(a[nz]) ** 2 / b[: a.size][nz]))
+        checks.append((pts, a, pair, weight))
+    if b is None and checks:
+        flat = np.concatenate([pair.reshape(-1) for _, _, pair, _ in checks])
+        zetas = np.concatenate([
+            specfun.zeta_many(flat[i : i + _BOMBIERI_SLICE])
+            for i in range(0, flat.size, _BOMBIERI_SLICE)
+        ])
+        big_bs = np.split(zetas, np.cumsum([pair.size for _, _, pair, _ in checks])[:-1])
     else:
-        b = np.asarray(b, dtype=np.float64)
-        if b.size < a.size:
-            raise DomainError(f"b has {b.size} terms, fewer than the {a.size} of a")
-        if np.any(b < 0):
-            raise DomainError("b must be non-negative")
-        nz = np.abs(a) > 0
-        if np.any(nz & (b[: a.size] <= 0)):
-            raise DomainError("b_n must be positive wherever a_n is nonzero")
-        weight = float(np.sum(np.abs(a[nz]) ** 2 / b[: a.size][nz]))
-        big_b = _dirichlet_poly(pair, np.concatenate(([0.0], b)))
-    lhs = 0.0
-    for v in _dirichlet_poly(pts, np.concatenate(([0], a))).tolist():
-        lhs += abs(v) ** 2
-    rhs = weight * float(np.abs(big_b).sum(axis=1).max())
-    return lhs <= rhs * (1.0 + 1e-12)
+        big_bs = [_dirichlet_poly(pair, np.concatenate(([0.0], b))) for _, _, pair, _ in checks]
+    out = []
+    for (pts, a, pair, weight), big_b in zip(checks, big_bs):
+        lhs = 0.0
+        for v in _dirichlet_poly(pts, np.concatenate(([0], a))).tolist():
+            lhs += abs(v) ** 2
+        rhs = weight * float(np.abs(big_b.reshape(pair.shape)).sum(axis=1).max())
+        out.append(lhs <= rhs * (1.0 + 1e-12))
+    return out
 
 
 # ----------------------------------------------------------------------------

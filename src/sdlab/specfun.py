@@ -2,15 +2,19 @@
 powers, and the (regularized incomplete) beta function.
 
 All evaluations are double precision.  zeta and Hurwitz zeta use Euler-Maclaurin
-summation with a base head of 64 terms and Bernoulli corrections through B_30;
-the number of leading terms is raised automatically with |Im s| so the
-correction series keeps a fixed decay ratio on the whole strip 0 < Re s,
-|Im s| <= 1e4.  The vector functions take the absolute tolerance of that
-truncation (1e-12 by default); the scalar ones always use the default.
+summation with Bernoulli corrections through B_30.  Each point takes its own
+head length M from its own |Im s|, on a ladder of multiples of 64 terms, so
+the correction series keeps a fixed decay ratio on the whole strip
+0 < Re s, |Im s| <= 1e4; the extended-precision phase switch and the tail
+check go with that M.  A value therefore depends only on its own point, not
+on the other points of its batch.  The vector functions take the absolute
+tolerance of that truncation (1e-12 by default); the scalar ones always use
+the default.
 
-A vector call whose head sums span more than one block of points runs the
-blocks on one thread per CPU (_over_row_shares).  Each point's head sum is
-its own row, so the values are the same bits for any number of threads.
+A vector call runs the head sums of its points, grouped by M, on one thread
+per CPU (_over_row_shares) once they span more than one block of terms in
+flight.  Each point's head sum is its own row, so the values are the same
+bits for any number of threads.
 """
 
 from __future__ import annotations
@@ -117,13 +121,18 @@ def _bern_over_fact(order: int) -> np.ndarray:
 # Euler-Maclaurin core for Hurwitz zeta
 # ----------------------------------------------------------------------------
 
-def _em_head_terms(tau_max: float, tol: float) -> int:
-    # Keep the correction-term ratio (|s| / 2 pi M)^2 small at the largest
-    # imaginary part present, so bernoulli_order/2 corrections reach the
-    # target; a looser tolerance gets away with a shorter head sum.
+def _em_head_terms(tau: np.ndarray, tol: float) -> np.ndarray:
+    """Head length M of each point: the correction-term ratio
+    (|s| / 2 pi M)^2 stays small at the point's own |Im s|, so
+    bernoulli_order/2 corrections reach the target (a looser tolerance gets
+    away with a shorter head), rounded up to a multiple of _EM_BASE_TERMS."""
     factor = 0.5 if tol < 1e-8 else 0.3
-    return max(_EM_BASE_TERMS, int(math.ceil(factor * tau_max)) + 8)
+    raw = np.maximum(_EM_BASE_TERMS, np.ceil(factor * tau) + 8)
+    return (-(-raw // _EM_BASE_TERMS) * _EM_BASE_TERMS).astype(np.int64)
 
+
+# Head-sum terms in flight over all threads of one _hurwitz_em call.
+_EM_TERMS_IN_FLIGHT = 1 << 18
 
 _TWO_PI_LD = 2.0 * np.pi * np.longdouble(1.0) + np.longdouble(2.4492935982947064e-16)
 
@@ -153,8 +162,10 @@ def _hurwitz_em(
     deflate: bool = False,
 ) -> np.ndarray:
     """Vector Euler-Maclaurin evaluation of zeta(s, w) to the absolute
-    tolerance tol, which sets the head length M, the extended-phase switch
-    and the tail bound past which AccuracyError is raised.
+    tolerance tol.  Each point takes its head length M from its own |Im s|
+    (_em_head_terms), and with it the extended-phase switch and the tail
+    bound past which AccuracyError is raised, so its value is the same bits
+    in any batch.
 
     With deflate=True the pole term 1/(s-1) is removed, i.e. the function
     returned is zeta(s, w) - 1/(s-1), which is entire in s.  This is what the
@@ -165,27 +176,56 @@ def _hurwitz_em(
     s = np.asarray(s, dtype=np.complex128)
     if s.size == 0:
         return s.copy()
-    tau_max = float(np.max(np.abs(s.imag)))
-    M = _em_head_terms(tau_max, tol)
-    K = _BERNOULLI_ORDER // 2
+    flat = s.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise DomainError("Euler-Maclaurin needs finite s")
+    tau = np.abs(flat.imag)
+    M = _em_head_terms(tau, tol)
     # Double-precision phases already round to ~tau*log(M)*eps; go extended
     # only when that would eat into the requested tolerance.
-    extended = tau_max * math.log(M + 1.0) * 1.2e-16 > 0.05 * tol
+    extended = tau * np.log(M + 1.0) * 1.2e-16 > 0.05 * tol
+    # Points sorted by (M, extended): each run of one key is a group.
+    key = 2 * M + extended
+    order = np.argsort(key, kind="stable")
+    ss, key = flat[order], key[order]
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), ss.size]
+    groups = [(lo, hi, int(key[lo]) >> 1, bool(key[lo] & 1)) for lo, hi in zip(bounds, bounds[1:])]
+    log_ns_ld = np.log(np.arange(groups[-1][2], dtype=np.longdouble) + np.longdouble(w))
 
-    # Head sum over n = 0..M-1 of (n+w)^{-s}, one row per point, in blocks
-    # of 2^20 terms in flight.
-    log_ns_ld = np.log(np.arange(M, dtype=np.longdouble) + np.longdouble(w))
-    flat = s.reshape(-1)
-    head = np.empty_like(flat)
+    # Head sums over n = 0..M-1 of (n+w)^{-s}, one row per point.  The
+    # threads share the head terms in units of _EM_BASE_TERMS (a point of
+    # head length M is M / _EM_BASE_TERMS units); a share takes the points
+    # whose first unit it holds, in pieces of one group and at most `step`
+    # units.
+    units = (key >> 1) // _EM_BASE_TERMS
+    ends = np.cumsum(units)
+    starts = ends - units
+    head = np.empty_like(ss)
 
     def head_rows(_, lo, hi, step):
-        for i in range(lo, hi, step):
-            j = min(i + step, hi)
-            head[i:j] = _pow_negs(flat[i:j], log_ns_ld, extended).sum(axis=1)
+        first, stop = np.searchsorted(starts, (lo, hi)).tolist()
+        for g_lo, g_hi, m, ext in groups:
+            last = min(stop, g_hi)
+            rows = max(1, step * _EM_BASE_TERMS // m)
+            for i in range(max(first, g_lo), last, rows):
+                j = min(i + rows, last)
+                head[i:j] = _pow_negs(ss[i:j], log_ns_ld[:m], ext).sum(axis=1)
 
-    _over_row_shares(head_rows, flat.size, max(1, (1 << 20) // M))
-    head = head.reshape(s.shape)
+    _over_row_shares(
+        head_rows, int(ends[-1]), max(1, _EM_TERMS_IN_FLIGHT // _EM_BASE_TERMS)
+    )
 
+    out = np.empty_like(flat)
+    for lo, hi, m, ext in groups:
+        out[order[lo:hi]] = _em_sum(head[lo:hi], ss[lo:hi], w, m, ext, tol, deflate)
+    return out.reshape(s.shape)
+
+
+def _em_sum(head, s, w, M, extended, tol, deflate):
+    """The head sum plus the pole, half and Bernoulli terms of the
+    Euler-Maclaurin sum with head length M; raises AccuracyError when the
+    first omitted term exceeds tol."""
+    K = _BERNOULLI_ORDER // 2
     mw = M + w
     log_mw = math.log(mw)
     log_mw_ld = np.log(np.longdouble(M) + np.longdouble(w))

@@ -185,7 +185,7 @@ class TestCommands:
         def never(*args):
             raise AssertionError("an instance was checked")
 
-        monkeypatch.setattr(contourlab, "bombieri_check", never)
+        monkeypatch.setattr(contourlab, "bombieri_check_many", never)
         code, stdout, err = run(["bombieri", option, value], capsys)
         assert code == 2
         assert stdout == ""
@@ -378,6 +378,32 @@ class TestGolden:
         code, _, err = run(["verify", "--golden", str(golden)], capsys)
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"command": "sieve", "limit": [1]}, "'limit' must be an integer, got [1]"),
+            ({"command": "sieve", "limit": None}, "'limit' must be an integer, got null"),
+            ({"command": "ddt", "x": 100, "t_grid": 5}, "'t_grid' must be a list of numbers, got 5"),
+            ({"command": "sieve", "limit": True}, "'limit' must be an integer, got true"),
+            ({"command": "bombieri", "seed": 1.5}, "'seed' must be an integer, got 1.5"),
+            ({"command": "contour", "T": "200"}, "'T' must be a number, got \"200\""),
+            ({"command": "beta", "indicator": 4}, "'indicator' must be a string, got 4"),
+            ({"command": ["sieve"]}, "has no known command: ['sieve']"),
+        ],
+    )
+    def test_verify_golden_config_of_wrong_type_exit_2(self, config, message, tmp_path, capsys, monkeypatch):
+        # checked against the option table before any command runs
+        def never(config):
+            raise AssertionError("a command ran")
+
+        for name in cli.COMMANDS:
+            monkeypatch.setitem(cli.COMMANDS, name, never)
+        golden = tmp_path / "g.json"
+        golden.write_text(json.dumps({"config": config}))
+        code, stdout, err = run(["verify", "--golden", str(golden)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: golden config {message}\n"
 
     def test_two_squares_expansion_golden_regression(self, capsys):
         # the L(s, chi4) and truncated Euler-product path

@@ -129,9 +129,9 @@ class TestFrakM:
 
         monkeypatch.setattr(sf, "zeta_many", counting)
         cl.frak_m(0.5, 1600.0, zl_spec, 8, refine_check=False)
-        # ring of the 90 x 1734 grid, 3,648 points: two columns, then both
-        # rows together (the full grid is 90 batches, 156,060 points)
-        assert sizes == [1734, 1734, 180]
+        # ring of the 90 x 1734 grid, 3,648 points in one batch (the full
+        # grid is 90 batches, 156,060 points)
+        assert sizes == [3648]
 
 
 class TestBuildGrid:
@@ -267,6 +267,50 @@ class TestClassification:
         m = cl.m_series_coeffs(spec, 50)
         assert m[1] == 1 and m[6] == 1 and m[4] == 0 and m[30] == -1
 
+    def test_doubled_ring_keeps_the_old_samples(self, grid200):
+        rect = (grid200.sigma[0], grid200.sigma[1], grid200.tau[5], grid200.tau[6])
+        for n in (32, 64, 128, 256):
+            old = cl._rect_boundary(*rect, np.linspace(0.0, 1.0, n, endpoint=False))
+            new = cl._rect_boundary(*rect, np.linspace(0.0, 1.0, 2 * n, endpoint=False))
+            assert np.array_equal(new[:, 0::2], old)
+            odd = np.linspace(0.0, 1.0, 2 * n, endpoint=False)[1::2]
+            assert np.array_equal(cl._rect_boundary(*rect, odd), new[:, 1::2])
+
+    def test_windings_equal_fresh_per_box_rings(self, grid200):
+        # each box on its own, every refinement a whole new ring
+        g = grid200
+        for j in range(g.J_T + 1):
+            hs = 0.5 * (g.sigma[j + 1] - g.sigma[j])
+            for k in range(g.K_T + 1):
+                ht = (g.tau[k + 1] - g.tau[k]) / 1024.0
+                rect = (g.sigma[j] - hs, g.sigma[j + 1] - hs, g.tau[k] - ht, g.tau[k + 1] - ht)
+                for per_side in (32, 64, 128, 256):
+                    f = np.linspace(0.0, 1.0, per_side, endpoint=False)
+                    vals = cl.zl_product_many(cl._rect_boundary(*rect, f).reshape(-1), g.spec)
+                    wind = cl._settled_winding(vals)
+                    if wind is not None:
+                        break
+                assert g.windings[j, k] == wind
+
+    def test_row_evaluation_cost(self, zl_spec, monkeypatch):
+        # one call per row and attempt: the 38 rings of 128 points of each
+        # row, then only the new odd samples of the rings doubled to 256 (36
+        # in row 0, 13 in row 1) and to 512 (9 in row 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            grid = cl.build_grid(cl.ContourConfig(T=200.0), zl_spec)
+        sizes = []
+        zl = cl.zl_product_many
+
+        def counting(s, spec):
+            sizes.append(np.asarray(s).size)
+            return zl(s, spec)
+
+        monkeypatch.setattr(cl, "zl_product_many", counting)
+        cl.classify_boxes(grid)
+        assert sizes == [38 * 128, 36 * 128, 9 * 256, 38 * 128, 13 * 128]
+        assert sum(sizes) == 18304
+
     def test_boundary_zero_error_after_retries(self, grid200, monkeypatch):
         from sdlab.errors import BoundaryZeroError
 
@@ -275,7 +319,7 @@ class TestClassification:
 
         monkeypatch.setattr(cl, "zl_product_many", tiny)
         with pytest.raises(BoundaryZeroError):
-            cl._classify_low_box(grid200, 0, 0)
+            cl._classify_low_row(grid200, 0, [0])
 
 
 class TestContour:
@@ -410,6 +454,23 @@ class TestBombieri:
                 complex(1.2 + rng.uniform(0, 1), rng.uniform(-50, 50)) for _ in range(m)
             ]
             assert cl.bombieri_check(pts, a)
+
+    def test_many_is_each_instance_alone(self, rng, monkeypatch):
+        # slices smaller than one instance's pairs, so instances straddle calls
+        monkeypatch.setattr(cl, "_BOMBIERI_SLICE", 7)
+        instances = []
+        for _ in range(40):
+            a = rng.normal(size=int(rng.integers(1, 30))) + 0j
+            pts = [complex(1.2 + rng.uniform(0, 1), rng.uniform(-50, 50))
+                   for _ in range(int(rng.integers(1, 6)))]
+            instances.append((pts, a))
+        instances.append(([1.5 + 3j, 1.51 + 3j], [1.0, -50.0, 3.0]))
+        got = cl.bombieri_check_many(instances)
+        assert got == [cl.bombieri_check(p, a) for p, a in instances]
+        assert cl.bombieri_check_many(instances, b=np.ones(40)) == [
+            cl.bombieri_check(p, a, b=np.ones(40)) for p, a in instances
+        ]
+        assert cl.bombieri_check_many([]) == []
 
     def test_scaling_invariance(self, rng):
         a = rng.normal(size=20) + 1j * rng.normal(size=20)

@@ -186,6 +186,12 @@ class TestZeta:
             with pytest.raises(DomainError):
                 sf.zeta_many(np.array([2.0 + 0j]), tol)
 
+    def test_non_finite_points_rejected(self):
+        # a head length is taken from each |Im s|, so none may be nan or inf
+        for bad in (complex(0.5, math.nan), complex(0.5, math.inf), complex(math.inf, 1.0)):
+            with pytest.raises(DomainError, match="finite"):
+                sf.zeta_many(np.array([2.0 + 0j, bad]))
+
     def test_high_strip_against_independent_truncation(self):
         # an independent evaluation of the same point: mpmath at 30 digits
         s = complex(0.6, 5000.0)
@@ -254,6 +260,49 @@ class TestRowShares:
         s = 0.5 + 1200j * rng.random(1500)
         one, two = _per_cpu_count(monkeypatch, lambda: sf.dirichlet_l_many(s, chi4, 1e-9))
         assert np.array_equal(one.view(np.float64), two.view(np.float64))
+
+
+def _bits(v) -> np.ndarray:
+    return np.ascontiguousarray(v).view(np.float64)
+
+
+class TestBatchIndependence:
+    """A value depends only on its own point: the same bits alone and in any
+    subset, order or concatenation of a batch."""
+
+    def test_head_length_ladder(self):
+        tau = np.array([0.0, 112.0, 112.1, 240.0, 1600.0, 5000.0])
+        assert sf._em_head_terms(tau, 1e-9).tolist() == [64, 64, 128, 128, 832, 2560]
+        assert sf._em_head_terms(tau, 1e-6).tolist() == [64, 64, 64, 128, 512, 1536]
+
+    def test_low_point_beside_a_high_one(self):
+        # 0.7+5000i takes a head of 2,560 terms and 80-bit phases, 0.7+14i
+        # a head of 64 and plain phases, in the pair as alone
+        alone = sf.zeta_many(np.array([0.7 + 14j]))
+        pair = sf.zeta_many(np.array([0.7 + 14j, 0.7 + 5000j]))
+        assert np.array_equal(_bits(alone), _bits(pair[:1]))
+        assert sf.zeta_many(np.array([0.7 + 5000j]))[0] == pair[1]
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9])
+    @pytest.mark.parametrize("fn", ["zeta", "l_chi4"])
+    def test_subsets_orders_and_concatenations(self, chi4, fn, tol):
+        def f(s):
+            if fn == "zeta":
+                return sf.zeta_many(s, tol)
+            return sf.dirichlet_l_many(s, chi4, tol)
+
+        rng = np.random.default_rng(16)
+        s = 0.2 + 1.5 * rng.random(1200) + 4000j * (rng.random(1200) - 0.5)
+        s[:2] = 0.7 + 14j, 0.7 + 5000j
+        whole = f(s)
+        perm = rng.permutation(s.size)
+        assert np.array_equal(_bits(f(s[perm])), _bits(whole[perm]))
+        assert np.array_equal(_bits(f(s[perm[:150]])), _bits(whole[perm[:150]]))
+        both = f(np.concatenate([s[::-3], s]))
+        assert np.array_equal(_bits(both), _bits(np.concatenate([whole[::-3], whole])))
+        assert np.array_equal(_bits(f(s[:400].reshape(20, 20)).reshape(-1)), _bits(whole[:400]))
+        for i in (0, 1, 2, 777):
+            assert np.array_equal(_bits(f(s[i : i + 1])), _bits(whole[i : i + 1]))
 
 
 class TestHurwitz:
