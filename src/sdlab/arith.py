@@ -108,12 +108,12 @@ def divisor_le_threshold(d: int, n: int, t: float) -> bool:
         return True
     if n == 1:
         return False
-    return math.log(d) <= t * math.log(n) + _THRESHOLD_GUARD
+    return math.log(d) <= threshold_log_cut(math.log(n), t)
 
 
 def threshold_log_cut(log_n, t):
     """The cut c with divisor_le_threshold(d, n, t) == (log d <= c) for
-    d, n >= 2, over numpy arrays of log n and t (broadcast together)."""
+    d, n >= 2, over floats or arrays of log n and t (broadcast together)."""
     return t * log_n + _THRESHOLD_GUARD
 
 

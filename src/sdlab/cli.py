@@ -171,7 +171,7 @@ def _app_spec(config: dict) -> sdexpand.SeriesSpec:
     if app == "squarefull":
         return sdexpand.squarefull_series_spec()
     if app == "two_squares":
-        return sdexpand.two_squares_series_spec(int(config.get("prime_limit", 10**5)))
+        return sdexpand.two_squares_series_spec()
     raise DomainError(f"unknown application {app!r}")
 
 
@@ -330,7 +330,6 @@ _APP = _opt("--app", choices=_CHOICES, required=True)
 _X_INT = _opt("--x", int, type=float, required=True)
 _THETA = _opt("--theta", type=float, required=True)
 _T_GRID = _opt("--t-grid", _parse_t_grid, list, default="default")
-_PRIME_LIMIT = _opt("--prime-limit", type=int, default=10**5)
 
 # subcommand -> (help, renders CSV, *options); the config holds the command,
 # --format, --seed and one entry per option
@@ -353,11 +352,11 @@ SUBCOMMANDS = {
     "main-term": (
         "predicted short-interval main term", True,
         _APP, _opt("--x", type=float, required=True), _THETA,
-        _opt("--order", type=int, default=0), _PRIME_LIMIT,
+        _opt("--order", type=int, default=0),
     ),
     "expand": (
         "expansion coefficient table", True,
-        _APP, _opt("--order", type=int, default=8), _PRIME_LIMIT,
+        _APP, _opt("--order", type=int, default=8),
     ),
     "contour": (
         "box grid, classes, contour, envelopes", False,

@@ -54,7 +54,6 @@ class ContourConfig:
     T: float
     epsilon: float = 0.05
     C0: float = 1.0
-    c0: float = 1.0
     Aprime: int = 10
     psi: float = 2.4
     eta: float = 9.0
@@ -62,12 +61,15 @@ class ContourConfig:
     nj_cap: int = 10**6
 
     def __post_init__(self):
+        for name in ("T", "epsilon", "C0", "psi", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.T < 50:
             raise DomainError("T must be at least 50")
         if not 0.0 < self.epsilon < 0.25:
             raise DomainError("epsilon must lie in (0, 1/4)")
-        if self.C0 <= 0 or self.c0 <= 0:
-            raise DomainError("C0 and c0 must be positive")
+        if self.C0 <= 0:
+            raise DomainError("C0 must be positive")
         if self.Aprime < 2:
             raise DomainError("Aprime must be an integer >= 2")
         if self.grid_density < 4:
@@ -180,13 +182,7 @@ def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray) -> np.ndarray:
 # frak M: maximum of |prod zeta(kappa_i s)|^2 on the outer ring of a grid
 # ----------------------------------------------------------------------------
 
-def frak_m(
-    varsigma: float,
-    T: float,
-    spec: SeriesSpec,
-    density: int = 8,
-    refine_check: bool = True,
-) -> float:
+def frak_m(varsigma: float, T: float, spec: SeriesSpec, density: int = 8) -> float:
     """Maximum of |prod_i zeta(kappa_i s)|^2 over sigma >= varsigma,
     1 <= |tau| <= T, sampled on the outer ring of a grid with `density`
     samples per box side.
@@ -200,43 +196,30 @@ def frak_m(
     the grid's first and last sigma columns and first and last tau rows are
     evaluated, in one zeta batch per factor.  A zeta value depends only on
     its own point, so every ring value is bit-identical to the same node in
-    a full-grid scan.
+    a full-grid scan.  The sampled maximum is not converged in `density`
+    (ROADMAP item 9).
     """
     k1 = spec.kappa1
     if varsigma < 1.0 / (2.0 * k1) - 1e-12:
         raise DomainError("varsigma below 1/(2 kappa_1)")
     if T < 3:
         raise DomainError("T too small")
-
-    def grid_max(dens: int) -> float:
-        lt = math.log(T)
-        width = 1.0 / (k1 * lt)
-        height = lt / k1
-        sig_hi = max(2.0 / k1, varsigma)
-        sig = np.arange(varsigma, sig_hi + width / dens, width / dens)
-        taus = np.arange(1.0, T + height / dens, height / dens)
-        taus = taus[taus <= T]
-        s = np.concatenate([
-            sig[0] + 1j * taus, sig[-1] + 1j * taus, sig + 1j * taus[0], sig + 1j * taus[-1]
-        ])
-        vals = np.ones_like(s)
-        for k in spec.kappa.kappa:
-            vals = vals * specfun.zeta_many(k * s, _SCAN_TOL)
-        return float(np.max(np.abs(vals) ** 2))
-
-    base = grid_max(density)
+    lt = math.log(T)
+    width = 1.0 / (k1 * lt)
+    height = lt / k1
+    sig_hi = max(2.0 / k1, varsigma)
+    sig = np.arange(varsigma, sig_hi + width / density, width / density)
+    taus = np.arange(1.0, T + height / density, height / density)
+    taus = taus[taus <= T]
+    s = np.concatenate([
+        sig[0] + 1j * taus, sig[-1] + 1j * taus, sig + 1j * taus[0], sig + 1j * taus[-1]
+    ])
+    vals = np.ones_like(s)
     tail = 1.0
     for k in spec.kappa.kappa:
+        vals = vals * specfun.zeta_many(k * s, _SCAN_TOL)
         tail *= specfun.zeta_complex(2.0 * k / k1).real ** 2
-    base = max(base, tail)
-    if refine_check:
-        fine = max(grid_max(2 * density), tail)
-        if abs(fine - base) > 0.05 * max(fine, base):
-            raise AccuracyError(
-                f"frak_m unstable under density doubling: {base:.6g} vs "
-                f"{fine:.6g} at density {density}"
-            )
-    return base
+    return max(float(np.max(np.abs(vals) ** 2)), tail)
 
 
 # ----------------------------------------------------------------------------
@@ -270,9 +253,7 @@ def build_grid(cfg: ContourConfig, spec: SeriesSpec) -> BoxGrid:
         varsigma = 4.0 * sigma[j] - 3.0 / k1
         clamped = max(varsigma, 1.0 / (2.0 * k1))
         if clamped not in fm_cache:
-            fm_cache[clamped] = frak_m(
-                clamped, 8.0 * T, spec, cfg.grid_density, refine_check=False
-            )
+            fm_cache[clamped] = frak_m(clamped, 8.0 * T, spec, cfg.grid_density)
         fm = fm_cache[clamped]
         expo = 1.0 / (2.0 * (1.0 / k1 - sigma[j]))
         log_raw = expo * (math.log(cfg.Aprime) + 5.0 * math.log(lt) + math.log(fm))

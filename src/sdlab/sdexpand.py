@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
@@ -22,7 +22,6 @@ from .powerseries import PowerSeries, ps_pow, taylor_at
 __all__ = [
     "stieltjes_constants",
     "gamma_coeffs",
-    "ConstantG",
     "ZetaCompositionG",
     "EulerProductG",
     "SeriesSpec",
@@ -74,19 +73,6 @@ def gamma_coeffs(z: complex, kappa: float, order: int) -> tuple[complex, ...]:
 # Regular-factor evaluators
 # ----------------------------------------------------------------------------
 
-class ConstantG:
-    """G identically equal to a constant (default 1)."""
-
-    def __init__(self, value: complex = 1.0):
-        self.value = complex(value)
-
-    def many(self, s: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(s), self.value)
-
-    def describe(self) -> dict:
-        return {"kind": "constant", "value": self.value.real}
-
-
 def _combine(first: np.ndarray, powers) -> np.ndarray:
     """first[k] * prod base[k]**expo over the (base array, expo) pairs, node by
     node in Python complex arithmetic: numpy's complex multiply rounds
@@ -122,21 +108,13 @@ class EulerProductG:
     # nodes in flight of the node x prime matrix, over all threads: 64 x
     # 4,800 primes at P = 1e5 is 4.9 MB of complex128
     BLOCK = 64
+    prime_limit = 10**5
 
-    def __init__(
-        self,
-        a: float,
-        e: float,
-        modulus: int,
-        residues,
-        prime_limit: int = 10**5,
-        extra=(),
-    ):
+    def __init__(self, a: float, e: float, modulus: int, residues, extra=()):
         self.a = float(a)
         self.e = float(e)
         self.modulus = int(modulus)
         self.residues = tuple(int(r) for r in residues)
-        self.prime_limit = int(prime_limit)
         self.extra = tuple((int(p), float(aa), float(ee)) for p, aa, ee in extra)
         self._log_primes = None
 
@@ -213,7 +191,7 @@ class SeriesSpec:
     z: tuple[complex, ...]
     w: tuple[complex, ...]
     chis: tuple[CharacterTable | None, ...]
-    G: object = field(default_factory=ConstantG)
+    G: object = None  # None is the constant 1
     bounds_B: tuple[float, ...] = ()
     bounds_C: tuple[float, ...] = ()
     alpha: float = 1.0
@@ -258,7 +236,7 @@ class SeriesSpec:
             "z": [[zi.real, zi.imag] for zi in map(complex, self.z)],
             "w": [[wi.real, wi.imag] for wi in map(complex, self.w)],
             "chi_moduli": [c.modulus if c is not None else None for c in self.chis],
-            "G": self.G.describe(),
+            "G": {"kind": "constant", "value": 1.0} if self.G is None else self.G.describe(),
             "alpha": self.alpha,
             "delta": self.delta,
             "A": self.A,
@@ -266,17 +244,22 @@ class SeriesSpec:
         }
 
 
+def _g_many(spec: SeriesSpec, s: np.ndarray) -> np.ndarray:
+    """The spec's G over an array of nodes; G = None is the constant 1."""
+    if spec.G is None:
+        return np.ones(np.shape(s), dtype=np.complex128)
+    return spec.G.many(s)
+
+
 def _regular_factor(spec: SeriesSpec):
     """The analytic-at-1/kappa_1 factor: non-leading zetas, all L's, and G,
     as a vector callable over an array of nodes.
 
-    Each factor is one zeta_many / dirichlet_l_many call over all nodes; the
-    values equal per-node scalar calls bit for bit only while every node gets
-    the same Euler-Maclaurin head length M and the plain-double phase path,
-    i.e. while |Im kappa_i s| stays below about 99 on the nodes (M = 64 up to
-    112, extended phases above 99.8 at the default tolerance).  The shipped
-    rings have |Im kappa_i s| <= 0.5.  The factors are then multiplied node
-    by node in Python complex arithmetic (see _combine).
+    Each factor is one zeta_many / dirichlet_l_many call over all nodes.  A
+    zeta or L value depends only on its own point, so each node's value is
+    that of a per-node scalar call bit for bit, whatever the other nodes of
+    the batch.  The factors are then multiplied node by node in Python
+    complex arithmetic (see _combine).
     """
 
     def fn(s: np.ndarray) -> np.ndarray:
@@ -292,7 +275,7 @@ def _regular_factor(spec: SeriesSpec):
             for i in range(spec.r)
             if spec.w[i] != 0
         ]
-        return _combine(spec.G.many(s), powers)
+        return _combine(_g_many(spec, s), powers)
 
     return fn
 
@@ -357,7 +340,7 @@ def lambda0_closed_form(spec: SeriesSpec) -> complex:
     k = spec.kappa.kappa
     k1 = k[0]
     z1 = complex(spec.z[0])
-    out = complex(spec.G.many(np.array([complex(1.0 / k1)]))[0])
+    out = complex(_g_many(spec, np.array([complex(1.0 / k1)]))[0])
     out *= specfun.complex_pow_principal(k1, -z1)
     out *= specfun.reciprocal_gamma(z1)
     for i in range(1, spec.r):
@@ -393,11 +376,12 @@ def main_term(
     scaled by the spec's M; the free constants are fixed at 1, so it is a
     reference shape rather than a bound.
     """
-    if x < 3:
-        raise DomainError("x must be at least 3")
+    # written so that NaN fails each test
+    if not (math.isfinite(x) and x >= 3):
+        raise DomainError(f"x must be finite and at least 3, got {x}")
     k1 = spec.kappa1
-    if y < 0 or y > x ** (1.0 / k1) * (1.0 + 1e-12):
-        raise DomainError("need 0 <= y <= x^(1/kappa_1)")
+    if not 0 <= y <= x ** (1.0 / k1) * (1.0 + 1e-12):
+        raise DomainError(f"need 0 <= y <= x^(1/kappa_1), got y = {y}")
     if n_terms < 0:
         raise DomainError("n_terms must be >= 0")
     L = math.log(x)
@@ -437,9 +421,7 @@ def squarefull_series_spec() -> SeriesSpec:
     )
 
 
-def two_squares_series_spec(
-    prime_limit: int = 10**5, wrong_congruence: bool = False
-) -> SeriesSpec:
+def two_squares_series_spec(wrong_congruence: bool = False) -> SeriesSpec:
     """Indicator of sums of two squares: (zeta(s) L(s, chi4))^(1/2) G(s) with
     G(s) = (1-2^{-s})^{-1/2} prod_{p=3 (4)} (1-p^{-2s})^{-1/2}.
 
@@ -457,7 +439,6 @@ def two_squares_series_spec(
             e=-0.5,
             modulus=4,
             residues=(residue,),
-            prime_limit=prime_limit,
             extra=((2, 1.0, -0.5),),
         ),
         bounds_B=(1.0,),

@@ -136,6 +136,30 @@ class TestDivisorCdf:
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+class TestThreshold:
+    def test_predicate_agrees_with_array_cut(self):
+        # the scalar predicate and the array cut the window engine compares
+        # divisor logs with share one guard band; the knife edges d^q = n^p
+        # of each t = p/q on the default grid are included, and each of them
+        # counts as d <= n^t
+        from sdlab.intervals import DEFAULT_T_GRID
+
+        pairs = {(d, n) for n in range(2, 65) for d in range(2, n + 1)}
+        edges = set()
+        for t in DEFAULT_T_GRID:
+            f = Fraction(t).limit_denominator(20)
+            for m in (2, 3, 7):
+                edges.add((m**f.numerator, m**f.denominator, t))
+                pairs |= {(m**f.numerator + e, m**f.denominator) for e in (-1, 0, 1)}
+        pairs = sorted(pairs)
+        ts = np.array(DEFAULT_T_GRID)
+        cut = ar.threshold_log_cut(np.array([math.log(n) for _, n in pairs])[:, None], ts)
+        for (d, n), row in zip(pairs, cut.tolist()):
+            for t, c in zip(DEFAULT_T_GRID, row):
+                assert ar.divisor_le_threshold(d, n, t) == (math.log(d) <= c), (d, n, t)
+        assert all(ar.divisor_le_threshold(d, n, t) for d, n, t in edges)
+
+
 # ---------------------------------------------------------------------------
 # kappa vectors and characters
 # ---------------------------------------------------------------------------

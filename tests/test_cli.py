@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import math
+import pathlib
 
 import pytest
 
 from sdlab import cli
 from sdlab import intervals as iv
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(args, capsys):
@@ -228,6 +231,43 @@ class TestCommands:
         assert code == 2
         assert err.startswith("error:") and "nj_cap" in err
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--T", "nan"), ("--C0", "nan"), ("--psi", "nan"), ("--eta", "inf"), ("--epsilon", "nan")],
+    )
+    def test_contour_non_finite_rejected_before_zeta_work(self, option, value, capsys, monkeypatch):
+        from sdlab import contourlab
+
+        def never(*args, **kwargs):
+            raise AssertionError("frak_m ran before the config check")
+
+        monkeypatch.setattr(contourlab, "frak_m", never)
+        # the last --T given wins
+        code, stdout, err = run(["contour", "--T", "200", option, value], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {option[2:]} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "x, theta, message",
+        [
+            ("1e12", "nan", "need 0 <= y <= x^(1/kappa_1), got y = nan"),
+            ("inf", "0.45", "x must be finite and at least 3, got inf"),
+            ("nan", "0.45", "x must be finite and at least 3, got nan"),
+        ],
+    )
+    def test_main_term_non_finite_rejected_before_expansion(self, x, theta, message, capsys, monkeypatch):
+        from sdlab import sdexpand
+
+        def never(*args, **kwargs):
+            raise AssertionError("expansion_coeffs ran before the checks")
+
+        monkeypatch.setattr(sdexpand, "expansion_coeffs", never)
+        code, stdout, err = run(
+            ["main-term", "--app", "squarefull", "--x", x, "--theta", theta], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_accuracy_error_maps_to_exit_3(self, capsys, monkeypatch):
         from sdlab.errors import AccuracyError
 
@@ -295,16 +335,16 @@ _PINNED = [
     (
         ["main-term", "--app", "squarefull", "--x", "1e6", "--theta", "0.4"],
         {"command": "main_term", "app": "squarefull", "x": 1e6, "theta": 0.4,
-         "order": 0, "prime_limit": 100000},
+         "order": 0},
     ),
     (
         ["expand", "--app", "squarefull", "--order", "3"],
-        {"command": "expand", "app": "squarefull", "order": 3, "prime_limit": 100000},
+        {"command": "expand", "app": "squarefull", "order": 3},
     ),
     (
         ["contour", "--T", "100", "--grid-density", "4", "--aprime", "5", "--C0", "0.9",
-         "--eta", "8", "--psi", "2", "--epsilon", "0.1", "--c0", "2"],
-        {"command": "contour", "T": 100.0, "epsilon": 0.1, "C0": 0.9, "c0": 2.0,
+         "--eta", "8", "--psi", "2", "--epsilon", "0.1"],
+        {"command": "contour", "T": 100.0, "epsilon": 0.1, "C0": 0.9,
          "Aprime": 5, "psi": 2.0, "eta": 8.0, "grid_density": 4, "nj_cap": 1000000,
          "chi_modulus": 4},
     ),
@@ -404,6 +444,29 @@ class TestGolden:
         code, stdout, err = run(["verify", "--golden", str(golden)], capsys)
         assert (code, stdout) == (2, "")
         assert err == f"error: golden config {message}\n"
+
+    @pytest.mark.parametrize(
+        "name, argv, key",
+        [
+            ("contour_T200.json", ["contour", "--T", "200"], "c0"),
+            ("expand_squarefull.json", ["expand", "--app", "squarefull"], "prime_limit"),
+            ("expand_two_squares.json", ["expand", "--app", "two_squares"], "prime_limit"),
+        ],
+    )
+    def test_fresh_run_is_golden_without_removed_entry(self, name, argv, key, tmp_path, capsys):
+        # goldens made while --c0 and --prime-limit existed: a fresh run makes
+        # the same bytes less that one config entry (the config object is
+        # flat, and spec.G keeps its own prime_limit)
+        golden = (GOLDEN / name).read_bytes()
+        start = golden.index(b'"config":{') + len(b'"config":{')
+        end = golden.index(b"}", start)
+        entries = golden[start:end].split(b",")
+        kept = [e for e in entries if not e.startswith(f'"{key}":'.encode())]
+        assert len(kept) == len(entries) - 1
+        out = tmp_path / "fresh.json"
+        code, _, _ = run([*argv, "--output", str(out)], capsys)
+        assert code == 0
+        assert out.read_bytes() == golden[:start] + b",".join(kept) + golden[end:]
 
     def test_two_squares_expansion_golden_regression(self, capsys):
         # the L(s, chi4) and truncated Euler-product path

@@ -71,18 +71,18 @@ class TestFrakM:
     def test_triangle_bound_deep_right(self, zl_spec):
         # varsigma beyond the abscissa: value within the absolute-convergence
         # triangle bound
-        got = cl.frak_m(1.1, 100.0, zl_spec, density=4, refine_check=False)
+        got = cl.frak_m(1.1, 100.0, zl_spec, density=4)
         assert got <= sf.zeta_complex(1.1).real ** 2 + 1e-9
 
     def test_monotone_in_varsigma(self, zl_spec):
-        a = cl.frak_m(0.80, 100.0, zl_spec, density=8, refine_check=False)
-        b = cl.frak_m(0.90, 100.0, zl_spec, density=8, refine_check=False)
-        c = cl.frak_m(1.00, 100.0, zl_spec, density=8, refine_check=False)
+        a = cl.frak_m(0.80, 100.0, zl_spec, density=8)
+        b = cl.frak_m(0.90, 100.0, zl_spec, density=8)
+        c = cl.frak_m(1.00, 100.0, zl_spec, density=8)
         assert a >= b >= c
 
     def test_golden_and_dense_oracle(self, zl_spec):
         base = cl.frak_m(0.9, 100.0, zl_spec, density=8)
-        dense = cl.frak_m(0.9, 100.0, zl_spec, density=32, refine_check=False)
+        dense = cl.frak_m(0.9, 100.0, zl_spec, density=32)
         assert base == pytest.approx(7.945199897981631, rel=1e-12)
         assert abs(base - dense) <= 0.05 * dense
 
@@ -116,7 +116,7 @@ class TestFrakM:
         }[name]
         k1 = spec.kappa1
         for varsigma in (1.0 / (2.0 * k1), 0.8 / k1, 1.5 / k1):
-            got = cl.frak_m(varsigma, T, spec, density, refine_check=False)
+            got = cl.frak_m(varsigma, T, spec, density)
             assert got == _full_grid_max(varsigma, T, spec.kappa.kappa, density)
 
     def test_ring_scan_cost(self, zl_spec, monkeypatch):
@@ -128,10 +128,20 @@ class TestFrakM:
             return zeta_many(s, tol)
 
         monkeypatch.setattr(sf, "zeta_many", counting)
-        cl.frak_m(0.5, 1600.0, zl_spec, 8, refine_check=False)
+        cl.frak_m(0.5, 1600.0, zl_spec, 8)
         # ring of the 90 x 1734 grid, 3,648 points in one batch (the full
         # grid is 90 batches, 156,060 points)
         assert sizes == [3648]
+
+    @pytest.mark.xfail(
+        strict=True, reason="frak_m is not converged in density (ROADMAP item 9)"
+    )
+    def test_converged_in_density(self, zl_spec):
+        # the 5% agreement under density doubling, at the T = 1600 that
+        # build_grid scans for T = 200: 100.02 at density 8, 114.47 at 16
+        coarse = cl.frak_m(0.5, 1600.0, zl_spec, 8)
+        fine = cl.frak_m(0.5, 1600.0, zl_spec, 16)
+        assert abs(fine - coarse) <= 0.05 * max(fine, coarse)
 
 
 class TestBuildGrid:

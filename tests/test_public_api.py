@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from sdlab import arith, contourlab, intervals, powerseries, sdexpand, specfun
+from sdlab import arith, cli, contourlab, intervals, powerseries, sdexpand, specfun
 
 MODULES = (
     "sdlab",
@@ -71,7 +71,7 @@ def test_merged_duplicates_stay_gone():
     tops = inspect.signature(contourlab.BoxGrid.in_marked_region).parameters["tops"]
     assert tops.default is inspect.Parameter.empty
     assert "principal" not in {f.name for f in dataclasses.fields(arith.CharacterTable)}
-    for cls in (sdexpand.ConstantG, sdexpand.ZetaCompositionG, sdexpand.EulerProductG):
+    for cls in (sdexpand.ZetaCompositionG, sdexpand.EulerProductG):
         assert "__call__" not in vars(cls), cls
     for mod in (sdexpand, contourlab):
         for name in mod.__all__:
@@ -84,3 +84,18 @@ def test_merged_duplicates_stay_gone():
         and "tol" in inspect.signature(getattr(specfun, name)).parameters
     ]
     assert tol == ["zeta_many", "dirichlet_l_many"]
+
+
+def test_single_valued_settings_stay_gone():
+    # settings that only ever took one value: frak_m's density-doubling gate
+    # (build_grid always turned it off), the constant regular factor (G = None
+    # is 1), the Euler-product cut P (a class constant) and the contour's c0,
+    # which nothing read
+    assert "refine_check" not in inspect.signature(contourlab.frak_m).parameters
+    assert not hasattr(sdexpand, "ConstantG")
+    for fn in (sdexpand.two_squares_series_spec, sdexpand.EulerProductG):
+        assert "prime_limit" not in inspect.signature(fn).parameters, fn
+    assert sdexpand.EulerProductG.prime_limit == 10**5
+    assert "c0" not in {f.name for f in dataclasses.fields(contourlab.ContourConfig)}
+    flags = {flag for _, _, *options in cli.SUBCOMMANDS.values() for flag, *_ in options}
+    assert not {"--prime-limit", "--c0"} & flags

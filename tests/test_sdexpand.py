@@ -264,7 +264,7 @@ def _scalar_G(G, s):
         lp = np.log(primes[np.isin(primes % G.modulus, G.residues)].astype(np.float64))
         acc += G.e * complex(np.sum(np.log1p(-np.exp(-G.a * s * lp))))
         return cmath.exp(acc)
-    return G.value
+    return 1.0 + 0j  # G = None, the constant 1
 
 
 def _scalar_regular_factor(spec, s):
