@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per experiment family, deterministic
 JSON/CSV emission, and golden-file verification.
 
-Artifacts always embed the full effective configuration, which is what
-`verify` re-executes for byte-exact comparison.  Randomized checks use the
-Mersenne Twister (random.Random) seeded from --seed.
+SUBCOMMANDS declares each option once.  run_command checks a config against
+it and converts the values (_options) on every path, then embeds the config,
+exactly as given, in the artifact: `verify` re-executes it for byte-exact
+comparison.  Randomized checks use the Mersenne Twister seeded from --seed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import random
 import sys
 import typing
@@ -94,19 +96,18 @@ def render_csv(fields, rows) -> str:
 
 
 # ----------------------------------------------------------------------------
-# Command runners (config dict in, artifact dict out)
+# Command runners (option values in, artifact body out)
 # ----------------------------------------------------------------------------
 
-def _parse_t_grid(spec: str):
-    if spec == "default":
-        return list(intervals.DEFAULT_T_GRID)
-    return [float(x) for x in spec.split(",") if x.strip()]
+# application name -> its series spec, which also gives kappa_1 of its window
+_SERIES = {
+    "squarefull": sdexpand.squarefull_series_spec,
+    "two_squares": sdexpand.two_squares_series_spec,
+}
 
 
-def _law_artifact(config: dict, report: intervals.LawReport) -> dict:
+def _law_artifact(report: intervals.LawReport) -> dict:
     return {
-        "command": config["command"],
-        "config": config,
         "summary": {
             "count": report.count,
             "sup_error": report.sup_error,
@@ -120,8 +121,7 @@ def _law_artifact(config: dict, report: intervals.LawReport) -> dict:
 _ROW_BLOCK = 2**16
 
 
-def run_sieve(config: dict) -> dict:
-    limit = int(config["limit"])
+def run_sieve(limit: int) -> dict:
     if limit > 10**6:
         raise CapacityError("sieve table emission capped at 1e6")
     cols = arith.factor_columns(limit)
@@ -132,74 +132,48 @@ def run_sieve(config: dict) -> dict:
             {"n": n, "spf": p, "tau": tau, "mu": mu, "squarefull": sf, "two_squares": ts}
             for n, p, tau, mu, sf, ts in zip(range(s + 2, limit + 1), *blocks)
         ]
-    return {"command": "sieve", "config": config, "records": rows}
+    return {"records": rows}
 
 
-def run_ddt(config: dict) -> dict:
-    report = intervals.ddt_mean(int(config["x"]), tuple(config["t_grid"]))
-    return _law_artifact(config, report)
+def run_ddt(x: int, t_grid: list) -> dict:
+    report = intervals.ddt_mean(x, t_grid)
+    return _law_artifact(report)
 
 
-def run_beta(config: dict) -> dict:
-    indicator = config["indicator"]
-    kappa1 = 2.0 if indicator == "squarefull" else 1.0
+def run_beta(indicator: str, x: int, theta: float, t_grid: list) -> dict:
     spec = intervals.IntervalSpec(
-        x=int(config["x"]), theta=float(config["theta"]), kappa1=kappa1
+        x=x, theta=theta, kappa1=_SERIES[indicator]().kappa1
     )
-    report = intervals.weighted_fn_mean(indicator, spec, tuple(config["t_grid"]))
-    return _law_artifact(config, report)
+    report = intervals.weighted_fn_mean(indicator, spec, t_grid)
+    return _law_artifact(report)
 
 
-def run_count(config: dict) -> dict:
-    indicator = config["indicator"]
-    lo, hi = int(config["lo"]), int(config["hi"])
+def run_count(indicator: str, lo: int, hi: int) -> dict:
     if indicator == "squarefull":
         count = intervals.count_squarefull(lo, hi)
-    elif indicator == "two_squares":
-        count = intervals.count_two_squares(lo, hi)
     else:
-        raise DomainError(f"unknown indicator {indicator!r}")
+        count = intervals.count_two_squares(lo, hi)
     return {
-        "command": "count",
-        "config": config,
         "records": [{"indicator": indicator, "lo": lo, "hi": hi, "count": count}],
     }
 
 
-def _app_spec(config: dict) -> sdexpand.SeriesSpec:
-    app = config["app"]
-    if app == "squarefull":
-        return sdexpand.squarefull_series_spec()
-    if app == "two_squares":
-        return sdexpand.two_squares_series_spec()
-    raise DomainError(f"unknown application {app!r}")
-
-
-def run_expand(config: dict) -> dict:
-    spec = _app_spec(config)
-    coeffs = sdexpand.expansion_coeffs(spec, order=int(config["order"]))
+def run_expand(app: str, order: int) -> dict:
+    spec = _SERIES[app]()
+    coeffs = sdexpand.expansion_coeffs(spec, order=order)
+    lambda0 = sdexpand.lambda0_closed_form(spec)
     return {
-        "command": "expand",
-        "config": config,
         "spec": spec.describe(),
-        "lambda0_closed_form": _c2l(sdexpand.lambda0_closed_form(spec)),
+        "lambda0_closed_form": [lambda0.real, lambda0.imag],
         "records": coeffs.records(),
     }
 
 
-def _c2l(z: complex) -> list:
-    return [z.real, z.imag]
-
-
-def run_main_term(config: dict) -> dict:
-    spec = _app_spec(config)
-    x = float(config["x"])
-    y = x ** float(config["theta"])
-    order = int(config["order"])
+def run_main_term(app: str, x: float, theta: float, order: int) -> dict:
+    spec = _SERIES[app]()
+    y = x**theta
     result = sdexpand.main_term(spec, x, y, order)
     return {
-        "command": "main_term",
-        "config": config,
         "spec": spec.describe(),
         "records": [
             {
@@ -216,34 +190,27 @@ def run_main_term(config: dict) -> dict:
     }
 
 
-def run_contour(config: dict) -> dict:
-    # each field cast to its annotated type: a golden's JSON holds 200 for 200.0
-    hints = typing.get_type_hints(contourlab.ContourConfig)
-    cfg = contourlab.ContourConfig(**{k: t(config[k]) for k, t in hints.items()})
+def run_contour(chi_modulus: int, **fields) -> dict:
+    cfg = contourlab.ContourConfig(**fields)
     spec = sdexpand.SeriesSpec(
         kappa=arith.KappaVector((1.0,)),
         z=(1.0 + 0j,),
         w=(1.0 + 0j,),
-        chis=(arith.quadratic_character(int(config["chi_modulus"])),),
+        chis=(arith.quadratic_character(chi_modulus),),
         name="contour",
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = contourlab.contour_report(cfg, spec)
-    report["command"] = "contour"
-    report["config"] = config
-    return report
+        return contourlab.contour_report(cfg, spec)
 
 
-def run_bombieri(config: dict) -> dict:
-    rng = random.Random(int(config["seed"]))
-    instances = int(config["instances"])
-    max_n = int(config["max_n"])
-    max_set = int(config["max_set"])
+def run_bombieri(seed: int, instances: int, max_n: int, max_set: int, sigma_min: float) -> dict:
     for flag, value in (("--instances", instances), ("--max-n", max_n), ("--max-set", max_set)):
         if value < 1:
             raise DomainError(f"{flag} must be at least 1, got {value}")
-    sigma_min = float(config["sigma_min"])
+    if not math.isfinite(sigma_min):
+        raise DomainError(f"--sigma-min must be finite, got {sigma_min}")
+    rng = random.Random(seed)
     drawn = []
     for _ in range(instances):
         n = rng.randint(1, max_n)
@@ -256,8 +223,6 @@ def run_bombieri(config: dict) -> dict:
         drawn.append((pts, a))
     violations = contourlab.bombieri_check_many(drawn).count(False)
     return {
-        "command": "bombieri",
-        "config": config,
         "records": [
             {
                 "instances": instances,
@@ -281,7 +246,10 @@ COMMANDS = {
 
 
 def run_command(config: dict) -> dict:
-    return COMMANDS[config["command"]](config)
+    """Run config's command on its options' values (_options) and add the
+    command and the config, exactly as given, to the artifact."""
+    command, values = _options(config)
+    return {**COMMANDS[command](**values), "command": command, "config": config}
 
 
 def _emit(artifact: dict, config: dict, out_path: str | None) -> bytes:
@@ -304,13 +272,12 @@ def _emit(artifact: dict, config: dict, out_path: str | None) -> bytes:
 # Argument parsing
 # ----------------------------------------------------------------------------
 
-def _opt(flag: str, convert=None, kind=None, **kwargs) -> tuple:
+def _opt(flag: str, kind=None, **kwargs) -> tuple:
     """One option: its flag, its argparse keywords, whose dest is the config
-    key, a converter run on the parsed value inside main's error handling,
-    and the kind of value its config entry holds (int, float, str or list):
-    by default the converter if it is a type, else the parsed type."""
+    key, and the kind of value its config entry holds (int, float, str or
+    list): by default the parsed type."""
     kwargs.setdefault("dest", flag[2:].replace("-", "_"))
-    return flag, kwargs, convert, kind or convert or kwargs.get("type", str)
+    return flag, kwargs, kind or kwargs.get("type", str)
 
 
 def _fields_opts(cls, **flags) -> list:
@@ -324,12 +291,24 @@ def _fields_opts(cls, **flags) -> list:
     ]
 
 
-_CHOICES = ("squarefull", "two_squares")
-_INDICATOR = _opt("--indicator", choices=_CHOICES, required=True)
-_APP = _opt("--app", choices=_CHOICES, required=True)
-_X_INT = _opt("--x", int, type=float, required=True)
+def _whole(text: str):
+    """A whole number as an int, also from 1e6; any other stays a float."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
+def _parse_t_grid(spec: str):
+    if spec == "default":
+        return list(intervals.DEFAULT_T_GRID)
+    return [float(x) for x in spec.split(",") if x.strip()]
+
+
+_INDICATOR = _opt("--indicator", choices=tuple(_SERIES), required=True)
+_APP = _opt("--app", choices=tuple(_SERIES), required=True)
+_X_INT = _opt("--x", int, type=_whole, required=True)
 _THETA = _opt("--theta", type=float, required=True)
-_T_GRID = _opt("--t-grid", _parse_t_grid, list, default="default")
+_T_GRID = _opt("--t-grid", list, type=_parse_t_grid, default="default")
+_SEED = _opt("--seed", type=int, default=0)
 
 # subcommand -> (help, renders CSV, *options); the config holds the command,
 # --format, --seed and one entry per option
@@ -346,8 +325,8 @@ SUBCOMMANDS = {
     ),
     "count": (
         "exact indicator counts in a window", True, _INDICATOR,
-        _opt("--lo", int, type=float, required=True),
-        _opt("--hi", int, type=float, required=True),
+        _opt("--lo", int, type=_whole, required=True),
+        _opt("--hi", int, type=_whole, required=True),
     ),
     "main-term": (
         "predicted short-interval main term", True,
@@ -381,11 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, _, *options) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        for flag, kwargs, *_ in options:
+        for flag, kwargs, _ in (*options, _SEED):
             sp.add_argument(flag, **kwargs)
         sp.add_argument("--output", default="-", help="output path, '-' = stdout")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument(
             "--golden", default=None, help="byte-compare the artifact to this file"
         )
@@ -394,23 +372,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args) -> dict:
-    config = {
-        "command": args.command.replace("-", "_"),
-        "format": args.format,
-        "seed": args.seed,
-    }
-    for _, kwargs, convert, _ in SUBCOMMANDS[args.command][2:]:
-        value = getattr(args, kwargs["dest"])
-        config[kwargs["dest"]] = convert(value) if convert else value
-    return config
-
-
 def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# kind -> (test of a JSON value, its name); a float entry may hold an integer
+# kind -> (test of a JSON value, its name); a float entry may hold an
+# integer, and kind(value) converts an entry that passes
 _KINDS = {
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     float: (_number, "a number"),
@@ -419,19 +386,29 @@ _KINDS = {
 }
 
 
-def _check_config(config: dict) -> None:
-    """Reject a golden's config whose command is unknown, or whose entries do
-    not hold their option's kind of value, before anything runs."""
+def _options(config: dict) -> tuple[str, dict]:
+    """config's command and its options' values, converted to their kinds,
+    once config is found to hold each option and --seed, of its kind and in
+    its choices.  Entries that are no option of the command are ignored."""
     command = config.get("command")
     if not (isinstance(command, str) and command in COMMANDS):
-        raise DomainError(f"golden config has no known command: {command!r}")
-    options = [("seed", int)] + [
-        (kw["dest"], kind) for _, kw, _, kind in SUBCOMMANDS[command.replace("_", "-")][2:]
-    ]
-    for key, kind in options:
+        raise DomainError(f"config has no known command: {command!r}")
+    values = {}
+    for _, kwargs, kind in (*SUBCOMMANDS[command.replace("_", "-")][2:], _SEED):
+        key = kwargs["dest"]
+        if key not in config:
+            raise DomainError(f"config has no {key!r} entry")
+        value = config[key]
         holds, name = _KINDS[kind]
-        if key in config and not holds(config[key]):
-            raise DomainError(f"golden config {key!r} must be {name}, got {json.dumps(config[key])}")
+        if not holds(value):
+            raise DomainError(f"config {key!r} must be {name}, got {json.dumps(value)}")
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            choices = ", ".join(kwargs["choices"])
+            raise DomainError(f"config {key!r} must be one of {choices}, got {json.dumps(value)}")
+        values[key] = kind(value)
+    if command != "bombieri":  # every command takes --seed; bombieri alone draws
+        del values["seed"]
+    return command, values
 
 
 def main(argv=None) -> int:
@@ -450,10 +427,11 @@ def main(argv=None) -> int:
             config = doc.get("config") if isinstance(doc, dict) else None
             if not isinstance(config, dict):
                 raise DomainError("golden must be a JSON object with a config object")
-            _check_config(config)
             produced = render_json(run_command(config)).encode()
         else:
-            config = _config_from_args(args)
+            config = {"command": args.command.replace("-", "_"), "format": args.format}
+            for _, kwargs, _ in (*SUBCOMMANDS[args.command][2:], _SEED):
+                config[kwargs["dest"]] = getattr(args, kwargs["dest"])
             if config["format"] == "csv" and not SUBCOMMANDS[args.command][1]:
                 raise DomainError(
                     f"command {config['command']!r} has no CSV representation"
@@ -468,7 +446,7 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         sys.stderr.write(f"accuracy error: {exc}\n")
         return EXIT_ACCURACY
-    except (ToolkitError, ValueError, OverflowError, OSError, KeyError) as exc:
+    except (ToolkitError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

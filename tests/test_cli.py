@@ -123,6 +123,27 @@ class TestCommands:
             assert code == 2
             assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("value, shown", [("nan", "NaN"), ("inf", "Infinity"), ("2.5", "2.5")])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["ddt"], "--x"),
+            (["beta", "--indicator", "squarefull", "--theta", "0.45"], "--x"),
+            (["count", "--indicator", "two_squares", "--hi", "100"], "--lo"),
+            (["count", "--indicator", "two_squares", "--lo", "0"], "--hi"),
+        ],
+    )
+    def test_whole_number_option_not_whole_exit_2(self, argv, option, value, shown, capsys, monkeypatch):
+        # an option parsed as a float but run as an int rejects a value that
+        # is no whole number by name, before its command runs
+        def never(**values):
+            raise AssertionError("a command ran")
+
+        monkeypatch.setitem(cli.COMMANDS, argv[0], never)
+        code, stdout, err = run([*argv, option, value], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: config {option[2:]!r} must be an integer, got {shown}\n"
+
     def test_expand_command(self, capsys):
         code, stdout, _ = run(["expand", "--app", "squarefull", "--order", "4"], capsys)
         assert code == 0
@@ -194,6 +215,19 @@ class TestCommands:
         assert stdout == ""
         assert err == f"error: {option} must be at least 1, got {value}\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_bombieri_sigma_min_non_finite_exit_2(self, value, capsys, monkeypatch):
+        # rejected by name before any instance is drawn or checked
+        from sdlab import contourlab
+
+        def never(*args):
+            raise AssertionError("an instance was checked")
+
+        monkeypatch.setattr(contourlab, "bombieri_check_many", never)
+        code, stdout, err = run(["bombieri", f"--sigma-min={value}"], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --sigma-min must be finite, got {value}\n"
+
     def test_contour_defaults_are_the_config_defaults(self, capsys, monkeypatch):
         from sdlab import contourlab
 
@@ -213,7 +247,7 @@ class TestCommands:
 
     def test_csv_unavailable_for_contour_exit_2(self, capsys, monkeypatch):
         # rejected before anything is computed
-        def never(config):
+        def never(**values):
             raise AssertionError("contour ran before the CSV check")
 
         monkeypatch.setitem(cli.COMMANDS, "contour", never)
@@ -271,7 +305,7 @@ class TestCommands:
     def test_accuracy_error_maps_to_exit_3(self, capsys, monkeypatch):
         from sdlab.errors import AccuracyError
 
-        def boom(config):
+        def boom(**values):
             raise AccuracyError("synthetic")
 
         monkeypatch.setitem(cli.COMMANDS, "ddt", boom)
@@ -356,14 +390,16 @@ _PINNED = [
 ]
 
 
+# command -> a config that verify accepts
+_VALID = {config["command"]: {**_COMMON, **config} for _, config in _PINNED}
+
+
 @pytest.mark.parametrize("argv, config", _PINNED, ids=[argv[0] for argv, _ in _PINNED])
 def test_artifact_config_pinned(argv, config, monkeypatch, capsys):
     # the config each subcommand embeds, value types included: verify re-runs it
     artifacts = []
-    runner = cli.COMMANDS[config["command"]]
-    monkeypatch.setitem(
-        cli.COMMANDS, config["command"], lambda c: artifacts.append(runner(c)) or artifacts[-1]
-    )
+    run_command = cli.run_command
+    monkeypatch.setattr(cli, "run_command", lambda c: artifacts.append(run_command(c)) or artifacts[-1])
     code, _, _ = run(argv, capsys)
     assert code == 0
     want = {**_COMMON, **config}
@@ -422,19 +458,25 @@ class TestGolden:
     @pytest.mark.parametrize(
         "config, message",
         [
-            ({"command": "sieve", "limit": [1]}, "'limit' must be an integer, got [1]"),
-            ({"command": "sieve", "limit": None}, "'limit' must be an integer, got null"),
-            ({"command": "ddt", "x": 100, "t_grid": 5}, "'t_grid' must be a list of numbers, got 5"),
-            ({"command": "sieve", "limit": True}, "'limit' must be an integer, got true"),
-            ({"command": "bombieri", "seed": 1.5}, "'seed' must be an integer, got 1.5"),
-            ({"command": "contour", "T": "200"}, "'T' must be a number, got \"200\""),
-            ({"command": "beta", "indicator": 4}, "'indicator' must be a string, got 4"),
+            ({**_VALID["sieve"], "limit": [1]}, "'limit' must be an integer, got [1]"),
+            ({**_VALID["sieve"], "limit": None}, "'limit' must be an integer, got null"),
+            ({**_VALID["ddt"], "t_grid": 5}, "'t_grid' must be a list of numbers, got 5"),
+            ({**_VALID["sieve"], "limit": True}, "'limit' must be an integer, got true"),
+            ({**_VALID["bombieri"], "seed": 1.5}, "'seed' must be an integer, got 1.5"),
+            ({**_VALID["contour"], "T": "200"}, "'T' must be a number, got \"200\""),
+            ({**_VALID["beta"], "indicator": 4}, "'indicator' must be a string, got 4"),
             ({"command": ["sieve"]}, "has no known command: ['sieve']"),
+            ({k: v for k, v in _VALID["ddt"].items() if k != "t_grid"}, "has no 't_grid' entry"),
+            ({**_VALID["beta"], "indicator": "prime"},
+             "'indicator' must be one of squarefull, two_squares, got \"prime\""),
+            ({**_VALID["main_term"], "app": "prime"},
+             "'app' must be one of squarefull, two_squares, got \"prime\""),
         ],
     )
     def test_verify_golden_config_of_wrong_type_exit_2(self, config, message, tmp_path, capsys, monkeypatch):
-        # checked against the option table before any command runs
-        def never(config):
+        # a valid config with one entry changed, checked against the option
+        # table before any command runs
+        def never(**values):
             raise AssertionError("a command ran")
 
         for name in cli.COMMANDS:
@@ -443,7 +485,7 @@ class TestGolden:
         golden.write_text(json.dumps({"config": config}))
         code, stdout, err = run(["verify", "--golden", str(golden)], capsys)
         assert (code, stdout) == (2, "")
-        assert err == f"error: golden config {message}\n"
+        assert err == f"error: config {message}\n"
 
     @pytest.mark.parametrize(
         "name, argv, key",
@@ -468,17 +510,7 @@ class TestGolden:
         assert code == 0
         assert out.read_bytes() == golden[:start] + b",".join(kept) + golden[end:]
 
-    def test_two_squares_expansion_golden_regression(self, capsys):
-        # the L(s, chi4) and truncated Euler-product path
-        golden = str(
-            __import__("pathlib").Path(__file__).parent / "golden" / "expand_two_squares.json"
-        )
-        code, stdout, _ = run(["verify", "--golden", golden], capsys)
-        assert code == 0
-
-    def test_expansion_golden_regression(self, capsys):
-        golden = str(
-            __import__("pathlib").Path(__file__).parent / "golden" / "expand_squarefull.json"
-        )
-        code, stdout, _ = run(["verify", "--golden", golden], capsys)
-        assert code == 0
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_golden_verifies(self, name, capsys):
+        code, stdout, _ = run(["verify", "--golden", str(GOLDEN / name)], capsys)
+        assert (code, stdout) == (0, "golden match\n")
