@@ -171,6 +171,11 @@ def run_expand(app: str, order: int) -> dict:
 
 def run_main_term(app: str, x: float, theta: float, order: int) -> dict:
     spec = _SERIES[app]()
+    # main_term takes y up to x^(1/kappa_1) (1 + 1e-12) with x >= 3, so no
+    # theta above 1/kappa_1 + 1e-12 gets through it; rejecting those here
+    # names the option before x**theta can overflow (NaN goes on to main_term)
+    if theta > 1.0 / spec.kappa1 + 1e-12:
+        raise DomainError(f"--theta must be at most 1/kappa_1 = {1.0 / spec.kappa1}, got {theta}")
     y = x**theta
     result = sdexpand.main_term(spec, x, y, order)
     return {

@@ -1,7 +1,8 @@
 """Singular-factor expansion machinery for Dirichlet series of the shape
 prod zeta(k_i s)^{z_i} * prod L(k_i s, chi_i)^{w_i} * G(s): Taylor data around
 s = 1/kappa_1, the derived main-term coefficients, and the short-interval
-main-term evaluator.
+main-term evaluator. The Stieltjes constants behind the Taylor data are a
+table of doubles, so nothing here needs mpmath at run time.
 """
 
 from __future__ import annotations
@@ -9,9 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from . import specfun
@@ -36,22 +35,52 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------------
-# Stieltjes constants (cached per order, one-time cost)
+# Stieltjes constants
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _stieltjes(k: int) -> float:
-    # fixed working precision: the double does not depend on the caller's
-    # mpmath context
-    with mpmath.workprec(53):
-        return float(mpmath.stieltjes(k))
+# gamma_0..gamma_29: entry k is repr(float(mpmath.stieltjes(k))) under
+# mpmath.workprec(53), which is also the correctly rounded 40-digit value;
+# TestStieltjes::test_table_bits re-derives every entry
+_STIELTJES = (
+    0.5772156649015329,
+    -0.07281584548367673,
+    -0.00969036319287232,
+    0.002053834420303346,
+    0.0023253700654673,
+    0.0007933238173010627,
+    -0.0002387693454301996,
+    -0.000527289567057751,
+    -0.0003521233538030395,
+    -3.439477441808805e-05,
+    0.0002053328149090648,
+    0.0002701844395439035,
+    0.0001672729121051402,
+    -2.7463806603760158e-05,
+    -0.00020920926205929996,
+    -0.0002834686553202414,
+    -0.00019969685830896976,
+    2.6277037109918338e-05,
+    0.0003073684081492528,
+    0.0005036054530473557,
+    0.00046634356151155945,
+    0.00010443776975600011,
+    -0.0005415995822039977,
+    -0.0012439620904082457,
+    -0.0015885112789035616,
+    -0.0010745919527384888,
+    0.0006568035186371545,
+    0.0034778369136185382,
+    0.00640006853170063,
+    0.007371151770472239,
+)
 
 
 def stieltjes_constants(count: int) -> tuple[float, ...]:
-    """gamma_0..gamma_{count-1}, each from mpmath.stieltjes rounded to double."""
-    if count > 30:
-        raise DomainError("Stieltjes table capped at order 30")
-    return tuple(_stieltjes(k) for k in range(count))
+    """gamma_0..gamma_{count-1}, the Stieltjes constants rounded to double,
+    from a table of the first 30."""
+    if not 0 <= count <= len(_STIELTJES):
+        raise DomainError(f"Stieltjes count must lie in [0, {len(_STIELTJES)}], got {count}")
+    return _STIELTJES[:count]
 
 
 def gamma_coeffs(z: complex, kappa: float, order: int) -> tuple[complex, ...]:

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ from sdlab import cli
 from sdlab import intervals as iv
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def run(args, capsys):
@@ -302,6 +306,34 @@ class TestCommands:
         assert (code, stdout) == (2, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "app, x, theta, cap",
+        [
+            ("squarefull", "1e200", "2", "0.5"),
+            ("squarefull", "1e12", "0.6", "0.5"),
+            ("two_squares", "1e12", "1.5", "1.0"),
+        ],
+    )
+    def test_main_term_theta_above_cap_rejected_before_expansion(self, app, x, theta, cap, capsys, monkeypatch):
+        # 1e200**2 overflowed with "(34, 'Numerical result out of range')"
+        from sdlab import sdexpand
+
+        def never(*args, **kwargs):
+            raise AssertionError("expansion_coeffs ran before the checks")
+
+        monkeypatch.setattr(sdexpand, "expansion_coeffs", never)
+        code, stdout, err = run(["main-term", "--app", app, "--x", x, "--theta", theta], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --theta must be at most 1/kappa_1 = {cap}, got {float(theta)}\n"
+
+    def test_main_term_theta_within_tolerance_accepted(self, capsys):
+        # y = 3^theta is within main_term's 1e-12 relative tolerance of 3^(1/2)
+        code, stdout, err = run(
+            ["main-term", "--app", "squarefull", "--x", "3", "--theta", "0.5000000000005"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["records"][0]["y"] == 3.0**0.5000000000005
+
     def test_accuracy_error_maps_to_exit_3(self, capsys, monkeypatch):
         from sdlab.errors import AccuracyError
 
@@ -514,3 +546,18 @@ class TestGolden:
     def test_golden_verifies(self, name, capsys):
         code, stdout, _ = run(["verify", "--golden", str(GOLDEN / name)], capsys)
         assert (code, stdout) == (0, "golden match\n")
+
+    @pytest.mark.parametrize(
+        "name", ["expand_squarefull.json", "expand_two_squares.json", "main_term_squarefull_1e12.json"]
+    )
+    def test_series_golden_verifies_without_mpmath(self, name):
+        # a fresh interpreter in which "import mpmath" fails
+        code = (
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from sdlab import cli\n"
+            f"sys.exit(cli.main(['verify', '--golden', {str(GOLDEN / name)!r}]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "golden match\n", "")

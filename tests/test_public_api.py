@@ -1,10 +1,17 @@
 import dataclasses
 import importlib
 import inspect
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
 from sdlab import arith, cli, contourlab, intervals, powerseries, sdexpand, specfun
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 MODULES = (
     "sdlab",
@@ -99,3 +106,16 @@ def test_single_valued_settings_stay_gone():
     assert "c0" not in {f.name for f in dataclasses.fields(contourlab.ContourConfig)}
     flags = {flag for _, _, *options in cli.SUBCOMMANDS.values() for flag, *_ in options}
     assert not {"--prime-limit", "--c0"} & flags
+
+
+def test_runtime_needs_no_mpmath():
+    # the Stieltjes constants are a table, so mpmath is a test-only dependency
+    code = "import sys, sdlab.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+    importers = [
+        path.name for path in (SRC / "sdlab").glob("*.py")
+        if re.search(r"^\s*(import|from)\s+mpmath\b", path.read_text(), re.MULTILINE)
+    ]
+    assert importers == []

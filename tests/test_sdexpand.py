@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ class TestStieltjes:
     def test_against_independent_evaluation(self):
         # gamma_k = (-1)^k k! / (2 pi i) times the contour integral of
         # zeta(s) / (s-1)^{k+1} around s = 1, evaluated with mpmath.zeta
-        # at 40 digits (not mpmath.stieltjes, which the package calls)
+        # at 40 digits (not mpmath.stieltjes, which made the package's table)
         want = {
             0: 0.57721566490153286061,
             1: -0.072815845483676724861,
@@ -34,6 +35,23 @@ class TestStieltjes:
         got = sd.stieltjes_constants(24)
         for k, value in want.items():
             assert abs(got[k] - value) <= 1e-14, k
+
+    def test_table_bits(self):
+        # every entry is the double mpmath.stieltjes gives at 53 bits
+        got = sd.stieltjes_constants(30)
+        for k in range(30):
+            with mpmath.workprec(53):
+                assert got[k] == float(mpmath.stieltjes(k)), k
+
+    @pytest.mark.parametrize("count", [0, 1, 30])
+    def test_counts(self, count):
+        got = sd.stieltjes_constants(count)
+        assert type(got) is tuple and len(got) == count
+
+    @pytest.mark.parametrize("count", [-1, 31])
+    def test_count_out_of_range_rejected(self, count):
+        with pytest.raises(DomainError, match=f"got {count}"):
+            sd.stieltjes_constants(count)
 
 
 class TestGammaCoeffs:
