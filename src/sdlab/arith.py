@@ -35,8 +35,6 @@ __all__ = [
     "CoeffVector",
     "unit_coeffs",
     "ones_coeffs",
-    "moebius_coeffs",
-    "tau_kk",
     "tau_kk_coeffs",
     "tau_chi_coeffs",
     "dirichlet_convolve",
@@ -240,51 +238,9 @@ def ones_coeffs(limit: int) -> CoeffVector:
     return c
 
 
-def moebius_coeffs(limit: int) -> CoeffVector:
-    """mu(1..limit), exactly, the Dirichlet inverse of the all-ones series:
-    each prime p flips the sign of its multiples and zeroes those of p^2."""
-    c = ones_coeffs(limit)
-    for p in primes_upto(limit).tolist():
-        c.values[p::p] *= -1
-        c.values[p * p :: p * p] = 0
-    return c
-
-
 # ----------------------------------------------------------------------------
 # Generalized divisor coefficients
 # ----------------------------------------------------------------------------
-
-def tau_kk(n: int, kv: KappaVector) -> int:
-    """Number of 2r-tuples (m_1..m_r, n_1..n_r) with prod m_i^k_i n_i^k_i = n."""
-    kappas = kv.integer_exponents()
-    if n < 1:
-        raise DomainError("n must be positive")
-    count = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            count *= _exponent_tuple_count(e, kappas)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        count *= _exponent_tuple_count(1, kappas)
-    return count
-
-
-def _exponent_tuple_count(e: int, kappas: tuple[int, ...]) -> int:
-    # Solutions of sum_i k_i (a_i + b_i) = e over non-negative integers,
-    # one slot per a_i and b_i: standard coin-style DP.
-    ways = [0] * (e + 1)
-    ways[0] = 1
-    for k in kappas * 2:
-        for v in range(k, e + 1):
-            ways[v] += ways[v - k]
-    return ways[e]
-
 
 def _power_stream(limit: int, k: int, weights=None, exact: bool = True):
     """Sum_m w(m) m^{-k s} by its support: the ascending n = m^k <= limit with

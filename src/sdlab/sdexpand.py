@@ -151,7 +151,8 @@ class EulerProductG:
         if self._log_primes is None:
             primes = primes_upto(self.prime_limit)
             keep = np.isin(primes % self.modulus, self.residues)
-            self._log_primes = np.log(primes[keep].astype(np.float64))
+            # math.log, not np.log: the same bits on every SIMD target
+            self._log_primes = np.array([math.log(p) for p in primes[keep].tolist()])
         return self._log_primes
 
     def many(self, s: np.ndarray) -> np.ndarray:

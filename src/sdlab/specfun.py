@@ -147,9 +147,11 @@ def _pow_negs(s: np.ndarray, log_base_ld, extended: bool) -> np.ndarray:
     """
     log_base_ld = np.asarray(log_base_ld, dtype=np.longdouble)
     log_d = log_base_ld.astype(np.float64)
-    mag = np.exp(-np.multiply.outer(s.real, log_d))
     if not extended:
-        return mag * np.exp(-1j * np.multiply.outer(s.imag, log_d))
+        return np.exp(-np.multiply.outer(s, log_d))
+    # complex exp, as on the plain path: numpy's real float64 exp gives
+    # different last bits on different SIMD targets, its complex exp does not
+    mag = np.exp(-np.multiply.outer(s.real, log_d).astype(np.complex128)).real
     phase_ld = np.multiply.outer(s.imag.astype(np.longdouble), log_base_ld)
     phase = np.mod(phase_ld, _TWO_PI_LD).astype(np.float64)
     return mag * (np.cos(phase) - 1j * np.sin(phase))

@@ -1,6 +1,8 @@
 """Per-n reference implementations that the tests compare the package's vector
 paths against: a smallest-prime-factor table, factorization and divisors read
-off it, the two indicators, and the exact rational divisor CDF F_n(t)."""
+off it, the two indicators, the exact rational divisor CDF F_n(t), a table of
+the sums of two squares, tau_{kappa,kappa}(n) by trial division, and mu by
+sieving."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from math import isqrt
 
 import numpy as np
 
-from sdlab.arith import divisor_le_threshold
+from sdlab.arith import CoeffVector, KappaVector, divisor_le_threshold, ones_coeffs, primes_upto
 from sdlab.errors import CapacityError, DomainError
 
 _SIEVE_GUARD = 10**9
@@ -83,3 +85,56 @@ def divisor_cdf(n: int, t: float, sieve: FactorSieve) -> Fraction:
     ds = divisors(n, sieve)
     count = sum(1 for d in ds if divisor_le_threshold(d, n, t))
     return Fraction(count, len(ds))
+
+
+def two_squares_table(limit: int) -> np.ndarray:
+    """Flags over 0..limit: True at each n >= 1 that is a^2 + b^2, marked
+    from every pair 0 <= a <= b, one vector of b per a."""
+    table = np.zeros(limit + 1, dtype=bool)
+    for a in range(isqrt(limit // 2) + 1):
+        b = np.arange(a, isqrt(limit - a * a) + 1)
+        table[a * a + b * b] = True
+    table[0] = False
+    return table
+
+
+def moebius_coeffs(limit: int) -> CoeffVector:
+    """mu(1..limit), exactly, the Dirichlet inverse of the all-ones series:
+    each prime p flips the sign of its multiples and zeroes those of p^2."""
+    c = ones_coeffs(limit)
+    for p in primes_upto(limit).tolist():
+        c.values[p::p] *= -1
+        c.values[p * p :: p * p] = 0
+    return c
+
+
+def tau_kk(n: int, kv: KappaVector) -> int:
+    """Number of 2r-tuples (m_1..m_r, n_1..n_r) with prod m_i^k_i n_i^k_i = n."""
+    kappas = kv.integer_exponents()
+    if n < 1:
+        raise DomainError("n must be positive")
+    count = 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            count *= _exponent_tuple_count(e, kappas)
+        p += 1 if p == 2 else 2
+    if m > 1:
+        count *= _exponent_tuple_count(1, kappas)
+    return count
+
+
+def _exponent_tuple_count(e: int, kappas: tuple[int, ...]) -> int:
+    # Solutions of sum_i k_i (a_i + b_i) = e over non-negative integers,
+    # one slot per a_i and b_i: standard coin-style DP.
+    ways = [0] * (e + 1)
+    ways[0] = 1
+    for k in kappas * 2:
+        for v in range(k, e + 1):
+            ways[v] += ways[v - k]
+    return ways[e]

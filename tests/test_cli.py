@@ -547,6 +547,22 @@ class TestGolden:
         code, stdout, _ = run(["verify", "--golden", str(GOLDEN / name)], capsys)
         assert (code, stdout) == (0, "golden match\n")
 
+    def test_goldens_verify_on_avx2_kernels(self):
+        # numpy's AVX-512 and AVX2 kernels of real float64 exp, log and power
+        # differ in the last bits; the variable makes numpy take its AVX2
+        # kernels on an AVX-512 machine, and changes nothing on one without
+        code = (
+            "import sys\n"
+            "from sdlab import cli\n"
+            "failed = [g for g in sys.argv[1:] if cli.main(['verify', '--golden', g])]\n"
+            "print('failed:', failed)\n"
+        )
+        goldens = sorted(str(p) for p in GOLDEN.glob("*.json"))
+        env = dict(os.environ, PYTHONPATH=str(SRC), NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        proc = subprocess.run([sys.executable, "-c", code, *goldens], env=env, capture_output=True, text=True)
+        assert len(goldens) == 10
+        assert (proc.returncode, proc.stdout) == (0, "golden match\n" * 10 + "failed: []\n")
+
     @pytest.mark.parametrize(
         "name", ["expand_squarefull.json", "expand_two_squares.json", "main_term_squarefull_1e12.json"]
     )

@@ -132,6 +132,7 @@ class TestCountTwoSquares:
             1 for n in range(1, 10**5 + 1) if oracles.is_sum_two_squares(n, sieve_1e5)
         )
         assert iv.count_two_squares(0, 10**5) == want
+        assert iv._count_two_squares_sieve(0, 10**5) == want
 
     def test_offset_windows(self, sieve_1e6, rng):
         for _ in range(5):
@@ -140,11 +141,64 @@ class TestCountTwoSquares:
             want = sum(
                 1 for n in range(lo + 1, hi + 1) if oracles.is_sum_two_squares(n, sieve_1e6)
             )
+            assert iv._count_two_squares_sieve(lo, hi) == want
             assert iv.count_two_squares(lo, hi) == want
 
-    def test_width_guard(self):
+    def test_sublinear_matches_brute_force(self, rng):
+        upto = np.cumsum(oracles.two_squares_table(2 * 10**6))
+        for x in range(2001):
+            assert iv._two_squares_upto(x) == upto[x], x
+        for x in rng.integers(2001, 2 * 10**6 + 1, size=200).tolist():
+            assert iv._two_squares_upto(x) == upto[x], x
+
+    def test_sublinear_windows_match_sieve(self, rng):
+        for near in (10**8, 10**9):
+            for _ in range(2):
+                lo = near + int(rng.integers(0, near))
+                hi = lo + 10**6
+                want = iv._count_two_squares_sieve(lo, hi)
+                assert iv._two_squares_upto(hi) - iv._two_squares_upto(lo) == want, lo
+
+    def test_sublinear_pinned_values(self):
+        # both equal the sieve: over (0, 1e9], and summed over ten 1e9-wide
+        # windows
+        assert iv._two_squares_upto(10**9) == 173_229_058
+        assert iv._two_squares_upto(10**10) == 1_637_624_156
+
+    def test_paths_agree_across_the_crossover(self):
+        # the widest window at lo = 1e8 that the sieve counts, and the next
+        lo, sieved, sublinear = 10**8, 1, 10**9
+        while sublinear - sieved > 1:
+            mid = (sieved + sublinear) // 2
+            if iv._sublinear_is_faster(lo, lo + mid):
+                sublinear = mid
+            else:
+                sieved = mid
+        assert 10**5 < sieved < 10**7
+        for width in (sieved, sublinear):
+            want = iv._count_two_squares_sieve(lo, lo + width)
+            assert iv._two_squares_upto(lo + width) - iv._two_squares_upto(lo) == want
+            assert iv.count_two_squares(lo, lo + width) == want
+
+    def test_width_guard(self, monkeypatch):
+        # twice the sieve's width guard, counted by the sublinear path: the
+        # sieve over (1e9, 2e9] gives 167,184,040 more than B(1e9); the
+        # window engine still refuses that width
+        assert iv.count_two_squares(0, 2 * 10**9) == 173_229_058 + 167_184_040
         with pytest.raises(CapacityError):
-            iv.count_two_squares(0, 2 * 10**9)
+            iv.ddt_mean(2 * 10**9)
+        with pytest.raises(CapacityError):
+            iv.weighted_fn_mean("two_squares", iv.IntervalSpec(x=15 * 10**8, theta=1.0, kappa1=1.0))
+        # above the sublinear path's hi guard a window wider than 1e9 is
+        # refused, and a narrower one is sieved
+        with pytest.raises(CapacityError):
+            iv.count_two_squares(10**13, 10**13 + 2 * 10**9)
+        lo = 2 * 10**13
+        want = iv._count_two_squares_sieve(lo, lo + 1000)
+        monkeypatch.setattr(iv, "_two_squares_upto", None)
+        assert iv.count_two_squares(lo, lo + 1000) == want
+        with pytest.raises(CapacityError):
+            iv.count_two_squares(0, 10**15 + 1)
 
     def test_masks_match_trial_division(self, monkeypatch):
         # n is a sum of two squares iff every prime p = 3 (mod 4) divides it
@@ -172,7 +226,7 @@ class TestCountTwoSquares:
         counts = []
         for workers in (1, 2):
             monkeypatch.setattr(iv, "_worker_count", lambda: workers)
-            counts.append(iv.count_two_squares(lo, hi))
+            counts.append(iv._count_two_squares_sieve(lo, hi))
         assert counts[0] == counts[1] > 0
 
     def test_one_worker_while_other_threads_run(self):
@@ -190,8 +244,8 @@ class TestCountTwoSquares:
     def test_runs_inside_a_daemonic_worker(self):
         # a multiprocessing.Pool worker may not start processes of its own
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            got = pool.apply(iv.count_two_squares, (0, 2 * 2**20))
-        assert got == iv.count_two_squares(0, 2 * 2**20)
+            got = pool.apply(iv._count_two_squares_sieve, (0, 2 * 2**20))
+        assert got == iv._count_two_squares_sieve(0, 2 * 2**20)
 
 
 class TestIntervalSpec:
