@@ -167,7 +167,8 @@ def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray) -> np.ndarray:
     """sum_n c_n n^{-s} for c = coeff_values[1:], vectorized and chunked."""
     s = np.asarray(s, dtype=np.complex128)
     support = np.nonzero(coeff_values[1:])[0] + 1
-    logn = np.log(support.astype(np.float64))
+    # math.log, not np.log: the same bits on every SIMD target
+    logn = np.array([math.log(n) for n in support.tolist()])
     cvals = coeff_values[support].astype(np.complex128)
     chunk = max(1, (1 << 22) // max(support.size, 1))
     flat = s.reshape(-1)
@@ -453,7 +454,7 @@ def check_prop31(poly: ContourPolyline, grid: BoxGrid) -> dict:
     s = np.concatenate(pts)
     s = s[s.imag >= 1.0]  # envelopes are tau >= 1 statements
     vals = zl_product_many(s, spec)
-    log_abs = np.log(np.abs(vals))
+    log_abs = np.array([math.log(v) for v in np.abs(vals).tolist()])  # as in _dirichlet_poly
     shape = (1.0 - k1 * s.real) * lt
     log_up = c_up * shape + 4.0 * llt
     log_lo = -c_lo * shape - 4.0 * llt

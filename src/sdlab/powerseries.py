@@ -112,18 +112,19 @@ def taylor_at(fn, s0: complex, order: int, radius: float) -> PowerSeries:
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     ring = s0 + radius * np.exp(1j * theta)
     vals = np.asarray(fn(ring), dtype=np.complex128)
-    js = np.arange(order + 1)
+    # radius^j by Python's float power, not numpy's: the same bits on every
+    # SIMD target
+    scale = np.array([radius**j for j in range(order + 1)])
 
     def coeffs(v: np.ndarray) -> np.ndarray:
         # c_j = (1/(N r^j)) sum_k f(s_k) e^{-i j theta_k}
         fft = np.fft.fft(v) / v.size
-        return fft[: order + 1] / radius ** js
+        return fft[: order + 1] / scale
 
     base = coeffs(np.ascontiguousarray(vals[::2]))
     fine = coeffs(vals)
     # Coefficient j amplifies evaluation noise by radius^-j, so stability is
     # judged at function scale: |delta c_j| * radius^j.
-    scale = radius ** js
     err = float(np.max(np.abs(base - fine) * scale))
     if err > 1e-10:
         raise AccuracyError(

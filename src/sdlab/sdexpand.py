@@ -3,6 +3,11 @@ prod zeta(k_i s)^{z_i} * prod L(k_i s, chi_i)^{w_i} * G(s): Taylor data around
 s = 1/kappa_1, the derived main-term coefficients, and the short-interval
 main-term evaluator. The Stieltjes constants behind the Taylor data are a
 table of doubles, so nothing here needs mpmath at run time.
+
+The regular factor's Taylor data come from two places: the zeta and L
+factors, and a zeta-composition G, from taylor_at's Cauchy integrals on a
+512-node ring; an Euler-product G from its closed-form series in prime sums
+(EulerProductG.taylor), multiplied on afterwards.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from . import specfun
 from .arith import CharacterTable, KappaVector, primes_upto, quadratic_character
 from .errors import DomainError
-from .powerseries import PowerSeries, ps_pow, taylor_at
+from .powerseries import PowerSeries, ps_exp, ps_log, ps_pow, taylor_at
 
 __all__ = [
     "stieltjes_constants",
@@ -130,13 +135,19 @@ class ZetaCompositionG:
         return {"kind": "zeta_composition", "factors": [list(f) for f in self.factors]}
 
 
+# a prime leaves the k sum of EulerProductG.taylor once its terms fall below
+# this, far under the last bit of the two-squares log-series coefficients
+# (0.42 at order 0, growing with the order)
+_TERM_FLOOR = 1e-20
+
+
 class EulerProductG:
     """G(s) = prod extra (1-p0^{-a0 s})^{e0} * prod_{p<=P, p mod q in residues}
-    (1-p^{-a s})^{e}, truncated at P with a recorded tail estimate."""
+    (1-p^{-a s})^{e}, truncated at P with a recorded tail estimate.
 
-    # nodes in flight of the node x prime matrix, over all threads: 64 x
-    # 4,800 primes at P = 1e5 is 4.9 MB of complex128
-    BLOCK = 64
+    `taylor` gives its Taylor series about a real point in closed form, from
+    prime sums; `many` evaluates it node by node."""
+
     prime_limit = 10**5
 
     def __init__(self, a: float, e: float, modulus: int, residues, extra=()):
@@ -156,35 +167,66 @@ class EulerProductG:
         return self._log_primes
 
     def many(self, s: np.ndarray) -> np.ndarray:
-        """G over an array of nodes, BLOCK nodes in flight, split between
-        threads (specfun._over_row_shares).  Each row of log(1 - p^{-a s}) is
-        C-contiguous in this call's buffer, so its row sum is the same bits
-        as np.sum over that node alone."""
-        nodes = np.asarray(s, dtype=np.complex128).tolist()
+        """G over an array of nodes, one node at a time: np.sum of the row
+        log(1 - p^{-a s}) over the primes, plus the extra factors."""
         lp = self._primes()
-        scaled = np.array([-self.a * v for v in nodes], dtype=np.complex128)
-        row_sums = np.empty(len(nodes), dtype=np.complex128)
-        buf = np.empty((min(self.BLOCK, len(nodes)), lp.size), dtype=np.complex128)
-
-        def share(j, lo, hi, step):
-            for i in range(lo, hi, step):
-                k = min(i + step, hi)
-                rows = buf[j * step : j * step + k - i]
-                np.multiply.outer(scaled[i:k], lp, out=rows)
-                np.exp(rows, out=rows)
-                np.negative(rows, out=rows)
-                np.log1p(rows, out=rows)
-                rows.sum(axis=1, out=row_sums[i:k])
-
-        specfun._over_row_shares(share, len(nodes), self.BLOCK)
+        nodes = np.asarray(s, dtype=np.complex128).tolist()
         out = np.empty(len(nodes), dtype=np.complex128)
-        for k, (v, row) in enumerate(zip(nodes, row_sums.tolist())):
+        for k, v in enumerate(nodes):
             acc = 0j
             for p0, a0, e0 in self.extra:
                 acc += e0 * cmath.log(1.0 - cmath.exp(-a0 * v * math.log(p0)))
-            acc += self.e * row
+            acc += self.e * complex(np.sum(np.log1p(-np.exp(-self.a * v * lp))))
             out[k] = cmath.exp(acc)
         return out
+
+    def taylor(self, s0: float, order: int) -> PowerSeries:
+        """Taylor series of G about the real point s0, through h^order.
+
+        With h = s - s0, c = p^{-a s0} and beta = a log p, each factor has
+        log(1 - c e^{-beta h}) = -sum_k (c^k / k) e^{-k beta h}, whose h^j
+        coefficient is -(-1)^j sum_k c^k k^{j-1} beta^j / j!.  The k sum runs
+        over all primes at once, in real float64 multiplies and sums; a prime
+        leaves it once its terms decrease in k and the largest is below
+        _TERM_FLOOR.  The extra factors, where c can be as large as 1/2, go
+        through ps_log.  Raises DomainError where some c >= 1.
+        """
+        s0 = float(s0)
+        if order < 0:
+            raise DomainError(f"Taylor order must be >= 0, got {order}")
+        js = range(order + 1)
+        log_g = [0.0] * (order + 1)
+        for p0, a0, e0 in self.extra:
+            beta0 = a0 * math.log(p0)
+            c0 = math.exp(-s0 * beta0)
+            if not c0 < 1.0:
+                raise DomainError(f"extra factor at p = {p0} needs p^(-a s0) < 1, got {c0}")
+            factor = [1.0 - c0] + [-c0 * (-beta0) ** j / math.factorial(j) for j in js[1:]]
+            for j, v in enumerate(ps_log(PowerSeries(s0, tuple(factor))).coeffs):
+                log_g[j] += e0 * v.real
+        beta = self.a * self._primes()
+        c = np.array([math.exp(-s0 * b) for b in beta.tolist()])
+        if c.size and not c.max() < 1.0:
+            raise DomainError(f"Euler product needs p^(-a s0) < 1, got {c.max()}")
+        # rows j = 0..order of beta^j / j!
+        rows = np.cumprod(
+            np.vstack([np.ones_like(beta)] + [beta / j for j in js[1:]]), axis=0
+        )
+        sums = np.zeros(order + 1)
+        ck = c.copy()
+        k = 1
+        while ck.size:
+            # terms[j, p] = c^k k^{j-1} beta^j / j!
+            kpow = np.array([float(k) ** (j - 1) for j in js])
+            terms = kpow[:, None] * rows * ck
+            sums += terms.sum(axis=1)
+            # a prime stays until its terms decrease in k and lie below the floor
+            keep = (k * s0 * beta < order) | (terms.max(axis=0) >= _TERM_FLOOR)
+            rows, c, beta, ck = rows[:, keep], c[keep], beta[keep], ck[keep] * c[keep]
+            k += 1
+        for j in js:
+            log_g[j] -= self.e * (-1) ** j * float(sums[j])
+        return ps_exp(PowerSeries(complex(s0), tuple(log_g)))
 
     def tail_log_estimate(self, sigma: float) -> float:
         """Deterministic bound on the neglected log-tail at real part sigma."""
@@ -274,16 +316,18 @@ class SeriesSpec:
         }
 
 
-def _g_many(spec: SeriesSpec, s: np.ndarray) -> np.ndarray:
-    """The spec's G over an array of nodes; G = None is the constant 1."""
-    if spec.G is None:
+def _g_many(G, s: np.ndarray) -> np.ndarray:
+    """G over an array of nodes; G = None is the constant 1."""
+    if G is None:
         return np.ones(np.shape(s), dtype=np.complex128)
-    return spec.G.many(s)
+    return G.many(s)
 
 
 def _regular_factor(spec: SeriesSpec):
-    """The analytic-at-1/kappa_1 factor: non-leading zetas, all L's, and G,
-    as a vector callable over an array of nodes.
+    """The part of the analytic-at-1/kappa_1 factor that taylor_at takes on
+    its ring: non-leading zetas, all L's, and G unless G is an EulerProductG
+    (expansion_coeffs multiplies on its own Taylor series), as a vector
+    callable over an array of nodes.
 
     Each factor is one zeta_many / dirichlet_l_many call over all nodes.  A
     zeta or L value depends only on its own point, so each node's value is
@@ -291,6 +335,8 @@ def _regular_factor(spec: SeriesSpec):
     the batch.  The factors are then multiplied node by node in Python
     complex arithmetic (see _combine).
     """
+
+    ring_G = None if isinstance(spec.G, EulerProductG) else spec.G
 
     def fn(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=np.complex128)
@@ -305,7 +351,7 @@ def _regular_factor(spec: SeriesSpec):
             for i in range(spec.r)
             if spec.w[i] != 0
         ]
-        return _combine(_g_many(spec, s), powers)
+        return _combine(_g_many(ring_G, s), powers)
 
     return fn
 
@@ -353,6 +399,8 @@ def expansion_coeffs(
     gam = gamma_coeffs(z1, k1, order)
     rad = _expansion_radius(spec) if radius is None else float(radius)
     reg = taylor_at(_regular_factor(spec), 1.0 / k1, order, rad)
+    if isinstance(spec.G, EulerProductG):
+        reg = reg * spec.G.taylor(1.0 / k1, order)
     g = (PowerSeries(1.0 / k1, gam) * reg).coeffs
     k1_pow = specfun.complex_pow_principal(k1, -z1)
     lam = [k1_pow * g[l] * specfun.reciprocal_gamma(z1 - l) for l in range(order + 1)]
@@ -370,7 +418,7 @@ def lambda0_closed_form(spec: SeriesSpec) -> complex:
     k = spec.kappa.kappa
     k1 = k[0]
     z1 = complex(spec.z[0])
-    out = complex(_g_many(spec, np.array([complex(1.0 / k1)]))[0])
+    out = complex(_g_many(spec.G, np.array([complex(1.0 / k1)]))[0])
     out *= specfun.complex_pow_principal(k1, -z1)
     out *= specfun.reciprocal_gamma(z1)
     for i in range(1, spec.r):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -121,3 +122,51 @@ def test_runtime_needs_no_mpmath():
         if re.search(r"^\s*(import|from)\s+mpmath\b", path.read_text(), re.MULTILINE)
     ]
     assert importers == []
+
+
+# numpy's float64 kernels of these ufuncs give different last bits under its
+# AVX-512 and AVX2 dispatch targets
+_DISPATCH_SENSITIVE = {"exp", "log", "power", "log1p", "expm1", "arctan2", "exp2"}
+# every use of one of them in the package: module, source of the call, and
+# why its bits do not depend on the dispatch target
+_SAFE_UFUNC_CALLS = [
+    ("powerseries", "np.exp(1j * theta)", "complex argument"),
+    ("sdexpand", "np.exp(-self.a * v * lp)", "complex argument (v is a complex node)"),
+    ("sdexpand", "np.log1p(-np.exp(-self.a * v * lp))", "complex argument"),
+    ("specfun", "np.exp(-np.multiply.outer(s, log_d))", "complex argument (s is complex128)"),
+    ("specfun", "np.exp(-np.multiply.outer(s.real, log_d).astype(np.complex128))",
+     "complex argument"),
+    ("specfun", "np.log(M + 1.0)", "feeds only the choice of the extended path"),
+    ("specfun", "np.log(np.arange(groups[-1][2], dtype=np.longdouble) + np.longdouble(w))",
+     "longdouble argument"),
+    ("specfun", "np.log(np.longdouble(M) + np.longdouble(w))", "longdouble argument"),
+    ("specfun", "np.exp(-s * math.log(frac))", "complex argument (s is complex128)"),
+    ("specfun", "np.exp(-s * math.log(a))", "complex argument (s is complex128)"),
+    ("specfun", "np.exp(-s * math.log(q))", "complex argument (s is complex128)"),
+    ("contourlab", "np.exp(-block * logn[None, :])", "complex argument (block holds complex s)"),
+]
+
+
+def test_dispatch_sensitive_ufuncs_are_allow_listed():
+    # a new call of one of these ufuncs on a real float64 array would make an
+    # artifact's bits depend on the CPU; each call must be listed above
+    found = []
+    for path in sorted((SRC / "sdlab").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found.append((path.stem, ast.get_source_segment(text, node)))
+            if isinstance(node, ast.Import):
+                assert all(a.asname == "np" for a in node.names if a.name == "numpy"), path
+        calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "np"
+                and node.attr in _DISPATCH_SENSITIVE
+            ):
+                site = calls.get(id(node), node)
+                found.append((path.stem, ast.get_source_segment(text, site)))
+    assert sorted(found) == sorted((mod, call) for mod, call, _ in _SAFE_UFUNC_CALLS)

@@ -1,7 +1,5 @@
 import cmath
 import math
-import sys
-import threading
 
 import mpmath
 import numpy as np
@@ -11,7 +9,7 @@ from sdlab import sdexpand as sd
 from sdlab import specfun as sf
 from sdlab.arith import KappaVector, primes_upto, quadratic_character
 from sdlab.errors import DomainError
-from sdlab.powerseries import PowerSeries, ps_pow
+from sdlab.powerseries import PowerSeries, ps_pow, taylor_at
 
 
 class TestStieltjes:
@@ -286,7 +284,8 @@ def _scalar_G(G, s):
 
 
 def _scalar_regular_factor(spec, s):
-    out = complex(_scalar_G(spec.G, s))
+    # an Euler product is not on the ring: expansion_coeffs takes its series
+    out = 1.0 + 0j if isinstance(spec.G, sd.EulerProductG) else complex(_scalar_G(spec.G, s))
     k = spec.kappa.kappa
     for i in range(1, spec.r):
         if spec.z[i] != 0:
@@ -314,44 +313,75 @@ class TestVectorRegularFactor:
         want = np.array([_scalar_regular_factor(spec, complex(s)) for s in ring])
         assert np.array_equal(got, want)
 
-    def test_euler_product_block_size(self):
-        spec = sd.two_squares_series_spec()
-        ring = _ring(spec)
-        G = spec.G
-        G.BLOCK = 512
-        whole = G.many(ring)
-        G.BLOCK = 7
-        assert np.array_equal(G.many(ring), whole)
+    @pytest.mark.parametrize("residue", [3, 1])
+    def test_euler_product_many_matches_scalar(self, residue):
+        G = _two_squares_G(residue, sd.EulerProductG.prime_limit)
+        ring = _ring(sd.two_squares_series_spec())
+        want = np.array([_scalar_G(G, complex(s)) for s in ring])
+        assert np.array_equal(G.many(ring).view(np.float64), want.view(np.float64))
 
 
-    @pytest.mark.parametrize("n", [0, 1, sd.EulerProductG.BLOCK - 1, 512, 515])
-    def test_euler_product_same_bits_for_any_thread_count(self, monkeypatch, n):
-        G = sd.two_squares_series_spec().G
-        s = 1.0 + 0.4 * np.exp(2j * math.pi * np.arange(n) / max(n, 1))
-        got = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(sf, "_cpu_count", lambda: cpus)
-            before = threading.active_count()
-            got.append(G.many(s))
-            assert threading.active_count() == before
-        assert got[0].shape == (n,)
-        assert np.array_equal(got[0].view(np.float64), got[1].view(np.float64))
+def _two_squares_G(residue, prime_limit):
+    G = sd.EulerProductG(a=2.0, e=-0.5, modulus=4, residues=(residue,), extra=((2, 1.0, -0.5),))
+    G.prime_limit = prime_limit
+    return G
 
-    def test_euler_product_threads_under_contention(self, monkeypatch):
-        # more threads than cores, switching often: each share still writes
-        # only its own rows of the shared buffer and of the row sums
-        G = sd.two_squares_series_spec().G
-        s = 1.0 + 0.4 * np.exp(2j * math.pi * np.arange(515) / 515)
-        monkeypatch.setattr(sf, "_cpu_count", lambda: 1)
-        want = G.many(s)
-        monkeypatch.setattr(sf, "_cpu_count", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            got = G.many(s)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+class TestEulerTaylor:
+    @pytest.mark.parametrize("residue", [3, 1])
+    def test_matches_mpmath_taylor(self, residue):
+        # the same truncated product, expanded by mpmath at 30 digits
+        G = _two_squares_G(residue, 1000)
+        got = G.taylor(1.0, 8).coeffs
+        ps = [int(p) for p in primes_upto(1000) if p % 4 == residue]
+
+        def f(s):
+            acc = -mpmath.log(1 - mpmath.power(2, -s)) / 2
+            for p in ps:
+                acc -= mpmath.log(1 - mpmath.power(p, -2 * s)) / 2
+            return mpmath.exp(acc)
+
+        with mpmath.workdps(30):
+            want = [float(c) for c in mpmath.taylor(f, mpmath.mpf(1), 8)]
+        for j, (g, w) in enumerate(zip(got, want)):
+            assert g.imag == 0 and abs(g.real - w) <= 1e-14 * abs(w), j
+
+    def test_two_squares_g_matches_reference(self):
+        # g_0..g_8 of ((s-1) zeta(s) L(s, chi_4))^(1/2) G(s) at s = 1 with
+        # P = 1e5: bench/reference.json's "two_squares_g", which
+        # bench/reference.py takes from mpmath.taylor at 30 digits
+        want = [
+            1.3545508854076096,
+            -0.22200048094833555,
+            0.7549844951239238,
+            -1.1892514704230157,
+            1.9257711772578123,
+            -3.2258636707436423,
+            5.525118296755538,
+            -9.56657309354816,
+            16.582352626524077,
+        ]
+        got = sd.expansion_coeffs(sd.two_squares_series_spec(), order=8).g_ell
+        for l, (g, w) in enumerate(zip(got, want)):
+            assert abs(g.real - w) <= 5e-13 * abs(w), l
+
+    @pytest.mark.parametrize("residue", [3, 1])
+    def test_agrees_with_ring(self, residue):
+        # within taylor_at's own check: |delta c_j| r^j <= 1e-10
+        G = _two_squares_G(residue, sd.EulerProductG.prime_limit)
+        radius = 0.25
+        ring = taylor_at(G.many, 1.0, 8, radius).coeffs
+        series = G.taylor(1.0, 8).coeffs
+        assert max(abs(a - b) * radius**j for j, (a, b) in enumerate(zip(ring, series))) <= 1e-10
+
+    def test_domain(self):
+        # p^(-a s0) >= 1 for a prime of the product or an extra factor
+        with pytest.raises(DomainError, match="Euler product"):
+            sd.EulerProductG(a=2.0, e=-0.5, modulus=4, residues=(3,)).taylor(0.0, 4)
+        with pytest.raises(DomainError, match="extra factor"):
+            _two_squares_G(3, 1000).taylor(-0.5, 4)
+        with pytest.raises(DomainError, match="order"):
+            _two_squares_G(3, 1000).taylor(1.0, -1)
 
 
 class TestEulerTail:
