@@ -731,22 +731,14 @@ def _mean_divisor_cdf(lo: int, hi: int, t_grid: tuple[float, ...], two_squares: 
 # Reports
 # ----------------------------------------------------------------------------
 
-def _law_prediction(indicator: str, ts) -> tuple[float, ...]:
-    """Limit law of the mean of F_n(t) over the indicator's n: arcsine for
-    all n, I_t(1/4, 1/4) for sums of two squares, and squarefull_divisor_law
-    for square-full n."""
-    if indicator == "all":
-        return tuple(arcsine_law(t) for t in ts)
-    if indicator == "squarefull":
-        return tuple(squarefull_divisor_law(t) for t in ts)
-    if indicator == "two_squares":
-        return tuple(specfun.reg_inc_beta(t, 0.25, 0.25) for t in ts)
-    raise DomainError(f"unknown indicator {indicator!r}")
+def _two_squares_law(t: float) -> float:
+    """I_t(1/4, 1/4), the limit law of F_n(t) over sums of two squares."""
+    return specfun.reg_inc_beta(t, 0.25, 0.25)
 
 
-def _make_report(indicator, x, y, theta, ts, count, sums) -> LawReport:
+def _make_report(indicator, law, x, y, theta, ts, count, sums) -> LawReport:
     empirical = tuple(float(s / count) for s in sums)
-    predicted = _law_prediction(indicator, ts)
+    predicted = tuple(law(t) for t in ts)
     sup = max(abs(e - p) for e, p in zip(empirical, predicted))
     return LawReport(
         x=int(x),
@@ -769,7 +761,7 @@ def ddt_mean(x: int, t_grid=DEFAULT_T_GRID) -> LawReport:
         raise CapacityError(f"x={x} exceeds guard {_WIDTH_GUARD}")
     ts = _t_grid(t_grid)
     count, sums = _mean_divisor_cdf(0, x, ts)
-    return _make_report("all", x, float(x), 1.0, ts, count, sums)
+    return _make_report("all", arcsine_law, x, float(x), 1.0, ts, count, sums)
 
 
 # A square-full n <= _WINDOW_GUARD has at most 8 distinct primes, since
@@ -918,12 +910,14 @@ def weighted_fn_mean(indicator: str, spec: IntervalSpec, t_grid=DEFAULT_T_GRID) 
     squarefull_divisor_law for square-full n."""
     ts = _t_grid(t_grid)
     if indicator == "squarefull":
+        law = squarefull_divisor_law
         count, sums = _squarefull_sums(spec.lo, spec.hi, ts)
     elif indicator == "two_squares":
+        law = _two_squares_law
         _check_two_squares_window(spec.lo, spec.hi)
         count, sums = _mean_divisor_cdf(spec.lo, spec.hi, ts, two_squares=True)
         if count == 0:
             raise EmptyIntervalError(f"no sums of two squares in ({spec.lo}, {spec.hi}]")
     else:
         raise DomainError(f"unknown indicator {indicator!r}")
-    return _make_report(indicator, spec.x, spec.y, spec.theta, ts, count, sums)
+    return _make_report(indicator, law, spec.x, spec.y, spec.theta, ts, count, sums)

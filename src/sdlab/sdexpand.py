@@ -256,42 +256,29 @@ class EulerProductG:
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Descriptor of prod zeta(k_i s)^{z_i} prod L(k_i s, chi_i)^{w_i} G(s)
-    together with its growth-bound metadata."""
+    """Descriptor of prod zeta(k_i s)^{z_i} prod L(k_i s, chi_i)^{w_i} G(s),
+    with the exponent alpha and the name that its artifacts record."""
 
     kappa: KappaVector
     z: tuple[complex, ...]
     w: tuple[complex, ...]
     chis: tuple[CharacterTable | None, ...]
     G: object = None  # None is the constant 1
-    bounds_B: tuple[float, ...] = ()
-    bounds_C: tuple[float, ...] = ()
     alpha: float = 1.0
-    delta: float = 0.0
-    A: float = 0.0
-    M: float = 1.0
     name: str = "series"
 
     def __post_init__(self):
         r = self.kappa.r
         if not (len(self.z) == len(self.w) == len(self.chis) == r):
             raise DomainError("z, w, chis must all have one entry per kappa")
-        if self.bounds_B and any(
-            abs(zi) > bi + 1e-12 for zi, bi in zip(self.z, self.bounds_B)
-        ):
-            raise DomainError("|z_i| must stay within bounds_B")
-        if self.bounds_C and any(
-            abs(wi) > ci + 1e-12 for wi, ci in zip(self.w, self.bounds_C)
-        ):
-            raise DomainError("|w_i| must stay within bounds_C")
         for wi, chi in zip(self.w, self.chis):
             if wi != 0:
                 if chi is None:
                     raise DomainError("nonzero w_i requires a character")
                 if chi.principal:
                     raise DomainError("characters must be non-principal")
-        if self.alpha <= 0 or self.delta < 0 or self.A < 0 or self.M <= 0:
-            raise DomainError("need alpha > 0, delta >= 0, A >= 0, M > 0")
+        if self.alpha <= 0:
+            raise DomainError("need alpha > 0")
 
     @property
     def r(self) -> int:
@@ -310,9 +297,10 @@ class SeriesSpec:
             "chi_moduli": [c.modulus if c is not None else None for c in self.chis],
             "G": {"kind": "constant", "value": 1.0} if self.G is None else self.G.describe(),
             "alpha": self.alpha,
-            "delta": self.delta,
-            "A": self.A,
-            "M": self.M,
+            # the source's growth constants, at the only values the lab uses
+            "delta": 0.0,
+            "A": 0.0,
+            "M": 1.0,
         }
 
 
@@ -437,7 +425,6 @@ class MainTermResult:
     value: complex
     y_prime: float
     envelope: float
-    envelope_label: str = "reference shape"
 
 
 def main_term(
@@ -450,9 +437,9 @@ def main_term(
     """Predicted window sum y' (log x)^{z1-1} sum_{l<=N} lambda_l (log x)^{-l}.
 
     The envelope is the remainder shape ((N+1)/log x)^{N+1}
-    + (N+1)^{N+1} exp(-(log x / log log x)^{1/3}) + y/(x^{1/k1} log x),
-    scaled by the spec's M; the free constants are fixed at 1, so it is a
-    reference shape rather than a bound.
+    + (N+1)^{N+1} exp(-(log x / log log x)^{1/3}) + y/(x^{1/k1} log x);
+    its free constants are fixed at 1, so it is a reference shape rather
+    than a bound.
     """
     # written so that NaN fails each test
     if not (math.isfinite(x) and x >= 3):
@@ -470,7 +457,7 @@ def main_term(
     series = sum(coeffs.lambda_ell[l] / L**l for l in range(n_terms + 1))
     value = y_prime * specfun.complex_pow_principal(L, z1 - 1.0) * series
     n1 = n_terms + 1.0
-    envelope = spec.M * (
+    envelope = (
         (n1 / L) ** n1
         + n1**n1 * math.exp(-((L / math.log(L)) ** (1.0 / 3.0)))
         + y / (x ** (1.0 / k1) * L)
@@ -492,8 +479,6 @@ def squarefull_series_spec() -> SeriesSpec:
         w=(0j, 0j),
         chis=(None, None),
         G=ZetaCompositionG(((6.0, -1.0),)),
-        bounds_B=(1.5, 1.5),
-        bounds_C=(1.0, 1.0),
         alpha=1.0,
         name="squarefull",
     )
@@ -519,8 +504,6 @@ def two_squares_series_spec(wrong_congruence: bool = False) -> SeriesSpec:
             residues=(residue,),
             extra=((2, 1.0, -0.5),),
         ),
-        bounds_B=(1.0,),
-        bounds_C=(1.0,),
         alpha=0.5,
         name="two_squares" + ("_wrong_congruence" if wrong_congruence else ""),
     )

@@ -13,8 +13,8 @@ the default.
 
 A vector call runs the head sums of its points, grouped by M, on one thread
 per CPU (_over_row_shares) once they span more than one block of terms in
-flight.  Each point's head sum is its own row, so the values are the same
-bits for any number of threads.
+flight.  Each point's head sum is its own row, which one share alone
+writes, so the values are the same bits for any number of threads.
 """
 
 from __future__ import annotations
@@ -65,29 +65,28 @@ def _cpu_count() -> int:
 
 
 def _over_row_shares(fn, n: int, block: int) -> None:
-    """fn(j, lo, hi, step) for the contiguous shares lo:hi of the rows
-    range(n), one share per thread of a pool that lives for this call only;
-    fn walks its share in steps of at most step rows.
+    """fn(lo, hi, step) for the contiguous shares lo:hi of the rows range(n),
+    one share per thread of a pool that lives for this call only; fn walks
+    its share in steps of at most step rows.
 
     There is one thread per CPU, but no more than the blocks of `block` rows
     in range(n) or than block itself, and step = block // threads, so the
-    rows in flight stay within one block: share j may use rows
-    j*step:(j+1)*step of a buffer of `block` rows that the caller allocated.
-    A single share runs in this thread.  numpy releases the GIL inside its
-    array loops, and each share writes only its own rows, so the result does
-    not depend on the number of threads.
+    rows in flight over all threads stay within one block.  A single share
+    runs in this thread.  numpy releases the GIL inside its array loops, and
+    each share writes only its own rows, so the result does not depend on the
+    number of threads.
     """
     threads = max(1, min(_cpu_count(), -(-n // block), block))
     step = max(1, block // threads)
     if threads == 1:
-        fn(0, 0, n, step)
+        fn(0, n, step)
         return
     from concurrent.futures import ThreadPoolExecutor
 
     cuts = [n * j // threads for j in range(threads + 1)]
     with ThreadPoolExecutor(threads) as pool:
         # reading every result raises the first error of a share here
-        list(pool.map(fn, range(threads), cuts, cuts[1:], [step] * threads))
+        list(pool.map(fn, cuts, cuts[1:], [step] * threads))
 
 
 # ----------------------------------------------------------------------------
@@ -204,7 +203,7 @@ def _hurwitz_em(
     starts = ends - units
     head = np.empty_like(ss)
 
-    def head_rows(_, lo, hi, step):
+    def head_rows(lo, hi, step):
         first, stop = np.searchsorted(starts, (lo, hi)).tolist()
         for g_lo, g_hi, m, ext in groups:
             last = min(stop, g_hi)

@@ -21,6 +21,11 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
+def replace_runner(monkeypatch, name, fn):
+    """Make subcommand `name` run fn in place of its runner."""
+    monkeypatch.setitem(cli.SUBCOMMANDS, name, (fn, *cli.SUBCOMMANDS[name][1:]))
+
+
 class TestRendering:
     def test_json_roundtrip_bit_exact(self):
         obj = {
@@ -143,7 +148,7 @@ class TestCommands:
         def never(**values):
             raise AssertionError("a command ran")
 
-        monkeypatch.setitem(cli.COMMANDS, argv[0], never)
+        replace_runner(monkeypatch, argv[0], never)
         code, stdout, err = run([*argv, option, value], capsys)
         assert (code, stdout) == (2, "")
         assert err == f"error: config {option[2:]!r} must be an integer, got {shown}\n"
@@ -254,7 +259,7 @@ class TestCommands:
         def never(**values):
             raise AssertionError("contour ran before the CSV check")
 
-        monkeypatch.setitem(cli.COMMANDS, "contour", never)
+        replace_runner(monkeypatch, "contour", never)
         code, _, _ = run(["contour", "--T", "200", "--format", "csv"], capsys)
         assert code == 2
 
@@ -340,7 +345,7 @@ class TestCommands:
         def boom(**values):
             raise AccuracyError("synthetic")
 
-        monkeypatch.setitem(cli.COMMANDS, "ddt", boom)
+        replace_runner(monkeypatch, "ddt", boom)
         code, _, err = run(["ddt", "--x", "100"], capsys)
         assert code == 3
         assert "accuracy" in err
@@ -503,6 +508,10 @@ class TestGolden:
              "'indicator' must be one of squarefull, two_squares, got \"prime\""),
             ({**_VALID["main_term"], "app": "prime"},
              "'app' must be one of squarefull, two_squares, got \"prime\""),
+            # a config names a command with "_" for "-", and never "verify"
+            ({**_VALID["main_term"], "command": "main-term"}, "has no known command: 'main-term'"),
+            ({**_VALID["ddt"], "command": "verify"}, "has no known command: 'verify'"),
+            ({**_VALID["ddt"], "command": None}, "has no known command: None"),
         ],
     )
     def test_verify_golden_config_of_wrong_type_exit_2(self, config, message, tmp_path, capsys, monkeypatch):
@@ -511,8 +520,8 @@ class TestGolden:
         def never(**values):
             raise AssertionError("a command ran")
 
-        for name in cli.COMMANDS:
-            monkeypatch.setitem(cli.COMMANDS, name, never)
+        for name in cli.SUBCOMMANDS:
+            replace_runner(monkeypatch, name, never)
         golden = tmp_path / "g.json"
         golden.write_text(json.dumps({"config": config}))
         code, stdout, err = run(["verify", "--golden", str(golden)], capsys)

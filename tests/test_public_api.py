@@ -99,16 +99,80 @@ def test_merged_duplicates_stay_gone():
 def test_single_valued_settings_stay_gone():
     # settings that only ever took one value: frak_m's density-doubling gate
     # (build_grid always turned it off), the constant regular factor (G = None
-    # is 1), the Euler-product cut P (a class constant) and the contour's c0,
-    # which nothing read
+    # is 1), the Euler-product cut P (a class constant), the contour's c0,
+    # which nothing read, a series' growth constants delta, A and M (always
+    # 0, 0 and 1), its bounds on |z_i| and |w_i| (read by no computation),
+    # main_term's envelope label (one text) and cli's second command table
     assert "refine_check" not in inspect.signature(contourlab.frak_m).parameters
     assert not hasattr(sdexpand, "ConstantG")
     for fn in (sdexpand.two_squares_series_spec, sdexpand.EulerProductG):
         assert "prime_limit" not in inspect.signature(fn).parameters, fn
     assert sdexpand.EulerProductG.prime_limit == 10**5
     assert "c0" not in {f.name for f in dataclasses.fields(contourlab.ContourConfig)}
-    flags = {flag for _, _, *options in cli.SUBCOMMANDS.values() for flag, *_ in options}
+    flags = {flag for _, _, _, *options in cli.SUBCOMMANDS.values() for flag, *_ in options}
     assert not {"--prime-limit", "--c0"} & flags
+    spec_fields = {f.name for f in dataclasses.fields(sdexpand.SeriesSpec)}
+    assert not {"delta", "A", "M", "bounds_B", "bounds_C"} & spec_fields
+    assert "envelope_label" not in {f.name for f in dataclasses.fields(sdexpand.MainTermResult)}
+    assert not hasattr(cli, "COMMANDS")
+
+
+# (module, name) of the limit laws and counts that a report or a count looks
+# up in its module when it runs, so that a wrapper put on the module global
+# (a tracer's, say) sees every call
+_WRAPPED = (
+    (intervals, "arcsine_law"),
+    (intervals, "squarefull_divisor_law"),
+    (specfun, "reg_inc_beta"),
+    (intervals, "count_squarefull"),
+    (intervals, "count_two_squares"),
+)
+
+
+def _count(indicator: str) -> dict:
+    return cli.run_command({"command": "count", "format": "json", "seed": 0,
+                            "indicator": indicator, "lo": 0, "hi": 1000})
+
+
+_GRID = len(intervals.DEFAULT_T_GRID)
+
+
+@pytest.mark.parametrize(
+    "call, want, times",
+    [
+        (lambda: intervals.ddt_mean(2000), "arcsine_law", _GRID),
+        (lambda: intervals.weighted_fn_mean(
+            "two_squares", intervals.IntervalSpec(x=10**5, theta=0.5, kappa1=1.0)),
+         "reg_inc_beta", _GRID),
+        (lambda: intervals.weighted_fn_mean(
+            "squarefull", intervals.IntervalSpec(x=10**6, theta=0.45, kappa1=2.0)),
+         "squarefull_divisor_law", _GRID),
+        (lambda: _count("squarefull"), "count_squarefull", 1),
+        (lambda: _count("two_squares"), "count_two_squares", 1),
+    ],
+    ids=["ddt", "two_squares", "squarefull", "count_squarefull", "count_two_squares"],
+)
+def test_laws_and_counts_reach_module_wrappers(call, want, times, monkeypatch):
+    # each law once per grid point, each count once; calls made inside a
+    # wrapped call (the square-full law's reg_inc_beta, its reflection
+    # t -> 1 - t) are not counted
+    calls, active = [], []
+
+    def wrap(fn, name):
+        def counted(*args, **kwargs):
+            if not active:
+                calls.append(name)
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+        return counted
+
+    for module, name in _WRAPPED:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name), name))
+    call()
+    assert calls == [want] * times
 
 
 def test_runtime_needs_no_mpmath():

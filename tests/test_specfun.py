@@ -221,17 +221,16 @@ class TestRowShares:
         calls.sort()
         threads = len(calls)
         assert 1 <= threads <= min(cpus, max(1, -(-n // block)))
-        assert [j for j, *_ in calls] == list(range(threads))
-        assert calls[0][1] == 0 and calls[-1][2] == n
-        assert all(a[2] == b[1] for a, b in zip(calls, calls[1:]))
-        step = calls[0][3]
-        assert all(c[3] == step for c in calls) and 1 <= step and threads * step <= block
+        assert calls[0][0] == 0 and calls[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+        step = calls[0][2]
+        assert all(c[2] == step for c in calls) and 1 <= step and threads * step <= block
 
     def test_error_in_a_share_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(sf, "_cpu_count", lambda: 2)
 
-        def fail(j, lo, hi, step):
-            if j == 1:
+        def fail(lo, hi, step):
+            if lo > 0:
                 raise AccuracyError("share 1")
 
         before = threading.active_count()
