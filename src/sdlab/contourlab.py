@@ -500,17 +500,13 @@ def bombieri_check(points, a, b=None) -> bool:
     return bombieri_check_many([(points, a)], b)[0]
 
 
-# Pair points per zeta_many call of bombieri_check_many.
-_BOMBIERI_SLICE = 1 << 13
-
-
 def bombieri_check_many(instances, b=None) -> list[bool]:
     """bombieri_check(points, a, b) for each (points, a) of instances.
 
     With b=None the zeta values of every instance's pairs conj(s) + s' go
-    through zeta_many in slices of at most _BOMBIERI_SLICE points; each value
-    depends only on its point, so the result is that of one instance at a
-    time.
+    through one zeta_many call, which bounds its own work in flight; each
+    value depends only on its point, so the result is that of one instance
+    at a time.
     """
     checks = []
     for points, a in instances:
@@ -537,11 +533,9 @@ def bombieri_check_many(instances, b=None) -> list[bool]:
         checks.append((pts, a, pair, weight))
     if b is None and checks:
         flat = np.concatenate([pair.reshape(-1) for _, _, pair, _ in checks])
-        zetas = np.concatenate([
-            specfun.zeta_many(flat[i : i + _BOMBIERI_SLICE])
-            for i in range(0, flat.size, _BOMBIERI_SLICE)
-        ])
-        big_bs = np.split(zetas, np.cumsum([pair.size for _, _, pair, _ in checks])[:-1])
+        big_bs = np.split(
+            specfun.zeta_many(flat), np.cumsum([pair.size for _, _, pair, _ in checks])[:-1]
+        )
     else:
         big_bs = [_dirichlet_poly(pair, np.concatenate(([0.0], b))) for _, _, pair, _ in checks]
     out = []

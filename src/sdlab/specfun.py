@@ -11,10 +11,11 @@ on the other points of its batch.  The vector functions take the absolute
 tolerance of that truncation (1e-12 by default); the scalar ones always use
 the default.
 
-A vector call runs the head sums of its points, grouped by M, on one thread
-per CPU (_over_row_shares) once they span more than one block of terms in
-flight.  Each point's head sum is its own row, which one share alone
-writes, so the values are the same bits for any number of threads.
+A vector call cuts its points, grouped by M, into blocks of head terms and
+computes each block's head sums and corrections on one thread per CPU once
+the batch spans more than one block.  Each point is its own row, which one
+block alone writes, so the values are the same bits for any number of
+threads.
 """
 
 from __future__ import annotations
@@ -53,40 +54,11 @@ _EM_BASE_TERMS = 64
 _BERNOULLI_ORDER = 30
 
 
-# ----------------------------------------------------------------------------
-# Threads over independent rows
-# ----------------------------------------------------------------------------
-
 def _cpu_count() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _over_row_shares(fn, n: int, block: int) -> None:
-    """fn(lo, hi, step) for the contiguous shares lo:hi of the rows range(n),
-    one share per thread of a pool that lives for this call only; fn walks
-    its share in steps of at most step rows.
-
-    There is one thread per CPU, but no more than the blocks of `block` rows
-    in range(n) or than block itself, and step = block // threads, so the
-    rows in flight over all threads stay within one block.  A single share
-    runs in this thread.  numpy releases the GIL inside its array loops, and
-    each share writes only its own rows, so the result does not depend on the
-    number of threads.
-    """
-    threads = max(1, min(_cpu_count(), -(-n // block), block))
-    step = max(1, block // threads)
-    if threads == 1:
-        fn(0, n, step)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    cuts = [n * j // threads for j in range(threads + 1)]
-    with ThreadPoolExecutor(threads) as pool:
-        # reading every result raises the first error of a share here
-        list(pool.map(fn, cuts, cuts[1:], [step] * threads))
 
 
 # ----------------------------------------------------------------------------
@@ -185,47 +157,44 @@ def _hurwitz_em(
     # Double-precision phases already round to ~tau*log(M)*eps; go extended
     # only when that would eat into the requested tolerance.
     extended = tau * np.log(M + 1.0) * 1.2e-16 > 0.05 * tol
-    # Points sorted by (M, extended): each run of one key is a group.
+    # Points sorted by (M, extended): each run of one key is a group, cut
+    # into blocks of at most _EM_TERMS_IN_FLIGHT // threads head terms, so
+    # the terms in flight over all threads stay within _EM_TERMS_IN_FLIGHT.
     key = 2 * M + extended
     order = np.argsort(key, kind="stable")
     ss, key = flat[order], key[order]
     bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), ss.size]
     groups = [(lo, hi, int(key[lo]) >> 1, bool(key[lo] & 1)) for lo, hi in zip(bounds, bounds[1:])]
     log_ns_ld = np.log(np.arange(groups[-1][2], dtype=np.longdouble) + np.longdouble(w))
-
-    # Head sums over n = 0..M-1 of (n+w)^{-s}, one row per point.  The
-    # threads share the head terms in units of _EM_BASE_TERMS (a point of
-    # head length M is M / _EM_BASE_TERMS units); a share takes the points
-    # whose first unit it holds, in pieces of one group and at most `step`
-    # units.
-    units = (key >> 1) // _EM_BASE_TERMS
-    ends = np.cumsum(units)
-    starts = ends - units
-    head = np.empty_like(ss)
-
-    def head_rows(lo, hi, step):
-        first, stop = np.searchsorted(starts, (lo, hi)).tolist()
-        for g_lo, g_hi, m, ext in groups:
-            last = min(stop, g_hi)
-            rows = max(1, step * _EM_BASE_TERMS // m)
-            for i in range(max(first, g_lo), last, rows):
-                j = min(i + rows, last)
-                head[i:j] = _pow_negs(ss[i:j], log_ns_ld[:m], ext).sum(axis=1)
-
-    _over_row_shares(
-        head_rows, int(ends[-1]), max(1, _EM_TERMS_IN_FLIGHT // _EM_BASE_TERMS)
-    )
-
-    out = np.empty_like(flat)
+    threads = max(1, min(_cpu_count(), -(-int(M.sum()) // _EM_TERMS_IN_FLIGHT)))
+    blocks = []
     for lo, hi, m, ext in groups:
-        out[order[lo:hi]] = _em_sum(head[lo:hi], ss[lo:hi], w, m, ext, tol, deflate)
+        rows = max(1, _EM_TERMS_IN_FLIGHT // threads // m)
+        blocks += [(i, min(i + rows, hi), m, ext) for i in range(lo, hi, rows)]
+    out = np.empty_like(flat)
+
+    def run(block):
+        # head sum over n = 0..m-1 of (n+w)^{-s}, one row per point
+        i, j, m, ext = block
+        head = _pow_negs(ss[i:j], log_ns_ld[:m], ext).sum(axis=1)
+        out[order[i:j]] = _em_sum(head, ss[i:j], w, m, ext, tol, deflate)
+
+    if threads == 1:
+        for block in blocks:
+            run(block)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            # reading every result raises the first error of a block here
+            list(pool.map(run, blocks))
     return out.reshape(s.shape)
 
 
 def _em_sum(head, s, w, M, extended, tol, deflate):
     """The head sum plus the pole, half and Bernoulli terms of the
     Euler-Maclaurin sum with head length M; raises AccuracyError when the
-    first omitted term exceeds tol."""
+    first omitted term exceeds tol or is nan."""
     K = _BERNOULLI_ORDER // 2
     mw = M + w
     log_mw = math.log(mw)
@@ -245,14 +214,21 @@ def _em_sum(head, s, w, M, extended, tol, deflate):
     poch = s.copy()                     # (s)_1
     fac = mw_pow_ms / mw                # (M+w)^{-s-1}
     corr = np.zeros_like(s)
-    for k in range(1, K + 1):
-        corr += bof[k - 1] * poch * fac
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        fac = fac / (mw * mw)
-    # First omitted correction term bounds the truncation error up to a small
-    # factor; treat it as the tail estimate.
-    tail = np.max(np.abs(bof[K] * poch * fac)) if K < bof.size else math.inf
-    if tail > tol:
+    # Past |s| ~ 4e10 poch overflows while fac underflows, and inf * 0 is
+    # nan; the tail check rejects a nan tail.  errstate is per thread, so it
+    # is set here, in the thread that computes the block.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, K + 1):
+            corr += bof[k - 1] * poch * fac
+            if k < K:
+                poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+                fac = fac / (mw * mw)
+        # First omitted correction term bounds the truncation error up to a
+        # small factor; treat it as the tail estimate.  It extends the last
+        # term's poch * fac, so it is finite wherever the corrections are.
+        ratio = (s + (2 * K - 1)) * (s + 2 * K) / (mw * mw)
+        tail = np.max(np.abs(bof[K] * (poch * fac) * ratio))
+    if not tail <= tol:
         raise AccuracyError(
             f"Euler-Maclaurin tail estimate {tail:.3e} exceeds target "
             f"{tol:.3e} (M={M}, bernoulli_order={_BERNOULLI_ORDER})"
@@ -442,25 +418,20 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 600):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and then the odd partial numerator
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 3e-16:
             return h
     raise AccuracyError(

@@ -350,6 +350,18 @@ class TestCommands:
         assert code == 3
         assert "accuracy" in err
 
+    def test_bombieri_beyond_the_correction_range_exit_3(self, tmp_path, capsys):
+        # zeta at Re s ~ 2e12 has a nan Euler-Maclaurin tail estimate
+        out = tmp_path / "b.json"
+        code, stdout, err = run(
+            ["bombieri", "--instances", "3", "--max-n", "5", "--max-set", "3",
+             "--sigma-min", "1e12", "--output", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (3, "")
+        assert err.startswith("accuracy error: Euler-Maclaurin tail estimate nan")
+        assert not out.exists()
+
     def test_bombieri_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -465,9 +465,7 @@ class TestBombieri:
             ]
             assert cl.bombieri_check(pts, a)
 
-    def test_many_is_each_instance_alone(self, rng, monkeypatch):
-        # slices smaller than one instance's pairs, so instances straddle calls
-        monkeypatch.setattr(cl, "_BOMBIERI_SLICE", 7)
+    def test_many_is_each_instance_alone(self, rng):
         instances = []
         for _ in range(40):
             a = rng.normal(size=int(rng.integers(1, 30))) + 0j

@@ -54,6 +54,10 @@ def test_merged_duplicates_stay_gone():
     assert not hasattr(arith, "tau_kk")
     assert not hasattr(specfun, "EvalParams")
     assert not hasattr(specfun, "DEFAULT_PARAMS")
+    # the Euler-Maclaurin kernel cuts its own blocks of rows: no generic row
+    # helper, and no slicing of its batches by a caller
+    assert not hasattr(specfun, "_over_row_shares")
+    assert not hasattr(contourlab, "_BOMBIERI_SLICE")
     assert not hasattr(sdexpand, "_one_point")
     # members nothing read or called: the Taylor radius, series addition and
     # the per-row frak_m table of a grid

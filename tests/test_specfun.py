@@ -181,6 +181,23 @@ class TestZeta:
             # 8 head terms + 2 correction terms cannot reach 1e-12 here
             sf._hurwitz_em(np.array([complex(0.3, 0.0)]), 1.0)
 
+    def test_nan_tail_raises(self, chi4):
+        # past |s| ~ 4.3e10 the Pochhammer factor overflows while the power
+        # underflows, so the corrections and the tail estimate are nan, which
+        # must not pass
+        s = np.array([2.0 + 0j, 1e12 + 0j])
+        with pytest.raises(AccuracyError, match="tail estimate nan"):
+            sf.zeta_many(s)
+        with pytest.raises(AccuracyError, match="tail estimate nan"):
+            sf.zeta_complex(1e12)
+        # the head term (1/4)^{-s} of L's Hurwitz sums overflows first, with
+        # its own warning; a two-point batch runs in this thread
+        with np.errstate(over="ignore"), pytest.raises(AccuracyError, match="tail estimate nan"):
+            sf.dirichlet_l_many(s, chi4, 1e-9)
+        # at 1e10 only the rising factors past the last term overflow; the
+        # tail extends that term's finite product, so the exact value passes
+        assert sf.zeta_complex(1e10) == 1 + 0j
+
     def test_tol_must_be_positive(self):
         for tol in (0.0, -1e-12, math.nan):
             with pytest.raises(DomainError):
@@ -212,30 +229,52 @@ def _per_cpu_count(monkeypatch, fn):
 
 
 class TestRowShares:
+    """A vector call cuts its points into blocks of rows and runs them on one
+    thread per CPU."""
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    @pytest.mark.parametrize("n, block", [(0, 4), (1, 4), (4, 4), (7, 4), (10, 3), (9, 1), (515, 64)])
-    def test_shares_cover_the_rows_once(self, monkeypatch, cpus, n, block):
+    def test_blocks_cover_the_points_once(self, monkeypatch, cpus):
+        # 2,000 distinct points up to Im s = 1600 take several head lengths,
+        # both phase paths at tol 1e-12, and span more than three blocks
+        rng = np.random.default_rng(16)
+        s = 0.3 + rng.random(2000) + 1600j * rng.random(2000)
+        tol = 1e-12
         monkeypatch.setattr(sf, "_cpu_count", lambda: cpus)
-        calls = []
-        sf._over_row_shares(lambda *share: calls.append(share), n, block)
-        calls.sort()
-        threads = len(calls)
-        assert 1 <= threads <= min(cpus, max(1, -(-n // block)))
-        assert calls[0][0] == 0 and calls[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
-        step = calls[0][2]
-        assert all(c[2] == step for c in calls) and 1 <= step and threads * step <= block
+        blocks = []
+        pow_negs = sf._pow_negs
 
-    def test_error_in_a_share_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(sf, "_cpu_count", lambda: 2)
+        def spy(pts, log_base_ld, extended):
+            if np.ndim(log_base_ld) == 1:  # a head sum, not a correction
+                blocks.append((pts.copy(), len(log_base_ld), extended))
+            return pow_negs(pts, log_base_ld, extended)
 
-        def fail(lo, hi, step):
-            if lo > 0:
-                raise AccuracyError("share 1")
-
+        monkeypatch.setattr(sf, "_pow_negs", spy)
         before = threading.active_count()
-        with pytest.raises(AccuracyError, match="share 1"):
-            sf._over_row_shares(fail, 10, 2)
+        sf.zeta_many(s, tol)
+        assert threading.active_count() == before
+        covered = np.sort_complex(np.concatenate([pts for pts, _, _ in blocks]))
+        assert np.array_equal(covered, np.sort_complex(s))
+        M = sf._em_head_terms(np.abs(s.imag), tol)
+        threads = max(1, min(cpus, -(-int(M.sum()) // sf._EM_TERMS_IN_FLIGHT)))
+        assert threads == min(cpus, 3)
+        paths = set()
+        for pts, m, extended in blocks:
+            tau = np.abs(pts.imag)
+            assert (sf._em_head_terms(tau, tol) == m).all()
+            assert ((tau * np.log(m + 1.0) * 1.2e-16 > 0.05 * tol) == extended).all()
+            assert pts.size * m <= sf._EM_TERMS_IN_FLIGHT // threads
+            paths.add(extended)
+        assert paths == {False, True}
+
+    def test_error_in_a_block_reaches_caller(self, monkeypatch):
+        # one point past the correction series' range, in the last of many
+        # blocks: the top head length, placed after the others
+        monkeypatch.setattr(sf, "_cpu_count", lambda: 2)
+        rng = np.random.default_rng(17)
+        s = np.append(0.3 + rng.random(2000) + 1600j * rng.random(2000), 1e12 + 1600j)
+        before = threading.active_count()
+        with pytest.raises(AccuracyError, match="tail estimate"):
+            sf.zeta_many(s, 1e-9)
         assert threading.active_count() == before
 
     def test_zeta_many_same_bits_for_any_thread_count(self, monkeypatch):
