@@ -4,8 +4,10 @@ JSON/CSV emission, and golden-file verification.
 SUBCOMMANDS declares each command, its runner and its options once.
 run_command checks a config against it and converts the values (_options) on
 every path, then embeds the config, exactly as given, in the artifact:
-`verify` re-executes it for byte-exact comparison.  Randomized checks use the
-Mersenne Twister seeded from --seed.
+`verify` re-executes it for byte-exact comparison, and is the one command
+that reads a golden.  Every option reaches the runner: only bombieri, which
+draws its instances from the Mersenne Twister, takes --seed, and contour and
+bombieri render JSON alone (--format json).
 """
 
 from __future__ import annotations
@@ -246,20 +248,18 @@ def run_command(config: dict) -> dict:
     return {**run(**values), "command": command, "config": config}
 
 
-def _emit(artifact: dict, config: dict, out_path: str | None) -> bytes:
+def _emit(artifact: dict, config: dict, out_path: str | None) -> None:
     if config["format"] == "json":
         text = render_json(artifact)
     else:
         # columns in the records' own key order; every CSV command emits rows
         rows = artifact["records"]
         text = render_csv(list(rows[0]), rows)
-    data = text.encode()
     if out_path and out_path != "-":
         with open(out_path, "wb") as fh:
-            fh.write(data)
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
-    return data
 
 
 # ----------------------------------------------------------------------------
@@ -302,10 +302,9 @@ _APP = _opt("--app", choices=tuple(_SERIES), required=True)
 _X_INT = _opt("--x", int, type=_whole, required=True)
 _THETA = _opt("--theta", type=float, required=True)
 _T_GRID = _opt("--t-grid", list, type=_parse_t_grid, default="default")
-_SEED = _opt("--seed", type=int, default=0)
 
 # subcommand -> (runner, help, renders CSV, *options); the config holds the
-# command, with "_" for "-", --format, --seed and one entry per option
+# command, with "_" for "-", --format and one entry per option
 SUBCOMMANDS = {
     "sieve": (
         run_sieve, "factor table with indicator columns", True,
@@ -342,6 +341,7 @@ SUBCOMMANDS = {
         _opt("--max-n", type=int, default=50),
         _opt("--max-set", type=int, default=10),
         _opt("--sigma-min", type=float, default=1.2),
+        _opt("--seed", type=int, default=0),
     ),
 }
 
@@ -352,15 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Short-interval arithmetic statistics toolkit",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _, *options) in SUBCOMMANDS.items():
+    for name, (_, help_text, csv, *options) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        for flag, kwargs, _ in (*options, _SEED):
+        for flag, kwargs, _ in options:
             sp.add_argument(flag, **kwargs)
         sp.add_argument("--output", default="-", help="output path, '-' = stdout")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument(
-            "--golden", default=None, help="byte-compare the artifact to this file"
-        )
+        sp.add_argument("--format", choices=("json", "csv") if csv else ("json",), default="json")
     sp = sub.add_parser("verify", help="re-run a golden artifact's config and diff")
     sp.add_argument("--golden", required=True)
     return p
@@ -382,16 +379,16 @@ _KINDS = {
 
 def _options(config: dict) -> tuple[str, typing.Callable, dict]:
     """config's command, its runner and its options' values, converted to
-    their kinds, once config is found to hold each option and --seed, of its
-    kind and in its choices.  Entries that are no option of the command are
-    ignored."""
+    their kinds, once config is found to hold each option, of its kind and
+    in its choices.  Entries that are no option of the command (such as the
+    seed of a deterministic command in an older artifact) are ignored."""
     command = config.get("command")
     name = command.replace("_", "-") if isinstance(command, str) and "-" not in command else None
     if name not in SUBCOMMANDS:
         raise DomainError(f"config has no known command: {command!r}")
     run, _, _, *options = SUBCOMMANDS[name]
     values = {}
-    for _, kwargs, kind in (*options, _SEED):
+    for _, kwargs, kind in options:
         key = kwargs["dest"]
         if key not in config:
             raise DomainError(f"config has no {key!r} entry")
@@ -403,8 +400,6 @@ def _options(config: dict) -> tuple[str, typing.Callable, dict]:
             choices = ", ".join(kwargs["choices"])
             raise DomainError(f"config {key!r} must be one of {choices}, got {json.dumps(value)}")
         values[key] = kind(value)
-    if command != "bombieri":  # every command takes --seed; bombieri alone draws
-        del values["seed"]
     return command, run, values
 
 
@@ -415,30 +410,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
-        expected = None
-        if args.golden:
-            with open(args.golden, "rb") as fh:
-                expected = fh.read()
-        if args.command == "verify":
-            doc = json.loads(expected)
-            config = doc.get("config") if isinstance(doc, dict) else None
-            if not isinstance(config, dict):
-                raise DomainError("golden must be a JSON object with a config object")
-            produced = render_json(run_command(config)).encode()
-        else:
+        if args.command != "verify":
             config = {"command": args.command.replace("-", "_"), "format": args.format}
-            for _, kwargs, _ in (*SUBCOMMANDS[args.command][3:], _SEED):
+            for _, kwargs, _ in SUBCOMMANDS[args.command][3:]:
                 config[kwargs["dest"]] = getattr(args, kwargs["dest"])
-            if config["format"] == "csv" and not SUBCOMMANDS[args.command][2]:
-                raise DomainError(
-                    f"command {config['command']!r} has no CSV representation"
-                )
-            produced = _emit(run_command(config), config, args.output)
-        if expected is not None and produced != expected:
+            _emit(run_command(config), config, args.output)
+            return EXIT_OK
+        with open(args.golden, "rb") as fh:
+            expected = fh.read()
+        doc = json.loads(expected)
+        config = doc.get("config") if isinstance(doc, dict) else None
+        if not isinstance(config, dict):
+            raise DomainError("golden must be a JSON object with a config object")
+        if render_json(run_command(config)).encode() != expected:
             sys.stderr.write("golden mismatch\n")
             return EXIT_GOLDEN
-        if args.command == "verify":
-            sys.stdout.write("golden match\n")
+        sys.stdout.write("golden match\n")
         return EXIT_OK
     except AccuracyError as exc:
         sys.stderr.write(f"accuracy error: {exc}\n")

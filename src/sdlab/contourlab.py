@@ -35,7 +35,6 @@ __all__ = [
     "build_contour",
     "check_prop31",
     "count_w_per_column",
-    "bombieri_check",
     "bombieri_check_many",
     "zl_product_many",
     "m_series_coeffs",
@@ -489,60 +488,38 @@ def count_w_per_column(grid: BoxGrid) -> dict:
 # Bombieri-type inequality check
 # ----------------------------------------------------------------------------
 
-def bombieri_check(points, a, b=None) -> bool:
-    """Verify sum_s |sum_n a_n n^{-s}|^2 <= (sum |a_n|^2 / b_n) *
-    max_s sum_{s'} |B(conj(s) + s')|.
+def bombieri_check_many(instances) -> list[bool]:
+    """For each (points, a) of instances, whether the mean-value inequality
+    with b_n = 1 (B = zeta) holds:
 
-    b=None uses b_n = 1 for all n (B = zeta), which requires
-    min Re(conj(s)+s') > 1.1 for absolute convergence; an explicit
-    finite b sequence is treated as a Dirichlet polynomial.
-    """
-    return bombieri_check_many([(points, a)], b)[0]
+        sum_s |sum_n a_n n^{-s}|^2 <= (sum |a_n|^2) max_s sum_{s'} |zeta(conj(s) + s')|,
 
+    which needs min Re(conj(s)+s') > 1.1 for absolute convergence.
 
-def bombieri_check_many(instances, b=None) -> list[bool]:
-    """bombieri_check(points, a, b) for each (points, a) of instances.
-
-    With b=None the zeta values of every instance's pairs conj(s) + s' go
-    through one zeta_many call, which bounds its own work in flight; each
-    value depends only on its point, so the result is that of one instance
-    at a time.
+    The zeta values of every instance's pairs conj(s) + s' go through one
+    zeta_many call, which bounds its own work in flight; each value depends
+    only on its point, so the result is that of one instance at a time.
     """
     checks = []
     for points, a in instances:
         pts = np.array([complex(p) for p in points], dtype=np.complex128)
         if not pts.size:
             raise DomainError("need at least one point")
-        a = np.asarray(a, dtype=np.complex128)
         pair = np.conj(pts)[:, None] + pts[None, :]  # conj(s) + s'
-        if b is None:
-            min_re = float(pair.real.min())
-            if min_re <= 1.1:
-                raise ConvergenceError(f"need min Re(conj(s)+s') > 1.1, got {min_re}")
-            weight = float(np.sum(np.abs(a) ** 2))
-        else:
-            b = np.asarray(b, dtype=np.float64)
-            if b.size < a.size:
-                raise DomainError(f"b has {b.size} terms, fewer than the {a.size} of a")
-            if np.any(b < 0):
-                raise DomainError("b must be non-negative")
-            nz = np.abs(a) > 0
-            if np.any(nz & (b[: a.size] <= 0)):
-                raise DomainError("b_n must be positive wherever a_n is nonzero")
-            weight = float(np.sum(np.abs(a[nz]) ** 2 / b[: a.size][nz]))
-        checks.append((pts, a, pair, weight))
-    if b is None and checks:
-        flat = np.concatenate([pair.reshape(-1) for _, _, pair, _ in checks])
-        big_bs = np.split(
-            specfun.zeta_many(flat), np.cumsum([pair.size for _, _, pair, _ in checks])[:-1]
-        )
-    else:
-        big_bs = [_dirichlet_poly(pair, np.concatenate(([0.0], b))) for _, _, pair, _ in checks]
+        min_re = float(pair.real.min())
+        if min_re <= 1.1:
+            raise ConvergenceError(f"need min Re(conj(s)+s') > 1.1, got {min_re}")
+        checks.append((pts, np.asarray(a, dtype=np.complex128), pair))
+    if not checks:
+        return []
+    flat = np.concatenate([pair.reshape(-1) for _, _, pair in checks])
+    big_bs = np.split(specfun.zeta_many(flat), np.cumsum([pair.size for _, _, pair in checks])[:-1])
     out = []
-    for (pts, a, pair, weight), big_b in zip(checks, big_bs):
+    for (pts, a, pair), big_b in zip(checks, big_bs):
         lhs = 0.0
         for v in _dirichlet_poly(pts, np.concatenate(([0], a))).tolist():
             lhs += abs(v) ** 2
+        weight = float(np.sum(np.abs(a) ** 2))
         rhs = weight * float(np.abs(big_b.reshape(pair.shape)).sum(axis=1).max())
         out.append(lhs <= rhs * (1.0 + 1e-12))
     return out

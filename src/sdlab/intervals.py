@@ -22,10 +22,10 @@ squarefree, as int64 arrays in ascending order.  Their mean runs in this
 process, in blocks of members: a and b are trial-divided by the primes up to
 sqrt(max(a, b)), each leaving 1 or a prime, so no factor table grows with
 the window.  Members of one exponent shape get their divisor logs side by
-side with the float operations of the per-member _divisor_logs, the counts
-below each threshold are integers, and the shares count / tau(n) are added
-by a cumulative sum in member order; so the sums are the bits of a
-member-by-member loop.  The window at x = 1e10, theta = 0.42 (16,421
+side with the float operations of the per-member divisor_logs oracle in
+tests/oracles.py, the counts below each threshold are integers, and the
+shares count / tau(n) are added by a cumulative sum in member order; so the
+sums are the bits of a member-by-member loop.  The window at x = 1e10, theta = 0.42 (16,421
 members) takes about 0.2 s.  The two-squares indicator comes from a
 segmented parity sieve over primes p = 3 (mod 4); the engine walks the
 sieve's own chunks, so each mask is scanned with the chunk it belongs to.
@@ -781,7 +781,7 @@ def _squarefull_sums(lo: int, hi: int, ts):
     of F_n(ts[i]), the same bits as this loop over the members n in
     ascending order, factored with ascending primes p_j and exponents e_j:
 
-        logs = _divisor_logs([(p_1, e_1), (p_2, e_2), ...])
+        logs = divisor_logs([(p_1, e_1), (p_2, e_2), ...])  # tests/oracles.py
         cut = threshold_log_cut(math.log(n), ts[i])
         sums[i] += np.searchsorted(np.sort(logs), cut, side="right") / logs.size
 
@@ -789,7 +789,7 @@ def _squarefull_sums(lo: int, hi: int, ts):
     _SQUAREFULL_BLOCK.  Each block is factored through n = a^2 b^3 by trial
     division of a and b (_factor_a2b3).  Members of one exponent shape get
     their divisor logs side by side, with the float operations of
-    _divisor_logs in its order (_squarefull_counts); the counts of logs
+    divisor_logs in its order (_squarefull_counts); the counts of logs
     below a cut are integers, so how they are counted cannot move a bit.
     The shares count / tau(n) are then added in member order: a cumulative
     sum down the block, with the running sums added into its first row,
@@ -841,11 +841,11 @@ def _squarefull_counts(n, a, b, primes, t_arr):
 
 
 def _shape_divisor_logs(L, exps) -> np.ndarray:
-    """_divisor_logs for many members of one exponent shape: row r holds log
-    d for every divisor d of the product of p_j**exps[j], where L[r, j] is
-    math.log(p_j), from the same float operations in the same order (slot j
-    adds j * log p_j to every log so far).  Slot 0 starts from log 1 = 0.0,
-    and 0.0 + x is x."""
+    """divisor_logs (tests/oracles.py) for many members of one exponent
+    shape: row r holds log d for every divisor d of the product of
+    p_j**exps[j], where L[r, j] is math.log(p_j), from the same float
+    operations in the same order (slot j adds j * log p_j to every log so
+    far).  Slot 0 starts from log 1 = 0.0, and 0.0 + x is x."""
     logs = _POWERS[exps[0]].T * L[:, :1]
     for j, e in enumerate(exps[1:], 1):
         logs = (_POWERS[e] * L[:, j, None, None] + logs[:, None, :]).reshape(L.shape[0], -1)
@@ -892,16 +892,6 @@ def _factor_a2b3(a, b, primes):
             E[s + r, slot[r]] = e[r]
             slot[r] += 1
     return P, E
-
-
-def _divisor_logs(factors) -> np.ndarray:
-    """log d for every divisor d of the product of p**e over the (p, e)
-    pairs, built over the primes in the order given."""
-    divs = np.array([0.0], dtype=np.float64)
-    for p, e in factors:
-        lp = math.log(p)
-        divs = (divs[:, None] + np.arange(e + 1)[None, :] * lp).reshape(-1)
-    return divs
 
 
 def weighted_fn_mean(indicator: str, spec: IntervalSpec, t_grid=DEFAULT_T_GRID) -> LawReport:

@@ -373,20 +373,16 @@ class ExpansionCoeffs:
         ]
 
 
-def expansion_coeffs(
-    spec: SeriesSpec,
-    order: int = 16,
-    radius: float | None = None,
-) -> ExpansionCoeffs:
+def expansion_coeffs(spec: SeriesSpec, order: int = 16) -> ExpansionCoeffs:
     """Taylor data at s = 1/kappa_1: leading-factor coefficients times the
-    regular factor, and the main-term lambda sequence."""
+    regular factor, whose ring has radius _expansion_radius(spec), and the
+    main-term lambda sequence."""
     if order < 0:
         raise DomainError(f"expansion order must be >= 0, got {order}")
     k1 = spec.kappa1
     z1 = complex(spec.z[0])
     gam = gamma_coeffs(z1, k1, order)
-    rad = _expansion_radius(spec) if radius is None else float(radius)
-    reg = taylor_at(_regular_factor(spec), 1.0 / k1, order, rad)
+    reg = taylor_at(_regular_factor(spec), 1.0 / k1, order, _expansion_radius(spec))
     if isinstance(spec.G, EulerProductG):
         reg = reg * spec.G.taylor(1.0 / k1, order)
     g = (PowerSeries(1.0 / k1, gam) * reg).coeffs
@@ -432,9 +428,9 @@ def main_term(
     x: float,
     y: float,
     n_terms: int = 0,
-    coeffs: ExpansionCoeffs | None = None,
 ) -> MainTermResult:
-    """Predicted window sum y' (log x)^{z1-1} sum_{l<=N} lambda_l (log x)^{-l}.
+    """Predicted window sum y' (log x)^{z1-1} sum_{l<=N} lambda_l (log x)^{-l},
+    with the lambda_l of expansion_coeffs(spec, order=max(N, 4)).
 
     The envelope is the remainder shape ((N+1)/log x)^{N+1}
     + (N+1)^{N+1} exp(-(log x / log log x)^{1/3}) + y/(x^{1/k1} log x);
@@ -451,8 +447,7 @@ def main_term(
         raise DomainError("n_terms must be >= 0")
     L = math.log(x)
     y_prime = k1 * ((x + x ** (1.0 - 1.0 / k1) * y) ** (1.0 / k1) - x ** (1.0 / k1))
-    if coeffs is None or coeffs.order < n_terms:
-        coeffs = expansion_coeffs(spec, order=max(n_terms, 4))
+    coeffs = expansion_coeffs(spec, order=max(n_terms, 4))
     z1 = complex(spec.z[0])
     series = sum(coeffs.lambda_ell[l] / L**l for l in range(n_terms + 1))
     value = y_prime * specfun.complex_pow_principal(L, z1 - 1.0) * series

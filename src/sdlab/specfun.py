@@ -138,7 +138,7 @@ def _hurwitz_em(
     tolerance tol.  Each point takes its head length M from its own |Im s|
     (_em_head_terms), and with it the extended-phase switch and the tail
     bound past which AccuracyError is raised, so its value is the same bits
-    in any batch.
+    in any batch.  A head sum that is not finite raises AccuracyError too.
 
     With deflate=True the pole term 1/(s-1) is removed, i.e. the function
     returned is zeta(s, w) - 1/(s-1), which is entire in s.  This is what the
@@ -174,9 +174,17 @@ def _hurwitz_em(
     out = np.empty_like(flat)
 
     def run(block):
-        # head sum over n = 0..m-1 of (n+w)^{-s}, one row per point
+        # head sum over n = 0..m-1 of (n+w)^{-s}, one row per point; for
+        # w < 1 its first term overflows from Re s ~ 709 / log(1/w), which
+        # must not pass (errstate is per thread, so it is set here)
         i, j, m, ext = block
-        head = _pow_negs(ss[i:j], log_ns_ld[:m], ext).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = _pow_negs(ss[i:j], log_ns_ld[:m], ext).sum(axis=1)
+        if not np.isfinite(head).all():
+            raise AccuracyError(
+                f"Euler-Maclaurin head sum overflows (w={w}, "
+                f"Re s up to {ss[i:j].real.max():.6g})"
+            )
         out[order[i:j]] = _em_sum(head, ss[i:j], w, m, ext, tol, deflate)
 
     if threads == 1:

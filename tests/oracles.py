@@ -1,13 +1,14 @@
 """Per-n reference implementations that the tests compare the package's vector
 paths against: a smallest-prime-factor table, factorization and divisors read
-off it, the two indicators, the exact rational divisor CDF F_n(t), a table of
-the sums of two squares, tau_{kappa,kappa}(n) by trial division, and mu by
-sieving."""
+off it, the two indicators, the exact rational divisor CDF F_n(t), the
+divisor logs of a factored n, a table of the sums of two squares,
+tau_{kappa,kappa}(n) by trial division, and mu by sieving."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 from math import isqrt
 
 import numpy as np
@@ -85,6 +86,17 @@ def divisor_cdf(n: int, t: float, sieve: FactorSieve) -> Fraction:
     ds = divisors(n, sieve)
     count = sum(1 for d in ds if divisor_le_threshold(d, n, t))
     return Fraction(count, len(ds))
+
+
+def divisor_logs(factors) -> np.ndarray:
+    """log d for every divisor d of the product of p**e over the (p, e)
+    pairs, built over the primes in the order given: the per-member float
+    operations that the square-full window engine batches by exponent shape."""
+    divs = np.array([0.0], dtype=np.float64)
+    for p, e in factors:
+        lp = math.log(p)
+        divs = (divs[:, None] + np.arange(e + 1)[None, :] * lp).reshape(-1)
+    return divs
 
 
 def two_squares_table(limit: int) -> np.ndarray:

@@ -255,13 +255,16 @@ class TestCommands:
             assert (type(got), got) == (type(getattr(want, f.name)), getattr(want, f.name)), f.name
 
     def test_csv_unavailable_for_contour_exit_2(self, capsys, monkeypatch):
-        # rejected before anything is computed
+        # contour and bombieri render JSON alone: --format csv is rejected by
+        # the parser, before anything is computed
         def never(**values):
-            raise AssertionError("contour ran before the CSV check")
+            raise AssertionError("a command ran before the CSV check")
 
-        replace_runner(monkeypatch, "contour", never)
-        code, _, _ = run(["contour", "--T", "200", "--format", "csv"], capsys)
-        assert code == 2
+        for argv in (["contour", "--T", "200"], ["bombieri"]):
+            replace_runner(monkeypatch, argv[0], never)
+            code, stdout, err = run([*argv, "--format", "csv"], capsys)
+            assert (code, stdout) == (2, "")
+            assert "invalid choice: 'csv'" in err
 
     def test_contour_nj_cap_rejected_before_zeta_work(self, capsys, monkeypatch):
         from sdlab import contourlab
@@ -382,12 +385,18 @@ class TestCommands:
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["records"][0]["all_hold"] is True
 
-    def test_seed_changes_nothing_for_deterministic_commands(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        run(["ddt", "--x", "300", "--seed", "0", "--output", str(a)], capsys)
-        run(["ddt", "--x", "300", "--seed", "1", "--output", str(b)], capsys)
-        assert json.loads(a.read_text())["records"] == json.loads(b.read_text())["records"]
+    def test_deterministic_commands_reject_seed(self, capsys, monkeypatch):
+        # --seed is an option of bombieri alone, the one command that draws
+        def never(**values):
+            raise AssertionError("a command ran")
+
+        deterministic = [argv for argv, _ in _PINNED if argv[0] != "bombieri"]
+        assert len(deterministic) == 7
+        for argv in deterministic:
+            replace_runner(monkeypatch, argv[0], never)
+            code, stdout, err = run([*argv, "--seed", "0"], capsys)
+            assert (code, stdout) == (2, ""), argv
+            assert "unrecognized arguments: --seed 0" in err
 
 
 def _typed(value):
@@ -396,7 +405,7 @@ def _typed(value):
     return (type(value), value)
 
 
-_COMMON = {"format": "json", "seed": 0}
+_COMMON = {"format": "json"}
 
 
 _PINNED = [
@@ -407,8 +416,8 @@ _PINNED = [
     ),
     (
         ["beta", "--indicator", "two_squares", "--x", "1e4", "--theta", "0.9",
-         "--format", "csv", "--seed", "3"],
-        {"command": "beta", "format": "csv", "seed": 3, "indicator": "two_squares",
+         "--format", "csv"],
+        {"command": "beta", "format": "csv", "indicator": "two_squares",
          "x": 10000, "theta": 0.9, "t_grid": list(iv.DEFAULT_T_GRID)},
     ),
     (
@@ -432,9 +441,9 @@ _PINNED = [
          "chi_modulus": 4},
     ),
     (
-        ["bombieri", "--instances", "5", "--sigma-min", "1.5"],
+        ["bombieri", "--instances", "5", "--sigma-min", "1.5", "--seed", "3"],
         {"command": "bombieri", "instances": 5, "max_n": 50, "max_set": 10,
-         "sigma_min": 1.5},
+         "sigma_min": 1.5, "seed": 3},
     ),
 ]
 
@@ -457,25 +466,31 @@ def test_artifact_config_pinned(argv, config, monkeypatch, capsys):
     assert {k: _typed(v) for k, v in got.items()} == {k: _typed(v) for k, v in want.items()}
 
 
-class TestGolden:
-    def test_golden_diff_empty_on_identical_runs(self, tmp_path, capsys):
-        golden = tmp_path / "g.json"
-        code, _, _ = run(["ddt", "--x", "400", "--output", str(golden)], capsys)
-        assert code == 0
-        code, _, _ = run(
-            ["ddt", "--x", "400", "--output", str(tmp_path / "h.json"), "--golden", str(golden)],
-            capsys,
-        )
-        assert code == 0
+@pytest.mark.parametrize("argv, config", _PINNED, ids=[argv[0] for argv, _ in _PINNED])
+def test_runner_receives_exactly_its_options(argv, config, monkeypatch, capsys):
+    # every option of a command's SUBCOMMANDS entry reaches its runner, and
+    # nothing else: no option is set only to be dropped, and a config entry
+    # that is no option (an older artifact's seed, say) is ignored
+    name = argv[0]
+    options = {kwargs["dest"] for _, kwargs, _ in cli.SUBCOMMANDS[name][3:]}
+    seen = []
+    replace_runner(monkeypatch, name, lambda **values: seen.append(values) or {"records": [{"n": 1}]})
+    assert run(argv, capsys)[0] == 0
+    cli.run_command({**_VALID[config["command"]], "seed": 0, "extra": 1})
+    assert [set(values) for values in seen] == [options, options]
 
-    def test_golden_mismatch_exit_4(self, tmp_path, capsys):
-        golden = tmp_path / "g.json"
-        run(["ddt", "--x", "400", "--output", str(golden)], capsys)
-        code, _, err = run(
-            ["ddt", "--x", "500", "--output", str(tmp_path / "h.json"), "--golden", str(golden)],
-            capsys,
-        )
-        assert code == 4
+
+class TestGolden:
+    def test_golden_only_on_verify(self, capsys, monkeypatch):
+        # artifacts are compared with goldens through verify alone
+        def never(**values):
+            raise AssertionError("a command ran")
+
+        for argv, _ in _PINNED:
+            replace_runner(monkeypatch, argv[0], never)
+            code, stdout, err = run([*argv, "--golden", "g.json"], capsys)
+            assert (code, stdout) == (2, ""), argv
+            assert "unrecognized arguments: --golden" in err
 
     def test_verify_subcommand(self, tmp_path, capsys):
         golden = tmp_path / "g.json"
@@ -546,18 +561,35 @@ class TestGolden:
             ("contour_T200.json", ["contour", "--T", "200"], "c0"),
             ("expand_squarefull.json", ["expand", "--app", "squarefull"], "prime_limit"),
             ("expand_two_squares.json", ["expand", "--app", "two_squares"], "prime_limit"),
+            ("beta_squarefull_1e8.json",
+             ["beta", "--indicator", "squarefull", "--x", "1e8", "--theta", "0.45"], None),
+            ("beta_two_squares_1e6.json",
+             ["beta", "--indicator", "two_squares", "--x", "1e6", "--theta", "0.8"], None),
+            ("count_two_squares_1e6.json",
+             ["count", "--indicator", "two_squares", "--lo", "0", "--hi", "1e6"], None),
+            ("ddt_1e5.json", ["ddt", "--x", "1e5"], None),
+            ("main_term_squarefull_1e12.json",
+             ["main-term", "--app", "squarefull", "--x", "1e12", "--theta", "0.45", "--order", "4"],
+             None),
+            ("sieve_100.json", ["sieve", "--limit", "100"], None),
+            ("bombieri_1000_seed1.json", ["bombieri", "--seed", "1"], None),
         ],
     )
     def test_fresh_run_is_golden_without_removed_entry(self, name, argv, key, tmp_path, capsys):
-        # goldens made while --c0 and --prime-limit existed: a fresh run makes
-        # the same bytes less that one config entry (the config object is
-        # flat, and spec.G keeps its own prime_limit)
+        # goldens made while every command took --seed, and --c0 and
+        # --prime-limit existed: a fresh run makes the same bytes less the
+        # "seed" entry of a deterministic command and that one other (the
+        # config object is flat, and spec.G keeps its own prime_limit);
+        # bombieri takes --seed, so its golden is a fresh run's bytes
+        removed = [] if argv[0] == "bombieri" else [b'"seed":']
+        if key:
+            removed.append(f'"{key}":'.encode())
         golden = (GOLDEN / name).read_bytes()
         start = golden.index(b'"config":{') + len(b'"config":{')
         end = golden.index(b"}", start)
         entries = golden[start:end].split(b",")
-        kept = [e for e in entries if not e.startswith(f'"{key}":'.encode())]
-        assert len(kept) == len(entries) - 1
+        kept = [e for e in entries if not e.startswith(tuple(removed))]
+        assert len(kept) == len(entries) - len(removed)
         out = tmp_path / "fresh.json"
         code, _, _ = run([*argv, "--output", str(out)], capsys)
         assert code == 0

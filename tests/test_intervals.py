@@ -59,7 +59,7 @@ def trial_factor(n):
 def squarefull_scalar_sums(lo, hi, ts):
     """(count, sums) of F_n(t) over the square-full n in (lo, hi], one member
     at a time in ascending order: n = a^2 b^3 with b squarefree, factored by
-    trial division of a and b, divisor logs by _divisor_logs, counts by
+    trial division of a and b, divisor logs by oracles.divisor_logs, counts by
     searchsorted and a sequential +=."""
     members = []
     b = 1
@@ -78,7 +78,7 @@ def squarefull_scalar_sums(lo, hi, ts):
         exps = {p: 2 * e for p, e in trial_factor(a)}
         for p, _ in trial_factor(b):
             exps[p] = exps.get(p, 0) + 3
-        logs = np.sort(iv._divisor_logs(sorted(exps.items())))
+        logs = np.sort(oracles.divisor_logs(sorted(exps.items())))
         cut = np.array(ts) * math.log(n) + ar._THRESHOLD_GUARD
         sums += np.searchsorted(logs, cut, side="right") / logs.size
     return len(members), sums
@@ -529,7 +529,7 @@ class TestWeightedMeans:
         members = iv.enumerate_squarefull(spec.lo, spec.hi)
         want = np.zeros(len(ts))
         for n in members:
-            logs = np.sort(iv._divisor_logs(trial_factor(n)))
+            logs = np.sort(oracles.divisor_logs(trial_factor(n)))
             for i, t in enumerate(ts):
                 cut = t * math.log(n) + ar._THRESHOLD_GUARD
                 want[i] += np.searchsorted(logs, cut, side="right") / logs.size
@@ -559,7 +559,7 @@ class TestWeightedMeans:
             L = np.array([[math.log(p) for p in row] for row in P.tolist()])
             got = iv._shape_divisor_logs(L, exps)
             for row, logs in zip(P.tolist(), got):
-                want = iv._divisor_logs(list(zip(row, exps)))
+                want = oracles.divisor_logs(list(zip(row, exps)))
                 assert np.array_equal(np.sort(logs), np.sort(want)), (row, exps)
 
     def test_squarefull_shared_leftover_prime(self):

@@ -49,9 +49,11 @@ def test_merged_duplicates_stay_gone():
     ):
         assert not hasattr(arith, name), name
     assert "sieve" not in inspect.signature(intervals.ddt_mean).parameters
-    # mu and the scalar tau_kk only serve the tests as oracles
+    # mu, the scalar tau_kk and the per-member divisor logs only serve the
+    # tests as oracles
     assert not hasattr(arith, "moebius_coeffs")
     assert not hasattr(arith, "tau_kk")
+    assert not hasattr(intervals, "_divisor_logs")
     assert not hasattr(specfun, "EvalParams")
     assert not hasattr(specfun, "DEFAULT_PARAMS")
     # the Euler-Maclaurin kernel cuts its own blocks of rows: no generic row
@@ -81,7 +83,6 @@ def test_merged_duplicates_stay_gone():
     assert "cfg" not in inspect.signature(contourlab.build_contour).parameters
     assert "cfg" not in inspect.signature(contourlab.check_prop31).parameters
     assert "samples_per_segment" not in inspect.signature(contourlab.contour_clear_of_marked).parameters
-    assert "margin" not in inspect.signature(contourlab.bombieri_check).parameters
     tops = inspect.signature(contourlab.BoxGrid.in_marked_region).parameters["tops"]
     assert tops.default is inspect.Parameter.empty
     assert "principal" not in {f.name for f in dataclasses.fields(arith.CharacterTable)}
@@ -106,7 +107,12 @@ def test_single_valued_settings_stay_gone():
     # is 1), the Euler-product cut P (a class constant), the contour's c0,
     # which nothing read, a series' growth constants delta, A and M (always
     # 0, 0 and 1), its bounds on |z_i| and |w_i| (read by no computation),
-    # main_term's envelope label (one text) and cli's second command table
+    # main_term's envelope label (one text) and cli's second command table;
+    # and settings that changed no result: the seed of the seven
+    # deterministic commands, and three parameters that only tests set
+    # (main_term's precomputed coefficients, expansion_coeffs' ring radius
+    # and bombieri_check_many's explicit weights, with the one-instance
+    # bombieri_check)
     assert "refine_check" not in inspect.signature(contourlab.frak_m).parameters
     assert not hasattr(sdexpand, "ConstantG")
     for fn in (sdexpand.two_squares_series_spec, sdexpand.EulerProductG):
@@ -119,6 +125,13 @@ def test_single_valued_settings_stay_gone():
     assert not {"delta", "A", "M", "bounds_B", "bounds_C"} & spec_fields
     assert "envelope_label" not in {f.name for f in dataclasses.fields(sdexpand.MainTermResult)}
     assert not hasattr(cli, "COMMANDS")
+    seeded = [name for name, (_, _, _, *options) in cli.SUBCOMMANDS.items()
+              if "--seed" in {flag for flag, *_ in options}]
+    assert seeded == ["bombieri"] and not hasattr(cli, "_SEED")
+    assert "coeffs" not in inspect.signature(sdexpand.main_term).parameters
+    assert "radius" not in inspect.signature(sdexpand.expansion_coeffs).parameters
+    assert list(inspect.signature(contourlab.bombieri_check_many).parameters) == ["instances"]
+    assert not hasattr(contourlab, "bombieri_check")
 
 
 # (module, name) of the limit laws and counts that a report or a count looks
@@ -134,7 +147,7 @@ _WRAPPED = (
 
 
 def _count(indicator: str) -> dict:
-    return cli.run_command({"command": "count", "format": "json", "seed": 0,
+    return cli.run_command({"command": "count", "format": "json",
                             "indicator": indicator, "lo": 0, "hi": 1000})
 
 

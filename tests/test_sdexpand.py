@@ -188,9 +188,8 @@ class TestMainTerm:
 
     def test_squarefull_lead(self):
         spec = sd.squarefull_series_spec()
-        coeffs = sd.expansion_coeffs(spec, order=4)
         x = 1e12
-        out = sd.main_term(spec, x, x**0.45, 0, coeffs=coeffs)
+        out = sd.main_term(spec, x, x**0.45, 0)
         assert (out.value / out.y_prime).real == pytest.approx(
             1.0866271562597771, abs=1e-10
         )
@@ -200,7 +199,7 @@ class TestMainTerm:
         spec = sd.two_squares_series_spec()
         coeffs = sd.expansion_coeffs(spec, order=4)
         x, y = 1e8, 1e6
-        out = sd.main_term(spec, x, y, 0, coeffs=coeffs)
+        out = sd.main_term(spec, x, y, 0)
         L = math.log(x)
         want = (
             out.y_prime
@@ -216,15 +215,14 @@ class TestMainTerm:
         coeffs = sd.expansion_coeffs(spec, order=5)
         assert coeffs.lambda_ell[0] == 1
         for n in (0, 2, 5):
-            out = sd.main_term(spec, 1e6, 1000.0, n, coeffs=coeffs)
+            out = sd.main_term(spec, 1e6, 1000.0, n)
             assert out.value.real == out.y_prime
             assert out.value.imag == 0
 
     def test_envelope_shape(self):
         spec = sd.squarefull_series_spec()
-        coeffs = sd.expansion_coeffs(spec, order=4)
         x, y = 1e10, 1e4
-        out = sd.main_term(spec, x, y, 2, coeffs=coeffs)
+        out = sd.main_term(spec, x, y, 2)
         L = math.log(x)
         want = (
             (3.0 / L) ** 3
@@ -243,10 +241,15 @@ class TestMainTerm:
 
 class TestExpansionRadius:
     def test_radius_independence(self):
+        # the ring's Taylor data at expansion_coeffs' radius, which are the
+        # ones its g_l are built from, and at a smaller radius
         spec = sd.squarefull_series_spec()
-        a = sd.expansion_coeffs(spec, order=6)
-        b = sd.expansion_coeffs(spec, order=6, radius=1.0 / 24.0)
-        for j, (x, y) in enumerate(zip(a.g_ell, b.g_ell)):
+        fn, s0 = sd._regular_factor(spec), 1.0 / spec.kappa1
+        a = taylor_at(fn, s0, 6, sd._expansion_radius(spec))
+        b = taylor_at(fn, s0, 6, 1.0 / 24.0)
+        gam = sd.gamma_coeffs(complex(spec.z[0]), spec.kappa1, 6)
+        assert sd.expansion_coeffs(spec, order=6).g_ell == (PowerSeries(s0, gam) * a).coeffs
+        for j, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
             assert abs(x - y) < 1e-9 * max(1.0, abs(x)), j
 
 

@@ -190,13 +190,31 @@ class TestZeta:
             sf.zeta_many(s)
         with pytest.raises(AccuracyError, match="tail estimate nan"):
             sf.zeta_complex(1e12)
-        # the head term (1/4)^{-s} of L's Hurwitz sums overflows first, with
-        # its own warning; a two-point batch runs in this thread
-        with np.errstate(over="ignore"), pytest.raises(AccuracyError, match="tail estimate nan"):
+        # the head term (1/4)^{-s} of L's Hurwitz sums overflows first
+        with pytest.raises(AccuracyError, match="head sum overflows"):
             sf.dirichlet_l_many(s, chi4, 1e-9)
         # at 1e10 only the rising factors past the last term overflow; the
         # tail extends that term's finite product, so the exact value passes
         assert sf.zeta_complex(1e10) == 1 + 0j
+
+    def test_l_head_overflow_raises(self, chi4, monkeypatch):
+        # (1/4)^{-s} overflows from Re s ~ 512, where L(s, chi4) is 1 to
+        # double precision: an error, with no RuntimeWarning (the suite
+        # makes warnings errors), and never inf or nan
+        for s in (600.0, 1000.0, 600.0 + 50j, 1000.0 + 3000j):
+            with pytest.raises(AccuracyError, match="head sum overflows"):
+                sf.dirichlet_l_many(np.array([s, 400.0]), chi4)
+        # also from a block in a pool thread, where errstate is the thread's
+        monkeypatch.setattr(sf, "_cpu_count", lambda: 2)
+        s = np.full(6000, 400.0 + 0j)
+        s[-1] = 600.0
+        with pytest.raises(AccuracyError, match="head sum overflows"):
+            sf.dirichlet_l_many(s, chi4)
+        monkeypatch.undo()
+        with pytest.raises(AccuracyError, match="head sum overflows"):
+            sf._hurwitz_em(np.array([1000.0 + 0j]), 0.25)
+        assert sf.dirichlet_l_many(np.array([400.0 + 0j]), chi4)[0] == 1 + 0j
+        assert sf.dirichlet_l(511.0, chi4) == 1 + 0j
 
     def test_tol_must_be_positive(self):
         for tol in (0.0, -1e-12, math.nan):
