@@ -1,20 +1,19 @@
 """Command-line front end: one subcommand per experiment family, deterministic
-JSON/CSV emission, and golden-file verification.
+JSON emission, and golden-file verification.
 
 SUBCOMMANDS declares each command, its runner and its options once.
 run_command checks a config against it and converts the values (_options) on
 every path, then embeds the config, exactly as given, in the artifact:
 `verify` re-executes it for byte-exact comparison, and is the one command
-that reads a golden.  Every option reaches the runner: only bombieri, which
-draws its instances from the Mersenne Twister, takes --seed, and contour and
-bombieri render JSON alone (--format json).
+that reads a golden.  Every option reaches the runner, and only bombieri,
+which draws its instances from the Mersenne Twister, takes --seed.  Every
+artifact is JSON with its config, so `verify` can re-run any file written.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import random
@@ -25,7 +24,7 @@ import warnings
 from . import arith, contourlab, intervals, sdexpand
 from .errors import AccuracyError, CapacityError, DomainError, ToolkitError
 
-__all__ = ["main", "run_command", "render_json", "render_csv"]
+__all__ = ["main", "run_command", "render_json"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -81,21 +80,6 @@ def render_json(obj) -> str:
     out: list[str] = []
     _render(obj, out)
     return "".join(out) + "\n"
-
-
-def render_csv(fields, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(fields) + "\n")
-    for row in rows:
-        cells = []
-        for f in fields:
-            v = row[f]
-            if isinstance(v, float):
-                cells.append(_fmt_float(v))
-            else:
-                cells.append(str(v))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
 
 
 # ----------------------------------------------------------------------------
@@ -248,20 +232,6 @@ def run_command(config: dict) -> dict:
     return {**run(**values), "command": command, "config": config}
 
 
-def _emit(artifact: dict, config: dict, out_path: str | None) -> None:
-    if config["format"] == "json":
-        text = render_json(artifact)
-    else:
-        # columns in the records' own key order; every CSV command emits rows
-        rows = artifact["records"]
-        text = render_csv(list(rows[0]), rows)
-    if out_path and out_path != "-":
-        with open(out_path, "wb") as fh:
-            fh.write(text.encode())
-    else:
-        sys.stdout.write(text)
-
-
 # ----------------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------------
@@ -303,40 +273,40 @@ _X_INT = _opt("--x", int, type=_whole, required=True)
 _THETA = _opt("--theta", type=float, required=True)
 _T_GRID = _opt("--t-grid", list, type=_parse_t_grid, default="default")
 
-# subcommand -> (runner, help, renders CSV, *options); the config holds the
-# command, with "_" for "-", --format and one entry per option
+# subcommand -> (runner, help, *options); the config holds the command, with
+# "_" for "-", and one entry per option
 SUBCOMMANDS = {
     "sieve": (
-        run_sieve, "factor table with indicator columns", True,
+        run_sieve, "factor table with indicator columns",
         _opt("--limit", type=int, required=True),
     ),
-    "ddt": (run_ddt, "Cesaro mean of F_n against the arcsine law", True, _X_INT, _T_GRID),
+    "ddt": (run_ddt, "Cesaro mean of F_n against the arcsine law", _X_INT, _T_GRID),
     "beta": (
         run_beta, "indicator-weighted F_n means vs their limit law: I_t(1/4, 1/4) for "
         "two squares, the square-full divisor law G for square-full n",
-        True, _INDICATOR, _X_INT, _THETA, _T_GRID,
+        _INDICATOR, _X_INT, _THETA, _T_GRID,
     ),
     "count": (
-        run_count, "exact indicator counts in a window", True, _INDICATOR,
+        run_count, "exact indicator counts in a window", _INDICATOR,
         _opt("--lo", int, type=_whole, required=True),
         _opt("--hi", int, type=_whole, required=True),
     ),
     "main-term": (
-        run_main_term, "predicted short-interval main term", True,
+        run_main_term, "predicted short-interval main term",
         _APP, _opt("--x", type=float, required=True), _THETA,
         _opt("--order", type=int, default=0),
     ),
     "expand": (
-        run_expand, "expansion coefficient table", True,
+        run_expand, "expansion coefficient table",
         _APP, _opt("--order", type=int, default=8),
     ),
     "contour": (
-        run_contour, "box grid, classes, contour, envelopes", False,
+        run_contour, "box grid, classes, contour, envelopes",
         *_fields_opts(contourlab.ContourConfig, Aprime="--aprime"),
         _opt("--chi-modulus", type=int, default=4),
     ),
     "bombieri": (
-        run_bombieri, "randomized mean-value inequality check", False,
+        run_bombieri, "randomized mean-value inequality check",
         _opt("--instances", type=int, default=1000),
         _opt("--max-n", type=int, default=50),
         _opt("--max-set", type=int, default=10),
@@ -352,12 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Short-interval arithmetic statistics toolkit",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, csv, *options) in SUBCOMMANDS.items():
+    for name, (_, help_text, *options) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for flag, kwargs, _ in options:
             sp.add_argument(flag, **kwargs)
         sp.add_argument("--output", default="-", help="output path, '-' = stdout")
-        sp.add_argument("--format", choices=("json", "csv") if csv else ("json",), default="json")
     sp = sub.add_parser("verify", help="re-run a golden artifact's config and diff")
     sp.add_argument("--golden", required=True)
     return p
@@ -386,7 +355,7 @@ def _options(config: dict) -> tuple[str, typing.Callable, dict]:
     name = command.replace("_", "-") if isinstance(command, str) and "-" not in command else None
     if name not in SUBCOMMANDS:
         raise DomainError(f"config has no known command: {command!r}")
-    run, _, _, *options = SUBCOMMANDS[name]
+    run, _, *options = SUBCOMMANDS[name]
     values = {}
     for _, kwargs, kind in options:
         key = kwargs["dest"]
@@ -411,14 +380,22 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         if args.command != "verify":
-            config = {"command": args.command.replace("-", "_"), "format": args.format}
-            for _, kwargs, _ in SUBCOMMANDS[args.command][3:]:
+            config = {"command": args.command.replace("-", "_")}
+            for _, kwargs, _ in SUBCOMMANDS[args.command][2:]:
                 config[kwargs["dest"]] = getattr(args, kwargs["dest"])
-            _emit(run_command(config), config, args.output)
+            text = render_json(run_command(config))
+            if args.output and args.output != "-":
+                with open(args.output, "wb") as fh:
+                    fh.write(text.encode())
+            else:
+                sys.stdout.write(text)
             return EXIT_OK
         with open(args.golden, "rb") as fh:
             expected = fh.read()
-        doc = json.loads(expected)
+        try:
+            doc = json.loads(expected)
+        except ValueError as exc:
+            raise DomainError(f"golden {args.golden} is not a JSON artifact ({exc})") from None
         config = doc.get("config") if isinstance(doc, dict) else None
         if not isinstance(config, dict):
             raise DomainError("golden must be a JSON object with a config object")

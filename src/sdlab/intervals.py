@@ -191,9 +191,6 @@ class LawReport:
         return rows
 
 
-RECORD_FIELDS = ("x", "y", "theta", "indicator", "t", "empirical", "predicted", "abs_error")
-
-
 # ----------------------------------------------------------------------------
 # Square-full enumeration
 # ----------------------------------------------------------------------------

@@ -48,16 +48,6 @@ class TestRendering:
         with pytest.raises(ValueError):
             cli.render_json({"x": float("nan")})
 
-    def test_csv_roundtrip(self):
-        rows = [{"a": 1, "b": 0.30000000000000004}]
-        text = cli.render_csv(("a", "b"), rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "a,b"
-        assert float(lines[1].split(",")[1]) == 0.30000000000000004
-
-    def test_empty_report_header_only(self):
-        assert cli.render_csv(("a", "b"), []) == "a,b\n"
-
 
 class TestCommands:
     def test_ddt_happy_path(self, tmp_path, capsys):
@@ -68,17 +58,8 @@ class TestCommands:
         assert artifact["command"] == "ddt"
         assert artifact["config"]["x"] == 2000
         rows = artifact["records"]
-        assert list(rows[0]) == sorted(iv.RECORD_FIELDS)
+        assert list(rows[0]) == ["abs_error", "empirical", "indicator", "predicted", "t", "theta", "x", "y"]
         assert len(rows) == 19
-
-    def test_csv_column_order(self, tmp_path, capsys):
-        out = tmp_path / "ddt.csv"
-        code, _, _ = run(
-            ["ddt", "--x", "500", "--format", "csv", "--output", str(out)], capsys
-        )
-        assert code == 0
-        header = out.read_text().split("\n")[0]
-        assert header == ",".join(iv.RECORD_FIELDS)
 
     def test_beta_predicted_column(self, tmp_path, capsys):
         from test_intervals import squarefull_law_oracle
@@ -185,18 +166,12 @@ class TestCommands:
         assert row["envelope_label"] == "reference shape"
 
     def test_sieve_table(self, tmp_path, capsys):
-        out = tmp_path / "sieve.csv"
-        code, _, _ = run(
-            ["sieve", "--limit", "30", "--format", "csv", "--output", str(out)], capsys
-        )
+        out = tmp_path / "sieve.json"
+        code, _, _ = run(["sieve", "--limit", "30", "--output", str(out)], capsys)
         assert code == 0
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "n,spf,tau,mu,squarefull,two_squares"
-        row8 = dict(zip(lines[0].split(","), lines[7].split(",")))
-        assert row8 == {
-            "n": "8", "spf": "2", "tau": "4", "mu": "0",
-            "squarefull": "1", "two_squares": "1",
-        }
+        rows = json.loads(out.read_text())["records"]
+        assert [row["n"] for row in rows] == list(range(2, 31))
+        assert rows[6] == {"n": 8, "spf": 2, "tau": 4, "mu": 0, "squarefull": 1, "two_squares": 1}
 
     def test_sieve_capacity_exit_2(self, capsys):
         for limit in ("20000000", "1000001"):
@@ -254,17 +229,18 @@ class TestCommands:
             got = getattr(seen[0], f.name)
             assert (type(got), got) == (type(getattr(want, f.name)), getattr(want, f.name)), f.name
 
-    def test_csv_unavailable_for_contour_exit_2(self, capsys, monkeypatch):
-        # contour and bombieri render JSON alone: --format csv is rejected by
-        # the parser, before anything is computed
+    def test_format_option_gone_exit_2(self, capsys, monkeypatch):
+        # every artifact is JSON: no command takes --format, and the parser
+        # rejects it before anything is computed
         def never(**values):
-            raise AssertionError("a command ran before the CSV check")
+            raise AssertionError("a command ran")
 
-        for argv in (["contour", "--T", "200"], ["bombieri"]):
+        for argv, _ in _PINNED:
             replace_runner(monkeypatch, argv[0], never)
-            code, stdout, err = run([*argv, "--format", "csv"], capsys)
-            assert (code, stdout) == (2, "")
-            assert "invalid choice: 'csv'" in err
+            for fmt in ("json", "csv"):
+                code, stdout, err = run([*argv, "--format", fmt], capsys)
+                assert (code, stdout) == (2, ""), argv
+                assert f"unrecognized arguments: --format {fmt}" in err
 
     def test_contour_nj_cap_rejected_before_zeta_work(self, capsys, monkeypatch):
         from sdlab import contourlab
@@ -405,9 +381,6 @@ def _typed(value):
     return (type(value), value)
 
 
-_COMMON = {"format": "json"}
-
-
 _PINNED = [
     (["sieve", "--limit", "30"], {"command": "sieve", "limit": 30}),
     (
@@ -415,10 +388,9 @@ _PINNED = [
         {"command": "ddt", "x": 2000, "t_grid": [0.25, 0.5]},
     ),
     (
-        ["beta", "--indicator", "two_squares", "--x", "1e4", "--theta", "0.9",
-         "--format", "csv"],
-        {"command": "beta", "format": "csv", "indicator": "two_squares",
-         "x": 10000, "theta": 0.9, "t_grid": list(iv.DEFAULT_T_GRID)},
+        ["beta", "--indicator", "two_squares", "--x", "1e4", "--theta", "0.9"],
+        {"command": "beta", "indicator": "two_squares", "x": 10000, "theta": 0.9,
+         "t_grid": list(iv.DEFAULT_T_GRID)},
     ),
     (
         ["count", "--indicator", "squarefull", "--lo", "1e3", "--hi", "2e3"],
@@ -449,7 +421,7 @@ _PINNED = [
 
 
 # command -> a config that verify accepts
-_VALID = {config["command"]: {**_COMMON, **config} for _, config in _PINNED}
+_VALID = {config["command"]: config for _, config in _PINNED}
 
 
 @pytest.mark.parametrize("argv, config", _PINNED, ids=[argv[0] for argv, _ in _PINNED])
@@ -460,10 +432,20 @@ def test_artifact_config_pinned(argv, config, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_command", lambda c: artifacts.append(run_command(c)) or artifacts[-1])
     code, _, _ = run(argv, capsys)
     assert code == 0
-    want = {**_COMMON, **config}
     got = artifacts[0]["config"]
-    assert got == want
-    assert {k: _typed(v) for k, v in got.items()} == {k: _typed(v) for k, v in want.items()}
+    assert got == config
+    assert {k: _typed(v) for k, v in got.items()} == {k: _typed(v) for k, v in config.items()}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _PINNED], ids=[argv[0] for argv, _ in _PINNED])
+def test_fresh_artifact_verifies(argv, tmp_path, capsys):
+    # every file a run command writes is one that verify re-runs, and the
+    # file holds the bytes the command writes to stdout
+    out = tmp_path / "a.json"
+    assert run([*argv, "--output", str(out)], capsys) == (0, "", "")
+    assert run(["verify", "--golden", str(out)], capsys) == (0, "golden match\n", "")
+    code, stdout, _ = run([*argv, "--output", "-"], capsys)
+    assert (code, stdout.encode()) == (0, out.read_bytes())
 
 
 @pytest.mark.parametrize("argv, config", _PINNED, ids=[argv[0] for argv, _ in _PINNED])
@@ -472,7 +454,7 @@ def test_runner_receives_exactly_its_options(argv, config, monkeypatch, capsys):
     # nothing else: no option is set only to be dropped, and a config entry
     # that is no option (an older artifact's seed, say) is ignored
     name = argv[0]
-    options = {kwargs["dest"] for _, kwargs, _ in cli.SUBCOMMANDS[name][3:]}
+    options = {kwargs["dest"] for _, kwargs, _ in cli.SUBCOMMANDS[name][2:]}
     seen = []
     replace_runner(monkeypatch, name, lambda **values: seen.append(values) or {"records": [{"n": 1}]})
     assert run(argv, capsys)[0] == 0
@@ -510,6 +492,15 @@ class TestGolden:
     def test_verify_missing_file(self, capsys):
         code, _, _ = run(["verify", "--golden", "/nonexistent/g.json"], capsys)
         assert code == 2
+
+    def test_verify_file_not_json_exit_2(self, tmp_path, capsys):
+        # a CSV table, as sdlab once wrote, is named as no JSON artifact
+        golden = tmp_path / "counts.csv"
+        golden.write_text("indicator,lo,hi,count\nsquarefull,0,100,14\n")
+        code, stdout, err = run(["verify", "--golden", str(golden)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: golden {golden} is not a JSON artifact "
+                       "(Expecting value: line 1 column 1 (char 0))\n")
 
     @pytest.mark.parametrize("text", ["[1,2]", '{"config": 5}', '{"config": [1]}', "{}", '"x"'])
     def test_verify_golden_of_wrong_shape_exit_2(self, text, tmp_path, capsys):
@@ -576,12 +567,12 @@ class TestGolden:
         ],
     )
     def test_fresh_run_is_golden_without_removed_entry(self, name, argv, key, tmp_path, capsys):
-        # goldens made while every command took --seed, and --c0 and
-        # --prime-limit existed: a fresh run makes the same bytes less the
-        # "seed" entry of a deterministic command and that one other (the
-        # config object is flat, and spec.G keeps its own prime_limit);
-        # bombieri takes --seed, so its golden is a fresh run's bytes
-        removed = [] if argv[0] == "bombieri" else [b'"seed":']
+        # goldens made while every command took --format and --seed, and
+        # --c0 and --prime-limit existed: a fresh run makes the same bytes
+        # less the "format" entry, the "seed" entry of a deterministic
+        # command and that one other (the config object is flat, and spec.G
+        # keeps its own prime_limit); bombieri takes --seed
+        removed = [b'"format":'] if argv[0] == "bombieri" else [b'"format":', b'"seed":']
         if key:
             removed.append(f'"{key}":'.encode())
         golden = (GOLDEN / name).read_bytes()

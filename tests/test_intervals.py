@@ -304,7 +304,7 @@ class TestDdtMean:
     def test_records_schema(self):
         rep = iv.ddt_mean(1000)
         rows = rep.records()
-        assert list(rows[0].keys()) == list(iv.RECORD_FIELDS)
+        assert list(rows[0]) == ["x", "y", "theta", "indicator", "t", "empirical", "predicted", "abs_error"]
         assert len(rows) == len(iv.DEFAULT_T_GRID)
 
     def test_guards(self):

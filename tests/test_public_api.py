@@ -109,29 +109,34 @@ def test_single_valued_settings_stay_gone():
     # 0, 0 and 1), its bounds on |z_i| and |w_i| (read by no computation),
     # main_term's envelope label (one text) and cli's second command table;
     # and settings that changed no result: the seed of the seven
-    # deterministic commands, and three parameters that only tests set
+    # deterministic commands, three parameters that only tests set
     # (main_term's precomputed coefficients, expansion_coeffs' ring radius
     # and bombieri_check_many's explicit weights, with the one-instance
-    # bombieri_check)
+    # bombieri_check), and --format, with the CSV writer and the column
+    # order it read
     assert "refine_check" not in inspect.signature(contourlab.frak_m).parameters
     assert not hasattr(sdexpand, "ConstantG")
     for fn in (sdexpand.two_squares_series_spec, sdexpand.EulerProductG):
         assert "prime_limit" not in inspect.signature(fn).parameters, fn
     assert sdexpand.EulerProductG.prime_limit == 10**5
     assert "c0" not in {f.name for f in dataclasses.fields(contourlab.ContourConfig)}
-    flags = {flag for _, _, _, *options in cli.SUBCOMMANDS.values() for flag, *_ in options}
+    flags = {flag for _, _, *options in cli.SUBCOMMANDS.values() for flag, *_ in options}
     assert not {"--prime-limit", "--c0"} & flags
     spec_fields = {f.name for f in dataclasses.fields(sdexpand.SeriesSpec)}
     assert not {"delta", "A", "M", "bounds_B", "bounds_C"} & spec_fields
     assert "envelope_label" not in {f.name for f in dataclasses.fields(sdexpand.MainTermResult)}
     assert not hasattr(cli, "COMMANDS")
-    seeded = [name for name, (_, _, _, *options) in cli.SUBCOMMANDS.items()
+    seeded = [name for name, (_, _, *options) in cli.SUBCOMMANDS.items()
               if "--seed" in {flag for flag, *_ in options}]
     assert seeded == ["bombieri"] and not hasattr(cli, "_SEED")
     assert "coeffs" not in inspect.signature(sdexpand.main_term).parameters
     assert "radius" not in inspect.signature(sdexpand.expansion_coeffs).parameters
     assert list(inspect.signature(contourlab.bombieri_check_many).parameters) == ["instances"]
     assert not hasattr(contourlab, "bombieri_check")
+    assert not hasattr(cli, "render_csv") and not hasattr(intervals, "RECORD_FIELDS")
+    (commands,) = [a.choices for a in cli._build_parser()._actions if isinstance(a.choices, dict)]
+    assert len(commands) == 9
+    assert not any("--format" in parser._option_string_actions for parser in commands.values())
 
 
 # (module, name) of the limit laws and counts that a report or a count looks
@@ -147,8 +152,7 @@ _WRAPPED = (
 
 
 def _count(indicator: str) -> dict:
-    return cli.run_command({"command": "count", "format": "json",
-                            "indicator": indicator, "lo": 0, "hi": 1000})
+    return cli.run_command({"command": "count", "indicator": indicator, "lo": 0, "hi": 1000})
 
 
 _GRID = len(intervals.DEFAULT_T_GRID)
