@@ -68,10 +68,9 @@ def factor_columns(limit: int) -> dict[str, np.ndarray]:
     if limit < 2:
         raise CapacityError(f"sieve limit must be at least 2, got {limit}")
     spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            view = spf[p * p :: p]
-            view[view == 0] = p
+    for p in primes_upto(isqrt(limit)).tolist():
+        view = spf[p * p :: p]
+        view[view == 0] = p
     rest = np.nonzero(spf[2:] == 0)[0] + 2
     spf[rest] = rest
     tau = np.ones(limit - 1, dtype=np.int32)

@@ -19,7 +19,6 @@ import math
 import random
 import sys
 import typing
-import warnings
 
 from . import arith, contourlab, intervals, sdexpand
 from .errors import AccuracyError, CapacityError, DomainError, ToolkitError
@@ -191,9 +190,7 @@ def run_contour(chi_modulus: int, **fields) -> dict:
         chis=(arith.quadratic_character(chi_modulus),),
         name="contour",
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return contourlab.contour_report(cfg, spec)
+    return contourlab.contour_report(cfg, spec)
 
 
 def run_bombieri(seed: int, instances: int, max_n: int, max_set: int, sigma_min: float) -> dict:

@@ -10,7 +10,6 @@ range it thresholds the sampled minimum of |zeta L M_N|.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,11 @@ _SCAN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """Free constants of the construction; the CLI echoes them into every report."""
+    """Free constants of the construction; the CLI echoes them into every report.
+
+    T must be at least 50.  Below T = 200 the asymptotic constants mean
+    nothing, and a run checks structure only.
+    """
 
     T: float
     epsilon: float = 0.05
@@ -227,14 +230,11 @@ def frak_m(varsigma: float, T: float, spec: SeriesSpec, density: int = 8) -> flo
 # ----------------------------------------------------------------------------
 
 def build_grid(cfg: ContourConfig, spec: SeriesSpec) -> BoxGrid:
-    """Populate the box partition and the per-row truncation lengths N_j."""
+    """Populate the box partition and the per-row truncation lengths N_j.
+
+    Any T that ContourConfig accepts builds; see its docstring for T < 200.
+    """
     T = cfg.T
-    if T < 200:
-        warnings.warn(
-            "T below 200: asymptotic constants are meaningless at this scale; "
-            "structure checks only",
-            stacklevel=2,
-        )
     k1 = spec.kappa1
     lt = math.log(T)
     llt = math.log(lt)

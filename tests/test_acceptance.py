@@ -6,7 +6,6 @@ import json
 import math
 import random
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -357,9 +356,7 @@ def test_criterion_10_contour_structure():
     golden_path = GOLDEN_DIR / "contour_T200.json"
     golden_bytes = golden_path.read_bytes()
     config = json.loads(golden_bytes)["config"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        produced = cli.render_json(cli.run_command(config)).encode()
+    produced = cli.render_json(cli.run_command(config)).encode()
     golden_ok = produced == golden_bytes
     elapsed = time.time() - t0
     ok = formulas_ok and clear_ok and stability >= 0.99 and finite_ok and golden_ok

@@ -37,9 +37,7 @@ def chi4_mod():
 
 @pytest.fixture(scope="module")
 def grid200(zl_spec):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = cl.build_grid(cl.ContourConfig(T=200.0), zl_spec)
+    grid = cl.build_grid(cl.ContourConfig(T=200.0), zl_spec)
     return cl.classify_boxes(grid)
 
 
@@ -146,9 +144,7 @@ class TestFrakM:
 
 class TestBuildGrid:
     def test_formulas_t100(self, zl_spec):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = cl.build_grid(cl.ContourConfig(T=100.0), zl_spec)
+        grid = cl.build_grid(cl.ContourConfig(T=100.0), zl_spec)
         lt = math.log(100.0)
         want_delta = lt ** (-2 / 3) * math.log(lt) ** (-1 / 3)
         assert grid.delta_T == pytest.approx(want_delta, rel=1e-14)
@@ -165,9 +161,12 @@ class TestBuildGrid:
         lt = math.log(200.0)
         assert grid200.sigma[grid200.J_T + 1] <= (1 - grid200.delta_T) + 1.0 / lt + 1e-12
 
-    def test_warns_below_200(self, zl_spec):
-        with pytest.warns(UserWarning):
-            cl.build_grid(cl.ContourConfig(T=120.0), zl_spec)
+    def test_builds_below_200_without_warning(self, zl_spec):
+        # the caveat below T = 200 is ContourConfig's docstring, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = cl.build_grid(cl.ContourConfig(T=120.0), zl_spec)
+        assert isinstance(grid, cl.BoxGrid)
 
     def test_nj_capped_at_desk_scale(self, grid200):
         assert grid200.nj_capped.all()
@@ -212,12 +211,10 @@ class TestClassification:
     def test_high_range_threshold(self, zl_spec):
         # epsilon = 0.2 puts row 2 (sigma = 0.877) above 1 - epsilon, so it is
         # classified by the sampled minimum of |zeta L M_N| with N = 2000
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = cl.build_grid(
-                cl.ContourConfig(T=200.0, C0=0.1, epsilon=0.2, nj_cap=2000),
-                zl_spec,
-            )
+        grid = cl.build_grid(
+            cl.ContourConfig(T=200.0, C0=0.1, epsilon=0.2, nj_cap=2000),
+            zl_spec,
+        )
         cl.classify_boxes(grid)
         assert grid.J_T == 2
         assert [grid.regime_low(j) for j in range(3)] == [True, True, False]
@@ -232,11 +229,9 @@ class TestClassification:
             assert cl._classify_high_box(grid, 2, k, m) == mins[k]
 
     def test_stability_under_density_doubling(self, zl_spec, grid200):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g16 = cl.build_grid(
-                cl.ContourConfig(T=200.0, grid_density=16), zl_spec
-            )
+        g16 = cl.build_grid(
+            cl.ContourConfig(T=200.0, grid_density=16), zl_spec
+        )
         cl.classify_boxes(g16)
         frac = (g16.classes == grid200.classes).mean()
         assert frac >= 0.99
@@ -261,9 +256,7 @@ class TestClassification:
         spec = sd.SeriesSpec(
             kappa=KappaVector((1.0,)), z=(1 + 0j,), w=(0j,), chis=(None,), name="zeta"
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = cl.build_grid(cl.ContourConfig(T=100.0), spec)
+        grid = cl.build_grid(cl.ContourConfig(T=100.0), spec)
         cl.classify_boxes(grid)
         lt = math.log(100.0)
         k_first = math.floor((14.134725 - 1.0) / lt)
@@ -306,9 +299,7 @@ class TestClassification:
         # one call per row and attempt: the 38 rings of 128 points of each
         # row, then only the new odd samples of the rings doubled to 256 (36
         # in row 0, 13 in row 1) and to 512 (9 in row 0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = cl.build_grid(cl.ContourConfig(T=200.0), zl_spec)
+        grid = cl.build_grid(cl.ContourConfig(T=200.0), zl_spec)
         sizes = []
         zl = cl.zl_product_many
 

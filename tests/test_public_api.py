@@ -79,6 +79,9 @@ def test_merged_duplicates_stay_gone():
     ):
         assert not {"masks", "chunk"} & set(inspect.signature(fn).parameters), fn
     assert not hasattr(contourlab, "_dv")
+    # no warning the contour lab raises, and none its CLI runner silences
+    assert not hasattr(contourlab, "warnings")
+    assert not hasattr(cli, "warnings")
     assert not hasattr(contourlab.ContourConfig, "describe")
     assert "cfg" not in inspect.signature(contourlab.build_contour).parameters
     assert "cfg" not in inspect.signature(contourlab.check_prop31).parameters
