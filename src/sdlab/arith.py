@@ -256,13 +256,26 @@ def _power_stream(limit: int, k: int, weights=None, exact: bool = True):
     return np.array(support, dtype=np.int64), np.array(values, dtype=dtype)
 
 
+def _stream_product(limit: int, streams, dtype) -> CoeffVector:
+    """The product of power streams (support, values), with the accumulator
+    kept by its support: np.add.at keeps the d-major order of each sum."""
+    out = CoeffVector(limit, np.zeros(limit + 1, dtype=dtype))  # checks limit >= 1
+    support, values = np.ones(1, dtype=np.int64), np.ones(1, dtype=dtype)
+    for stream in streams:
+        _check_convolve(stream[1], values)
+        m, terms = map(np.concatenate, zip(*_pair_terms(*stream, support, values, limit)))
+        support, at = np.unique(m, return_inverse=True)
+        values = np.zeros(support.size, dtype=dtype)
+        np.add.at(values, at, terms)
+        support, values = support[values != 0], values[values != 0]
+    out.values[support] = values
+    return out
+
+
 def tau_kk_coeffs(limit: int, kv: KappaVector) -> CoeffVector:
     """tau_{kappa,kappa}(n) for n <= limit via stream convolution (exact)."""
     kappas = kv.integer_exponents()
-    acc = unit_coeffs(limit).values
-    for k in kappas * 2:
-        acc = _convolve(*_power_stream(limit, k), acc)
-    return CoeffVector(limit, acc)
+    return _stream_product(limit, (_power_stream(limit, k) for k in kappas * 2), np.int64)
 
 
 def tau_chi_coeffs(
@@ -278,46 +291,66 @@ def tau_chi_coeffs(
     if any(chi.principal for chi in chis_present):
         raise PrincipalCharacterError("characters must be non-principal")
     exact = all(chi.is_real_integer for chi in chis_present)
-    acc = unit_coeffs(limit).values
-    if not exact:
-        acc = acc.astype(np.complex128)
-    for k in kappas:
-        acc = _convolve(*_power_stream(limit, k, exact=exact), acc)
-    for k, chi in zip(kappas, chis):
-        if chi is not None:
-            acc = _convolve(*_power_stream(limit, k, weights=chi, exact=exact), acc)
-    return CoeffVector(limit, acc)
+    streams = [_power_stream(limit, k, exact=exact) for k in kappas]
+    streams += [_power_stream(limit, k, chi, exact) for k, chi in zip(kappas, chis) if chi is not None]
+    return _stream_product(limit, streams, np.int64 if exact else np.complex128)
 
 
 # ----------------------------------------------------------------------------
 # Dirichlet convolution and inversion
 # ----------------------------------------------------------------------------
 
+_PAIR_BLOCK = 1 << 18  # pairs per block of the batched pair updates
+
+
+def _pair_blocks(counts: np.ndarray):
+    """The pairs (i, j), j < counts[i], row-major, in blocks of whole rows
+    with at most _PAIR_BLOCK pairs (or one longer row): (i0, i1, starts, rows,
+    cols), the pairs of row i0 + r beginning at starts[r]."""
+    ends = np.cumsum(counts)
+    i0 = 0
+    while i0 < counts.size:
+        done = int(ends[i0 - 1]) if i0 else 0
+        i1 = max(i0 + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+        m = counts[i0:i1]
+        starts = np.cumsum(m) - m
+        cols = np.arange(int(ends[i1 - 1]) - done) - np.repeat(starts, m)
+        yield i0, i1, starts, np.repeat(np.arange(i0, i1), m), cols
+        i0 = i1
+
+
+def _pair_terms(d_support, d_values, k_support, k_values, n: int):
+    """The pair kernel: blocks (m, terms) of d_values[i] * k_values[j] at
+    m = d k <= n, for ascending supports, in ascending d and then k.  So
+    np.add.at sums each m as a slice update per d did, less zero terms."""
+    counts = np.searchsorted(k_support, n // d_support, side="right")
+    for *_, i, j in _pair_blocks(counts):
+        yield d_support[i] * k_support[j], d_values[i] * k_values[j]
+
+
 def _max_abs(v: np.ndarray) -> int:
     return max(int(v.max()), -int(v.min()))
 
 
-def _convolve(support: np.ndarray, a_vals: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """out(m) = sum_{dk=m} a(d) b(k), for a given by its values a_vals at the
-    ascending positions support (its nonzero entries): one slice update per
-    d.  An int64 result raises CapacityError if the bound max|b| * sum|a|
+def _check_convolve(a_values: np.ndarray, b_values: np.ndarray) -> None:
+    """Raise CapacityError if an int64 convolution's bound max|b| * sum|a|
     leaves int64, before any update could wrap."""
-    n = bv.size - 1
-    out = np.zeros(n + 1, dtype=np.result_type(a_vals, bv))
-    if out.dtype.kind in "iu":
-        if _max_abs(bv[1:]) * sum(map(abs, a_vals.tolist())) > _INT64_MAX:
+    if np.result_type(a_values, b_values).kind in "iu" and b_values.size:
+        if _max_abs(b_values) * sum(map(abs, a_values.tolist())) > _INT64_MAX:
             raise CapacityError("Dirichlet convolution may leave int64")
-    for d, ad in zip(support.tolist(), a_vals):
-        out[d::d] += ad * bv[1 : n // d + 1]
-    return out
 
 
 def dirichlet_convolve(a: CoeffVector, b: CoeffVector) -> CoeffVector:
-    """a * b in O(support of a) slice updates."""
+    """a * b by the pair kernel over the nonzero a(d), b(k) with d k <= N."""
     if a.limit != b.limit:
         raise LimitMismatchError(f"limits differ: {a.limit} vs {b.limit}")
-    support = np.flatnonzero(a.values[1:]) + 1
-    return CoeffVector(a.limit, _convolve(support, a.values[support], b.values))
+    sa, sb = ((v.values[1:] != 0).nonzero()[0] + 1 for v in (a, b))
+    av, bv = a.values[sa], b.values[sb]
+    _check_convolve(av, bv)
+    out = np.zeros(a.limit + 1, dtype=np.result_type(av, bv))
+    for m, terms in _pair_terms(sa, av, sb, bv, a.limit):
+        np.add.at(out, m, terms)
+    return CoeffVector(a.limit, out)
 
 
 def dirichlet_inverse(a: CoeffVector) -> CoeffVector:
@@ -327,7 +360,8 @@ def dirichlet_inverse(a: CoeffVector) -> CoeffVector:
 
     The work runs in dyadic blocks [L, 2L).  A proper divisor of m < 2L is
     at most m/2 < L, so once every d < L has been applied each b(m) in the
-    block is final, and only the block's nonzero entries need a step.  An
+    block is final, and the block's nonzero entries take their steps
+    together, through the pair kernel with the nonzero a(k), k >= 2.  An
     exact result raises CapacityError once max|a| * sum|b(d)| over the
     applied d leaves int64, which bounds every partial value."""
     n = a.limit
@@ -340,19 +374,22 @@ def dirichlet_inverse(a: CoeffVector) -> CoeffVector:
     b = np.zeros(n + 1, dtype=dtype)
     inv_lead = int(lead) if exact else 1.0 / complex(lead)
     b[1] = inv_lead
-    av_c = av if exact else av.astype(np.complex128)
+    ks = (av[2:] != 0).nonzero()[0] + 2
+    a_ks = av[ks].astype(dtype)
     amax = _max_abs(av[1:]) if exact else 0
     applied = 0
     lo = 1
     while lo <= n // 2:
         hi = min(2 * lo, n // 2 + 1)
-        support = np.flatnonzero(b[lo:hi]) + lo
+        support = (b[lo:hi] != 0).nonzero()[0] + lo
         if exact:
             applied += sum(map(abs, b[support].tolist()))
             if amax * applied > _INT64_MAX:
                 raise CapacityError("Dirichlet inverse may leave int64")
-        for d in support.tolist():
-            b[2 * d :: d] -= (b[d] * inv_lead) * av_c[2 : n // d + 1]
+        # scalar products: an array product b[support] * inv_lead rounds differently
+        steps = np.array([b[d] * inv_lead for d in support.tolist()], dtype=dtype)
+        for m, terms in _pair_terms(support, steps, ks, a_ks, n):
+            np.subtract.at(b, m, terms)
         lo = hi
     return CoeffVector(n, b)
 

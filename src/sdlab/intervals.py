@@ -48,7 +48,7 @@ from math import isqrt
 import numpy as np
 
 from . import specfun
-from .arith import divisor_le_threshold, primes_upto, threshold_log_cut
+from .arith import _pair_blocks, divisor_le_threshold, primes_upto, threshold_log_cut
 from .errors import CapacityError, DomainError, EmptyIntervalError
 
 __all__ = [
@@ -349,8 +349,6 @@ def _sublinear_is_faster(lo: int, hi: int) -> bool:
 # for v = x // k, k = 1..r.  Position r + 1 is unused, and v = r may appear
 # at two positions, which then get the same updates.
 
-_PAIR_BLOCK = 1 << 18  # (k, p) pairs per block of the batched updates
-
 
 def _quotient_positions(r: int, large: np.ndarray, q: int, kmax: int) -> np.ndarray:
     """Table positions of x // (k*q) for k = 1..kmax, where large[k] = x // k:
@@ -370,19 +368,11 @@ def _tail_pairs(r: int, large: np.ndarray, tail: np.ndarray):
         return
     kmax = int(large[1]) // int(tail[0]) ** 2
     per_k = np.searchsorted(tail * tail, large[1 : kmax + 1], side="right")
-    ends = np.cumsum(per_k)
-    k0 = 0
-    while k0 < kmax:
-        done = int(ends[k0 - 1]) if k0 else 0
-        k1 = min(kmax, max(k0 + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right"))))
-        m = per_k[k0:k1]
-        starts = np.cumsum(m) - m
-        t = np.arange(int(ends[k1 - 1]) - done) - np.repeat(starts, m)
-        k = np.repeat(np.arange(k0 + 1, k1 + 1), m)
+    for k0, k1, starts, k, t in _pair_blocks(per_k):
+        k += 1  # from the row index k - 1
         kp = k * tail[t]
         pos = np.where(kp <= r, r + 1 + kp, large[k] // tail[t])
         yield k0, k1, starts, t, pos
-        k0 = k1
 
 
 def _prime_counts_mod4(x: int):

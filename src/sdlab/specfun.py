@@ -407,8 +407,10 @@ def complex_pow_principal(base: complex, expo: complex) -> complex:
 # Beta and regularized incomplete beta
 # ----------------------------------------------------------------------------
 
+@lru_cache
 def beta_fn(u: float, v: float) -> float:
-    """B(u, v) = Gamma(u) Gamma(v) / Gamma(u+v) for u, v > 0."""
+    """B(u, v) = Gamma(u) Gamma(v) / Gamma(u+v) for u, v > 0, memoized:
+    reg_inc_beta asks for the same B(u, v) on every call."""
     if not (u > 0 and v > 0):
         raise DomainError("beta_fn needs positive arguments")
     return (gamma_complex(u) * gamma_complex(v) / gamma_complex(u + v)).real

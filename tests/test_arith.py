@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -320,6 +321,13 @@ class TestTauChi:
         with pytest.raises(DomainError):
             ar.tau_chi_coeffs(50, ar.KappaVector((1.5,)), (chi3,))
 
+    def test_limit_below_one_rejected(self, chi3, chi4):
+        kv = ar.KappaVector((2, 3))
+        with pytest.raises(DomainError):
+            ar.tau_chi_coeffs(0, kv, (chi3, chi4))
+        with pytest.raises(DomainError):
+            ar.tau_kk_coeffs(0, kv)
+
 
 # ---------------------------------------------------------------------------
 # convolution and inversion
@@ -479,17 +487,44 @@ def _signed_zero_vector():
     return ar.CoeffVector(n, v)
 
 
+def stream_product_full_range(limit, kv, chis):
+    # tau_chi_coeffs as the product of its dense zeta and L streams, each
+    # applied by convolve_full_range to the accumulator
+    exact = all(chi is None or chi.is_real_integer for chi in chis)
+    acc = ar.unit_coeffs(limit).values.astype(np.int64 if exact else np.complex128)
+    twists = [(k, None) for k in kv.kappa]
+    twists += [(k, chi) for k, chi in zip(kv.kappa, chis) if chi is not None]
+    for k, chi in twists:
+        stream = np.zeros_like(acc)
+        m = np.arange(1, math.floor(limit ** (1 / k)) + 2)
+        m = m[m ** int(k) <= limit]
+        stream[m ** int(k)] = [1 if chi is None else chi(int(i)) for i in m]
+        acc = convolve_full_range(ar.CoeffVector(limit, stream), ar.CoeffVector(limit, acc))
+    return acc
+
+
+_CHI5 = ar.CharacterTable(5, (0, 1, 1j, -1j, -1))  # order 4, complex
+
+
 class TestSupportLoops:
     @pytest.fixture(scope="class")
     def vectors(self, chi3, chi4):
-        tau = ar.tau_chi_coeffs(10**5, ar.KappaVector((2, 3)), (chi3, chi4))
+        kv = ar.KappaVector((2, 3))
         return {
-            "tau_1e5": tau,
+            "tau_1e5": ar.tau_chi_coeffs(10**5, kv, (chi3, chi4)),
+            "tau_chi5_1e5": ar.tau_chi_coeffs(10**5, kv, (_CHI5, chi4)),
             "ones_1e4": ar.ones_coeffs(10**4),
             "complex_signed_zeros": _signed_zero_vector(),
         }
 
-    @pytest.mark.parametrize("name", ["tau_1e5", "ones_1e4", "complex_signed_zeros"])
+    @pytest.mark.parametrize("name", ["tau_1e5", "tau_chi5_1e5"])
+    def test_tau_bytes_match_full_range_streams(self, vectors, name, chi3, chi4):
+        chis = (chi3, chi4) if name == "tau_1e5" else (_CHI5, chi4)
+        want = stream_product_full_range(10**5, ar.KappaVector((2, 3)), chis)
+        got = vectors[name].values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["tau_1e5", "tau_chi5_1e5", "ones_1e4", "complex_signed_zeros"])
     def test_bytes_match_full_range_loops(self, vectors, name):
         a = vectors[name]
         want_inv = inverse_full_range(a)
@@ -510,6 +545,34 @@ class TestSupportLoops:
         want = convolve_full_range(ar.CoeffVector(limit, truncated), tau)
         got = ar.truncated_inverse_phi(x, limit, kv, (chi3, chi4)).values
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestPairKernel:
+    def test_tau_expands_only_support_pairs(self, monkeypatch, chi3, chi4):
+        blocks = []
+        pair_blocks = ar._pair_blocks
+
+        def spy(counts):
+            for block in pair_blocks(counts):
+                blocks.append(block[-1].size)
+                yield block
+
+        monkeypatch.setattr(ar, "_pair_blocks", spy)
+        ar.tau_chi_coeffs(10**6, ar.KappaVector((2, 3)), (chi3, chi4))
+        assert 0 < sum(blocks) <= 20_000
+        assert max(blocks) <= ar._PAIR_BLOCK
+
+    def test_dense_convolution_is_tau(self, columns):
+        n = 3 * 10**5
+        ones = ar.ones_coeffs(n)
+        tracemalloc.start()
+        try:
+            got = ar.dirichlet_convolve(ones, ones).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[1] == 1 and np.array_equal(got[2:], columns["tau"][: n - 1])
+        assert peak < 40 * 2**20
 
 
 def _bigint_convolve(a, b):

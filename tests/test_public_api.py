@@ -212,6 +212,20 @@ def test_runtime_needs_no_mpmath():
     assert importers == []
 
 
+def test_cli_import_loads_only_numpy_beyond_the_stdlib():
+    # every sdlab invocation pays for what `import sdlab.cli` loads, against
+    # what a bare interpreter has loaded at start
+    code = (
+        "import sys; before = set(sys.modules); import sdlab.cli; "
+        "print(sorted({name.partition('.')[0] for name in set(sys.modules) - before}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True)
+    added = set(ast.literal_eval(proc.stdout))
+    assert {"numpy", "sdlab"} <= added
+    assert added - set(sys.stdlib_module_names) - {"numpy", "sdlab"} == set()
+
+
 # numpy's float64 kernels of these ufuncs give different last bits under its
 # AVX-512 and AVX2 dispatch targets
 _DISPATCH_SENSITIVE = {"exp", "log", "power", "log1p", "expm1", "arctan2", "exp2"}
