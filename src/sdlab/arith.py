@@ -300,22 +300,28 @@ def tau_chi_coeffs(
 # Dirichlet convolution and inversion
 # ----------------------------------------------------------------------------
 
-_PAIR_BLOCK = 1 << 18  # pairs per block of the batched pair updates
+_PAIR_BLOCK = 1 << 16  # pairs per block of the batched pair updates (512 KiB an array)
 
 
-def _pair_blocks(counts: np.ndarray):
-    """The pairs (i, j), j < counts[i], row-major, in blocks of whole rows
-    with at most _PAIR_BLOCK pairs (or one longer row): (i0, i1, starts, rows,
-    cols), the pairs of row i0 + r beginning at starts[r]."""
+def _pair_blocks(counts: np.ndarray, whole_rows: bool = False):
+    """The pairs (i, j), j < counts[i], row-major, in blocks of at most
+    _PAIR_BLOCK pairs: (i0, i1, starts, rows, cols), the pairs of row i0 + r
+    beginning at starts[r].  A block holds whole rows, and a longer row goes
+    in pieces of _PAIR_BLOCK pairs, or whole with whole_rows."""
     ends = np.cumsum(counts)
     i0 = 0
     while i0 < counts.size:
         done = int(ends[i0 - 1]) if i0 else 0
         i1 = max(i0 + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
         m = counts[i0:i1]
-        starts = np.cumsum(m) - m
-        cols = np.arange(int(ends[i1 - 1]) - done) - np.repeat(starts, m)
-        yield i0, i1, starts, np.repeat(np.arange(i0, i1), m), cols
+        if m[0] > _PAIR_BLOCK and not whole_rows:
+            for c in range(0, int(m[0]), _PAIR_BLOCK):
+                cols = np.arange(c, min(c + _PAIR_BLOCK, int(m[0])))
+                yield i0, i1, np.zeros(1, dtype=np.int64), np.full(cols.size, i0), cols
+        else:
+            starts = np.cumsum(m) - m
+            cols = np.arange(int(ends[i1 - 1]) - done) - np.repeat(starts, m)
+            yield i0, i1, starts, np.repeat(np.arange(i0, i1), m), cols
         i0 = i1
 
 

@@ -291,11 +291,9 @@ def _rect_boundary(s_lo, s_hi, t_lo, t_hi, f: np.ndarray) -> np.ndarray:
     return np.stack([bottom, right, top, left])
 
 
-def _winding_number(vals: np.ndarray) -> tuple[float, float]:
-    """Winding number of a sampled closed ring about 0, and the largest
-    sample-to-sample phase step (each step is taken in (-pi, pi])."""
-    steps = np.angle(np.roll(vals, -1) / vals)
-    return float(steps.sum() / (2.0 * math.pi)), float(np.abs(steps).max())
+def _phase_steps(vals: np.ndarray) -> np.ndarray:
+    """The sample-to-sample phase steps of a sampled closed ring, in (-pi, pi]."""
+    return np.angle(np.roll(vals, -1) / vals)
 
 
 def _classify_low_row(grid: BoxGrid, j: int, ks) -> list[int]:
@@ -305,39 +303,44 @@ def _classify_low_row(grid: BoxGrid, j: int, ks) -> list[int]:
     The winding rectangle is the box shifted left/down by half a box width and
     a small height fraction, matching the closed-left/open-right semantics:
     numerically relevant zeros sit on the left edge of the bottom row, which
-    the shift turns into interior points.  A ring is refined while a phase
-    step exceeds pi/2: a zero close to the ring turns the phase by more than
-    pi between samples, which aliases to a step of the other sign and loses
-    a whole turn without leaving a fractional winding.
-
-    Each attempt evaluates the rings of all boxes still open in one
-    zl_product_many call.  A doubled ring evaluates only its new odd samples:
-    its even samples are the old ring's samples bit for bit (linspace without
-    endpoint), and each value depends only on its point.
+    the shift turns into interior points.  A zero close to the ring turns the
+    phase by more than pi between samples, which aliases to a step of the
+    other sign and loses a whole turn.  So an open ring gets a midpoint in
+    each segment whose step exceeds pi/2, or in every segment when none does
+    but the winding is not near an integer.  Each attempt evaluates the new
+    samples of all open rings in one zl_product_many call.  After r
+    refinements each sample is one of the whole ring with 2^r times the
+    samples, bit for bit (linspace without endpoint), and each value depends
+    only on its point.  A nearly vanishing sample stays, so it ends the row.
     """
     hs = 0.5 * (grid.sigma[j + 1] - grid.sigma[j])
-    rects = {}
+    f = np.linspace(0.0, 1.0, 32 * grid.config.grid_density, endpoint=False)
+    fine = {}  # every point a ring can sample in three refinements, in ring order
     for k in ks:
         ht = (grid.tau[k + 1] - grid.tau[k]) / 1024.0
-        rects[k] = (grid.sigma[j] - hs, grid.sigma[j + 1] - hs, grid.tau[k] - ht, grid.tau[k + 1] - ht)
-    per_side = 4 * grid.config.grid_density
-    f = np.linspace(0.0, 1.0, per_side, endpoint=False)
-    rings, winds, todo = {}, {}, list(ks)
+        rect = (grid.sigma[j] - hs, grid.sigma[j + 1] - hs, grid.tau[k] - ht, grid.tau[k + 1] - ht)
+        fine[k] = _rect_boundary(*rect, f).reshape(-1)
+    pos = {k: np.arange(0, fine[k].size, 8) for k in ks}  # the samples' places in fine[k]
+    new, at, vals, winds, todo = dict(pos), {}, {}, {}, list(ks)
     for attempt in range(4):
-        pts = np.concatenate([_rect_boundary(*rects[k], f) for k in todo], axis=1)
-        new = np.split(zl_product_many(pts, grid.spec), len(todo), axis=1)
-        for k, vals in zip(todo, new):
-            # old and new samples interleaved, side by side
-            rings[k] = np.stack((rings[k], vals), axis=-1).reshape(4, -1) if attempt else vals
-            winds[k] = _settled_winding(rings[k].reshape(-1))
+        pts = np.concatenate([fine[k][new[k]] for k in todo])
+        out = np.split(zl_product_many(pts, grid.spec), np.cumsum([new[k].size for k in todo])[:-1])
+        for k, v in zip(todo, out):
+            if float(np.min(np.abs(v))) < 1e-8:
+                raise BoundaryZeroError(f"box (j={j}, k={k}): a boundary sample nearly vanishes")
+            vals[k] = np.insert(vals[k], at[k], v) if attempt else v
+            winds[k] = _settled_winding(vals[k])
         todo = [k for k in todo if winds[k] is None]
         if not todo:
             return [winds[k] for k in ks]
-        per_side *= 2
-        f = np.linspace(0.0, 1.0, per_side, endpoint=False)[1::2]
-    raise BoundaryZeroError(
-        f"box (j={j}, k={todo[0]}): boundary too close to a zero after 3 retries"
-    )
+        for k in todo:
+            split = np.abs(_phase_steps(vals[k])) > 0.5 * math.pi
+            split |= not split.any()
+            gaps = np.diff(pos[k], append=pos[k][0] + fine[k].size)
+            at[k] = np.flatnonzero(split) + 1
+            new[k] = pos[k][split] + gaps[split] // 2
+            pos[k] = np.insert(pos[k], at[k], new[k])
+    raise BoundaryZeroError(f"box (j={j}, k={todo[0]}): no settled winding after 3 refinements")
 
 
 def _settled_winding(vals: np.ndarray) -> int | None:
@@ -346,8 +349,9 @@ def _settled_winding(vals: np.ndarray) -> int | None:
     integer."""
     if float(np.min(np.abs(vals))) < 1e-8:
         return None
-    wind, max_step = _winding_number(vals)
-    if max_step <= 0.5 * math.pi and abs(wind - round(wind)) < 0.1:
+    steps = _phase_steps(vals)
+    wind = float(steps.sum() / (2.0 * math.pi))
+    if float(np.abs(steps).max()) <= 0.5 * math.pi and abs(wind - round(wind)) < 0.1:
         return int(round(wind))
     return None
 

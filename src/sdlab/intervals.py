@@ -368,7 +368,7 @@ def _tail_pairs(r: int, large: np.ndarray, tail: np.ndarray):
         return
     kmax = int(large[1]) // int(tail[0]) ** 2
     per_k = np.searchsorted(tail * tail, large[1 : kmax + 1], side="right")
-    for k0, k1, starts, k, t in _pair_blocks(per_k):
+    for k0, k1, starts, k, t in _pair_blocks(per_k, whole_rows=True):
         k += 1  # from the row index k - 1
         kp = k * tail[t]
         pos = np.where(kp <= r, r + 1 + kp, large[k] // tail[t])

@@ -228,16 +228,6 @@ class EulerProductG:
             log_g[j] -= self.e * (-1) ** j * float(sums[j])
         return ps_exp(PowerSeries(complex(s0), tuple(log_g)))
 
-    def tail_log_estimate(self, sigma: float) -> float:
-        """Deterministic bound on the neglected log-tail at real part sigma."""
-        x = self.a * sigma
-        if x <= 1.0:
-            return math.inf
-        P = float(self.prime_limit)
-        q = self.modulus
-        density = len(self.residues) / sum(math.gcd(r, q) == 1 for r in range(1, q + 1))
-        return abs(self.e) * density * P ** (1.0 - x) / ((x - 1.0) * math.log(P))
-
     def describe(self) -> dict:
         return {
             "kind": "euler_product",

@@ -2,7 +2,8 @@
 paths against: a smallest-prime-factor table, factorization and divisors read
 off it, the two indicators, the exact rational divisor CDF F_n(t), the
 divisor logs of a factored n, a table of the sums of two squares,
-tau_{kappa,kappa}(n) by trial division, and mu by sieving."""
+tau_{kappa,kappa}(n) by trial division, mu by sieving, and a bound on the
+log-tail that an Euler product G leaves out."""
 
 from __future__ import annotations
 
@@ -150,3 +151,15 @@ def _exponent_tuple_count(e: int, kappas: tuple[int, ...]) -> int:
         for v in range(k, e + 1):
             ways[v] += ways[v - k]
     return ways[e]
+
+
+def euler_tail_log_estimate(G, sigma: float) -> float:
+    """Deterministic bound on the log-tail that EulerProductG G leaves out
+    beyond its prime limit, at real part sigma."""
+    x = G.a * sigma
+    if x <= 1.0:
+        return math.inf
+    P = float(G.prime_limit)
+    q = G.modulus
+    density = len(G.residues) / sum(math.gcd(r, q) == 1 for r in range(1, q + 1))
+    return abs(G.e) * density * P ** (1.0 - x) / ((x - 1.0) * math.log(P))

@@ -572,7 +572,29 @@ class TestPairKernel:
         finally:
             tracemalloc.stop()
         assert got[1] == 1 and np.array_equal(got[2:], columns["tau"][: n - 1])
-        assert peak < 40 * 2**20
+        # the d = 1 row has n pairs and goes in pieces of _PAIR_BLOCK pairs
+        assert peak <= 21 * 2**20
+
+    def test_long_rows_go_in_pieces_with_the_same_bytes(self, monkeypatch):
+        blocks = []
+        pair_blocks = ar._pair_blocks
+
+        def spy(counts):
+            for block in pair_blocks(counts):
+                blocks.append(block[-1].size)
+                yield block
+
+        monkeypatch.setattr(ar, "_PAIR_BLOCK", 64)
+        monkeypatch.setattr(ar, "_pair_blocks", spy)
+        for a in (_signed_zero_vector(), ar.ones_coeffs(2000)):
+            want_inv = inverse_full_range(a)
+            inv = ar.dirichlet_inverse(a).values
+            assert inv.dtype == want_inv.dtype and inv.tobytes() == want_inv.tobytes()
+            b = ar.CoeffVector(a.limit, want_inv)
+            want = convolve_full_range(a, b)
+            got = ar.dirichlet_convolve(a, b).values
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert max(blocks) == 64
 
 
 def _bigint_convolve(a, b):

@@ -245,10 +245,12 @@ class TestClassification:
     def test_winding_number_unit(self):
         theta = 2 * math.pi * np.arange(64) / 64
         ring = 0.3 + 0.1j + 0.2 * np.exp(1j * theta)
-        wind, max_step = cl._winding_number(ring - (0.3 + 0.1j))
-        assert wind == pytest.approx(1.0)
-        assert max_step == pytest.approx(2 * math.pi / 64)
-        assert cl._winding_number(ring - (2.0 + 0j))[0] == pytest.approx(0.0, abs=1e-12)
+        steps = cl._phase_steps(ring - (0.3 + 0.1j))
+        assert steps.sum() / (2 * math.pi) == pytest.approx(1.0)
+        assert np.abs(steps).max() == pytest.approx(2 * math.pi / 64)
+        assert cl._phase_steps(ring - (2.0 + 0j)).sum() == pytest.approx(0.0, abs=1e-12)
+        assert cl._settled_winding(ring - (0.3 + 0.1j)) == 1
+        assert cl._settled_winding(ring - (2.0 + 0j)) == 0
 
     def test_pure_zeta_spec_first_zero_box(self):
         # no L factors: only the zeta zeros mark boxes; at T=100 the single
@@ -297,8 +299,9 @@ class TestClassification:
 
     def test_row_evaluation_cost(self, zl_spec, monkeypatch):
         # one call per row and attempt: the 38 rings of 128 points of each
-        # row, then only the new odd samples of the rings doubled to 256 (36
-        # in row 0, 13 in row 1) and to 512 (9 in row 0)
+        # row, then only the midpoints of the segments that turn the phase by
+        # more than pi/2 (or of every segment of a ring whose winding is not
+        # near an integer)
         grid = cl.build_grid(cl.ContourConfig(T=200.0), zl_spec)
         sizes = []
         zl = cl.zl_product_many
@@ -309,18 +312,77 @@ class TestClassification:
 
         monkeypatch.setattr(cl, "zl_product_many", counting)
         cl.classify_boxes(grid)
-        assert sizes == [38 * 128, 36 * 128, 9 * 256, 38 * 128, 13 * 128]
-        assert sum(sizes) == 18304
+        assert sizes == [38 * 128, 261, 12, 38 * 128, 14]
+        assert sum(sizes) == 10015
+
+    def test_every_sample_is_a_whole_ring_sample(self, grid200, monkeypatch):
+        # attempt r of a row evaluates only samples of the boxes' whole rings
+        # at 128 * 2^r points, r <= 3, and no sample twice
+        g = grid200
+        f = [np.linspace(0.0, 1.0, 128 * 2**r, endpoint=False) for r in range(4)]
+        calls = []
+        zl = cl.zl_product_many
+
+        def spy(s, spec):
+            calls.append(set(np.asarray(s).tolist()))
+            return zl(s, spec)
+
+        monkeypatch.setattr(cl, "zl_product_many", spy)
+        attempts = []
+        for j in range(g.J_T + 1):
+            calls.clear()
+            assert cl._classify_low_row(g, j, range(g.K_T + 1)) == g.windings[j].tolist()
+            attempts.append(len(calls))
+            for r, pts in enumerate(calls):
+                rings = [cl._rect_boundary(*_winding_rect(g, j, k), f[r]) for k in range(g.K_T + 1)]
+                assert pts <= set(np.concatenate(rings, axis=None).tolist())
+            assert sum(map(len, calls)) == len(set.union(*calls))
+        assert attempts == [3, 2]
+
+    def test_planted_zero_refines_only_its_segments(self, grid200, monkeypatch):
+        # f(s) = s - z0 with z0 just inside the right side of box (0, 5), at
+        # a tenth of a sample spacing from it and 0.35 of the way along a
+        # segment: that segment turns the phase by more than pi/2, and so do
+        # its halves next to z0 until the third refinement
+        g = grid200
+        s_lo, s_hi, t_lo, t_hi = _winding_rect(g, 0, 5)
+        h = (t_hi - t_lo) / (4 * g.config.grid_density)
+        z0 = complex(s_hi - 0.1 * h, t_lo + 16.35 * h)
+        calls = []
+
+        def planted(s, spec):
+            calls.append(np.asarray(s).copy())
+            return np.asarray(s) - z0
+
+        monkeypatch.setattr(cl, "zl_product_many", planted)
+        winds = cl._classify_low_row(g, 0, range(g.K_T + 1))
+        assert winds == [1 if k == 5 else 0 for k in range(g.K_T + 1)]
+        assert [c.size for c in calls] == [38 * 128, 1, 1, 1]
+        refined = np.concatenate(calls[1:])
+        assert (refined.real == s_hi).all()
+        assert ((refined.imag > t_lo + 16 * h) & (refined.imag < t_lo + 17 * h)).all()
 
     def test_boundary_zero_error_after_retries(self, grid200, monkeypatch):
         from sdlab.errors import BoundaryZeroError
 
+        sizes = []
+
         def tiny(s, spec):
+            sizes.append(np.asarray(s).size)
             return np.full(np.asarray(s).shape, 1e-12 + 0j)
 
         monkeypatch.setattr(cl, "zl_product_many", tiny)
         with pytest.raises(BoundaryZeroError):
             cl._classify_low_row(grid200, 0, [0])
+        # refinement keeps every sample, so no retry could clear this one
+        assert sizes == [128]
+
+
+def _winding_rect(g, j, k):
+    """The winding rectangle of box (j, k), as _classify_low_row builds it."""
+    hs = 0.5 * (g.sigma[j + 1] - g.sigma[j])
+    ht = (g.tau[k + 1] - g.tau[k]) / 1024.0
+    return (g.sigma[j] - hs, g.sigma[j + 1] - hs, g.tau[k] - ht, g.tau[k + 1] - ht)
 
 
 class TestContour:
