@@ -9,24 +9,25 @@ divisor_le_threshold decides both halves, the upper one on the cofactor n/d.
 The passing multiples of each d form a run, and the mean is linear in the
 shares, so the engine sums w(n) = 1/tau(n) over each run and takes a prefix
 sum over the grid columns; it keeps no per-n count matrix.  The window is
-scanned in chunks of a fixed 2^20 integers (_CHUNK); a window of several chunks is cut at
-chunk boundaries into one contiguous sub-range per CPU, and forked worker
-processes scan the sub-ranges.  Every partial sum depends only on its own
-chunk, and math.fsum rounds correctly whatever the order of its inputs, so
-the sums are the same bits for any number of workers.  On a 2-core box,
-ddt_mean(10**7) takes about 0.55 s (0.85 s in one process), and the
-two-squares window at x = 1e8, theta = 0.85 about 1.0 s (1.45 s).
+scanned in chunks of a fixed 2^20 integers (_CHUNK); a window of several
+chunks is cut at chunk boundaries into one contiguous sub-range per CPU, and
+forked worker processes scan the sub-ranges.  Every partial sum depends only
+on its own chunk, and math.fsum rounds correctly whatever the order of its
+inputs, so the sums are the same bits for any number of workers.  On a
+2-core box, ddt_mean(10**7) takes about 0.35 s (0.45 s in one process), and
+the two-squares window at x = 1e8, theta = 0.85 about 0.5 s (0.65 s).
 
 Square-full members come from the a^2 b^3 parametrization with b
-squarefree, as int64 arrays in ascending order.  Their mean runs in this
-process, in blocks of members: a and b are trial-divided by the primes up to
-sqrt(max(a, b)), each leaving 1 or a prime, so no factor table grows with
-the window.  Members of one exponent shape get their divisor logs side by
-side with the float operations of the per-member divisor_logs oracle in
-tests/oracles.py, the counts below each threshold are integers, and the
-shares count / tau(n) are added by a cumulative sum in member order; so the
-sums are the bits of a member-by-member loop.  The window at x = 1e10, theta = 0.42 (16,421
-members) takes about 0.2 s.  The two-squares indicator comes from a
+squarefree, as int64 arrays in ascending order.  Worker processes take
+them over the same sub-ranges, in blocks of members: a and b are
+trial-divided by the primes up to sqrt(max(a, b)), each leaving 1 or a
+prime, so no factor table grows with the window.  Members of one exponent
+shape get their divisor logs side by side with the float operations of the
+per-member divisor_logs oracle in tests/oracles.py, and the counts below
+each threshold are integers; this process adds the shares count / tau(n) by
+a cumulative sum in member order, so the sums are the bits of a
+member-by-member loop.  The window at x = 1e10, theta = 0.42 (16,421
+members) takes about 0.14 s (0.15 s).  The two-squares indicator comes from a
 segmented parity sieve over primes p = 3 (mod 4); the engine walks the
 sieve's own chunks, so each mask is scanned with the chunk it belongs to.
 
@@ -48,7 +49,8 @@ from math import isqrt
 import numpy as np
 
 from . import specfun
-from .arith import _pair_blocks, divisor_le_threshold, primes_upto, threshold_log_cut
+from .arith import _THRESHOLD_GUARD, _pair_blocks, divisor_le_threshold
+from .arith import primes_upto, threshold_log_cut
 from .errors import CapacityError, DomainError, EmptyIntervalError
 
 __all__ = [
@@ -262,35 +264,30 @@ def two_squares_count_and_masks(lo: int, hi: int):
     are those of the window engine, _CHUNK integers each.
 
     Exactness: n fails when a prime p = 3 (mod 4) up to sqrt(hi) divides it
-    to an odd power; the sieve tracks each such exponent's parity.  When all
-    of them are even, n stripped of them and of its powers of two is = the
-    odd part of n (mod 4), and it is a product of p = 1 (mod 4) primes times
-    at most one prime > sqrt(hi), so n fails exactly when its odd part is
-    = 3 (mod 4): when the bit above the lowest set bit of n is set.
+    to an odd power; each power p^e adds (-1)^(e+1) to its multiples in an
+    int8 buffer, whose sum at n is the number of such p.  When it is 0, n
+    stripped of those primes and of its powers of two is = the odd part of n
+    (mod 4), and it is a product of p = 1 (mod 4) primes times at most one
+    prime > sqrt(hi), so n fails exactly when its odd part is = 3 (mod 4):
+    when the bit above the lowest set bit of n is set.
     """
     _check_two_squares_window(lo, hi)
     primes = primes_upto(isqrt(hi))
     primes3 = [int(p) for p in primes[primes % 4 == 3]]
+    odd_buffer = np.empty(_CHUNK, dtype=np.int8)
     for clo in range(lo, hi, _CHUNK):
         chi_ = min(clo + _CHUNK, hi)
         m = chi_ - clo
-        bad = np.zeros(m, dtype=bool)
-        flip = np.zeros(m, dtype=bool)
+        odd = odd_buffer[:m]
+        odd.fill(0)
         for p in primes3:
-            start = (-(clo + 1)) % p
-            if start >= m:
-                continue
-            pe = p
-            while pe <= chi_:
-                st = (-(clo + 1)) % pe
-                if st < m:
-                    flip[st::pe] ^= True
-                pe *= p
-            bad[start::p] |= flip[start::p]
-            flip[start::p] = False
+            pe, sign = p, 1
+            # a power with no multiple in the chunk leaves none to the next
+            while pe <= chi_ and (st := (-(clo + 1)) % pe) < m:
+                odd[st::pe] += sign
+                pe, sign = pe * p, -sign
         n = np.arange(clo + 1, chi_ + 1, dtype=np.int64)
-        bad |= (n & ((n & -n) << 1)) != 0
-        yield clo, ~bad
+        yield clo, (odd == 0) & ((n & ((n & -n) << 1)) == 0)
 
 
 def _count_two_squares_part(lo: int, hi: int) -> int:
@@ -546,6 +543,37 @@ def _run_starts(d: int, columns, hi: int) -> list:
     return starts
 
 
+def _run_start_table(ds: np.ndarray, columns, hi: int) -> np.ndarray:
+    """_run_starts(d, columns, hi) for each d of the int64 array ds, a row
+    per d with 0 for None.  Each start is seeded from the guarded test's real
+    solution and kept where the predicate of divisor_le_threshold, here
+    threshold_log_cut on math.log values, passes at k and fails at k - 1;
+    any other d takes _run_starts' galloping search."""
+    table = np.zeros((ds.size, len(columns)), dtype=np.int64)
+    log_d = np.array(list(map(math.log, ds.tolist())))
+    for c, (_, t, upper, limit) in enumerate(columns):
+        if not upper:
+            table[ds == 1, c] = 1  # 1 <= n**0
+        i = np.flatnonzero((log_d < limit) & ((ds > 1) | upper))
+        d, ld = ds[i], log_d[i]
+        x = (t * ld + _THRESHOLD_GUARD) / (1.0 - t) if upper else (ld - _THRESHOLD_GUARD) / t
+        k = np.array(list(map(math.exp, np.minimum(x, 700.0).tolist())))  # as a hint only
+        k = np.floor(k) + 1.0 if upper else np.ceil(k / d)
+        k = np.minimum(k, 2 * hi // d + 1).astype(np.int64)
+
+        def passes(k):
+            cut = threshold_log_cut(np.array(list(map(math.log, (d * k).tolist()))), t)
+            if upper:  # the cofactor k; log 1 = 0 is below every cut
+                return np.array(list(map(math.log, k.tolist()))) > cut
+            return ld <= cut
+
+        ok = (d * k <= 2 * hi) & passes(k) & ((k == 1) | ~passes(np.maximum(k - 1, 1)))
+        table[i, c] = np.where(ok, k, 0)
+        for j in np.flatnonzero(~ok).tolist():
+            table[i[j], c] = _run_starts(int(d[j]), columns[c : c + 1], hi)[0] or 0
+    return table
+
+
 def _worker_count() -> int:
     """Worker processes for one engine call: the CPUs this process may run
     on, or 1 where fork() is unavailable or unsafe.  A daemonic worker of a
@@ -598,8 +626,18 @@ def _window_partials(lo: int, hi: int, window_hi: int, ts, two_squares: bool):
     columns = _columns(ts, window_hi)
     n_lower = sum(not upper for _, _, upper, _ in columns)
     D = isqrt(window_hi)
-    starts = [None] * D  # run starts of d, found when d first has a multiple
+    # the divisors with a multiple in (lo, hi], taken _CHUNK at a time
+    blocks = (np.arange(s, min(s + _CHUNK, D + 1)) for s in range(1, D + 1, _CHUNK))
+    ds = np.concatenate([d[lo // d < hi // d] for d in blocks])
+    starts = _run_start_table(ds, columns, window_hi)
+    # per d and half, the (column, start) pairs of the runs that can meet
+    # (lo, hi], which start at or below hi // d
+    rows, cols = np.nonzero((starts > 0) & (starts <= (hi // ds)[:, None]))
+    pairs = list(zip(cols.tolist(), starts[rows, cols].tolist()))
+    ends = [0] + np.cumsum(np.bincount(2 * rows + (cols >= n_lower), minlength=2 * ds.size)).tolist()
+    runs = [(pairs[e0:e1], pairs[e1:e2]) for e0, e1, e2 in zip(ends[0::2], ends[1::2], ends[2::2])]
     partials = [[] for _ in columns]
+    reduce = np.add.reduce
     count = 0
     if two_squares:
         chunks = two_squares_count_and_masks(lo, hi)
@@ -609,53 +647,41 @@ def _window_partials(lo: int, hi: int, window_hi: int, ts, two_squares: bool):
     for clo, mask in chunks:
         chigh = min(clo + _CHUNK, hi)
         m = chigh - clo
-        tau = np.zeros(m, dtype=np.int32)
-        live = []
-        for d in range(1, D + 1):
-            k_lo = clo // d + 1
-            k_hi = chigh // d
-            if k_lo > k_hi:
-                continue
-            off = d * k_lo - clo - 1  # position of first multiple in chunk
-            live.append((d, k_lo, k_hi, off))
-            # tau: pairs d < sqrt(n) add 2; d = sqrt(n) adds 1
-            k_pair = max(k_lo, d + 1)
-            if k_pair <= k_hi:
-                tau[off + (k_pair - k_lo) * d :: d] += 2
-            if k_lo <= d <= k_hi:
-                tau[off + (d - k_lo) * d] += 1
+        k_lo, k_hi = clo // ds + 1, chigh // ds  # the multiples d * k in the chunk
+        o = -clo - 1  # d * k sits at o + d * k
+        # tau: pairs d < sqrt(n) add 2, from k = d + 1 on; d = sqrt(n) adds 1
+        pair = o + ds * np.maximum(k_lo, ds + 1)
+        tau = np.zeros(m, dtype=np.int16)  # tau(n) <= 26,880 for n <= _WINDOW_GUARD
+        for d, p in zip(ds[pair < m].tolist(), pair[pair < m].tolist()):
+            tau[p::d] += 2
+        root = ds[(k_lo <= ds) & (ds <= k_hi)]
+        tau[o + root * root] += 1
         w = 1.0 / tau
         if mask is None:
             count += m
         else:
-            count += int(mask.sum())
+            count += int(np.count_nonzero(mask))
             w[~mask] = 0.0
-        for d, k_lo, k_hi, off in live:
-            ks = starts[d - 1]
-            if ks is None:
-                ks = starts[d - 1] = _run_starts(d, columns, window_hi)
-            # Only the first run of a half ends at k_hi; when both halves
+        live = np.flatnonzero(k_lo <= k_hi)
+        for i, d, kl, kh in zip(*(a.tolist() for a in (live, ds[live], k_lo[live], k_hi[live]))):
+            # Only the first run of a half ends at kh; when both halves
             # start it at the same a (mostly the whole chunk), sum it once.
             first = None
-            for c0, c1 in ((0, n_lower), (n_lower, len(columns))):
-                b = k_hi + 1  # run upper bound (exclusive)
-                for c in range(c0, c1):
-                    kc = ks[c]
-                    if kc is None:
-                        continue
-                    a = max(kc, k_lo)
+            for half in runs[i]:
+                b = kh + 1  # run upper bound (exclusive)
+                for c, kc in half:
+                    a = kc if kc > kl else kl
                     if a < b:
-                        if b > k_hi and first is not None and first[0] == a:
+                        if b > kh and first is not None and first[0] == a:
                             total = first[1]
                         else:
-                            run = w[off + (a - k_lo) * d : off + (b - 1 - k_lo) * d + 1 : d]
-                            total = float(run.sum())
-                            if b > k_hi:
+                            total = reduce(w[o + a * d : o + (b - 1) * d + 1 : d])
+                            if b > kh:
                                 first = (a, total)
                         partials[c].append(total)
-                    if kc <= k_lo:
+                    if kc <= kl:
                         break
-                    b = min(kc, k_hi + 1)
+                    b = kc if kc <= kh else kh + 1
         partials = [_exact_terms(xs) for xs in partials]
     return count, partials
 
@@ -772,41 +798,49 @@ def _squarefull_sums(lo: int, hi: int, ts):
         cut = threshold_log_cut(math.log(n), ts[i])
         sums[i] += np.searchsorted(np.sort(logs), cut, side="right") / logs.size
 
-    The members are int64 arrays (_squarefull_members), taken in blocks of
-    _SQUAREFULL_BLOCK.  Each block is factored through n = a^2 b^3 by trial
-    division of a and b (_factor_a2b3).  Members of one exponent shape get
-    their divisor logs side by side, with the float operations of
-    divisor_logs in its order (_squarefull_counts); the counts of logs
-    below a cut are integers, so how they are counted cannot move a bit.
-    The shares count / tau(n) are then added in member order: a cumulative
-    sum down the block, with the running sums added into its first row,
-    makes the loop's additions in the loop's order.
+    Worker processes count the divisors below each cut (_squarefull_part,
+    over _over_subranges); the counts are integers, so where they are
+    counted cannot move a bit.  The shares count / tau(n) are then added
+    here in member order, block by block: a cumulative sum down the block,
+    with the running sums added into its first row, makes the loop's
+    additions in the loop's order.
     """
-    n, a, b = _squarefull_members(lo, hi)
-    if not n.size:
+    _check_window(lo, hi)
+    parts = _over_subranges(_squarefull_part, lo, hi, np.array(ts, dtype=np.float64))
+    blocks = [block for part in parts for block in part]
+    count = sum(tau.size for _, tau in blocks)
+    if not count:
         raise EmptyIntervalError(f"no square-full numbers in ({lo}, {hi}]")
-    t_arr = np.array(ts, dtype=np.float64)
-    primes = primes_upto(isqrt(max(int(a.max()), int(b.max()))))
     sums = np.zeros(len(ts))
-    for s in range(0, n.size, _SQUAREFULL_BLOCK):
-        blk = slice(s, s + _SQUAREFULL_BLOCK)
-        shares, tau = _squarefull_counts(n[blk], a[blk], b[blk], primes, t_arr)
-        shares /= tau[:, None]
+    for counts, tau in blocks:
+        shares = counts / tau[:, None]
         shares[0] += sums
         sums = np.cumsum(shares, axis=0, out=shares)[-1]
-    return int(n.size), sums
+    return count, sums
+
+
+def _squarefull_part(lo: int, hi: int, t_arr) -> list:
+    """_squarefull_counts of the square-full n in (lo, hi] (_squarefull_members),
+    in blocks of _SQUAREFULL_BLOCK members, in ascending order."""
+    n, a, b = _squarefull_members(lo, hi)
+    primes = primes_upto(isqrt(max(int(a.max(initial=1)), int(b.max(initial=1)))))
+    return [
+        _squarefull_counts(n[blk], a[blk], b[blk], primes, t_arr)
+        for blk in (slice(s, s + _SQUAREFULL_BLOCK) for s in range(0, n.size, _SQUAREFULL_BLOCK))
+    ]
 
 
 def _squarefull_counts(n, a, b, primes, t_arr):
-    """(counts, tau): counts[r, i] is the number of divisors d of member r
-    with log d <= threshold_log_cut(log n, t_arr[i]), and tau[r] = tau(n).
+    """(counts, tau), uint16 and int32: counts[r, i] is the number of
+    divisors d of member r with log d <= threshold_log_cut(log n, t_arr[i]),
+    and tau[r] = tau(n) <= 26,880.
 
     The members are sorted by exponent shape (the exponents in
     ascending-prime order, which fix the order of the float additions), and
     those of one shape get their divisor logs side by side
     (_shape_divisor_logs), with one math.log per distinct prime."""
     P, E = _factor_a2b3(a, b, primes)
-    tau = np.prod(E + 1, axis=1)
+    tau = np.prod(E + 1, axis=1, dtype=np.int32)
     key = (E << (6 * np.arange(_MAX_PRIMES))).sum(axis=1)
     order = np.argsort(key, kind="stable")
     E, key = E[order], key[order]
@@ -814,7 +848,7 @@ def _squarefull_counts(n, a, b, primes, t_arr):
     distinct = distinct[np.diff(distinct, prepend=0) > 0]  # np.unique would import numpy.ma
     L = np.array([math.log(p) for p in distinct.tolist()])[np.searchsorted(distinct, P[order])]
     log_n = np.array([math.log(v) for v in n[order].tolist()])
-    counts = np.empty((n.size, t_arr.size))
+    counts = np.empty((n.size, t_arr.size), dtype=np.uint16)
     first = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
     for s0, s1 in zip(first, first[1:] + [n.size]):
         exps = [e for e in E[s0].tolist() if e] or [0]  # n = 1: p = 1, log p = 0.0

@@ -202,24 +202,34 @@ class TestCountTwoSquares:
 
     def test_masks_match_trial_division(self, monkeypatch):
         # n is a sum of two squares iff every prime p = 3 (mod 4) divides it
-        # to an even power; trial division by the primes up to sqrt(hi)
-        # leaves a cofactor that is 1 or a prime
-        for lo, hi in ((0, 3000), (10**11 + 12345, 10**11 + 17345)):
+        # to an even power; trial division by the primes up to sqrt(hi) that
+        # divide n leaves a cofactor that is 1 or a prime
+        monkeypatch.setattr(iv, "_CHUNK", 997)
+        for lo, hi in (
+            (0, 3000),
+            (10**11 + 12345, 10**11 + 17345),
+            (10**13 - 1000, 10**13 + 2000),
+            (10**14 + 777, 10**14 + 2777),
+        ):
             primes = ar.primes_upto(math.isqrt(hi))
+            dividing = [[] for _ in range(hi - lo)]
+            for p, r in zip(primes.tolist(), ((-(lo + 1)) % primes).tolist()):
+                for i in range(r, hi - lo, p):  # r: offset of the first multiple
+                    dividing[i].append(p)
             want = []
-            for n in range(lo + 1, hi + 1):
+            for n, ps in zip(range(lo + 1, hi + 1), dividing):
                 ok = True
-                for p in primes[n % primes == 0].tolist():
+                for p in ps:
                     e = 0
                     while n % p == 0:
                         n //= p
                         e += 1
                     ok &= p % 4 != 3 or e % 2 == 0
                 want.append(ok and n % 4 != 3)
-            monkeypatch.setattr(iv, "_CHUNK", 997)
             got = list(iv.two_squares_count_and_masks(lo, hi))
             assert [clo for clo, _ in got] == list(range(lo, hi, 997))
             assert np.array_equal(np.concatenate([mask for _, mask in got]), want), lo
+            assert 0 < sum(want) < hi - lo
 
     def test_count_independent_of_worker_count(self, monkeypatch):
         lo, hi = 10**6, 10**6 + 3 * 2**20 + 5  # four chunks of 2^20
@@ -370,6 +380,50 @@ class TestMeanDivisorCdf:
             want = [scan(d, t, upper, hi) for _, t, upper, _ in columns]
             assert iv._run_starts(d, columns, hi) == want, (hi, d)
 
+    @pytest.mark.parametrize("hi", [10**4, 3 * 10**5 + 7, 10**7, 106 * 10**6, 10**10])
+    def test_run_start_table_matches_run_starts(self, hi):
+        # every d <= sqrt(hi), on the default grid and on the knife-edge grid
+        # of test_run_starts_match_run_start
+        ds = np.arange(1, math.isqrt(hi) + 1)
+        for grid in (iv.DEFAULT_T_GRID, (0.0, 0.05, 0.3, 0.3, 0.5, 0.7, 0.95, 1.0)):
+            columns = iv._columns(grid, hi)
+            table = iv._run_start_table(ds, columns, hi)
+            assert table.shape == (ds.size, len(columns))
+            for d, row in zip(ds.tolist(), table.tolist()):
+                assert [k or None for k in row] == iv._run_starts(d, columns, hi), (hi, d)
+
+    @pytest.mark.parametrize("guard", [0.0, 1e-6, -1e-6])
+    def test_run_start_table_checks_its_hints(self, monkeypatch, guard):
+        # a hint seeded with another guard than the predicate's misses, too
+        # low or too high; the predicate must reject it and the galloping
+        # search find the start
+        searched = 0
+        run_starts = iv._run_starts
+
+        def counting(*args):
+            nonlocal searched
+            searched += 1
+            return run_starts(*args)
+
+        monkeypatch.setattr(iv, "_THRESHOLD_GUARD", guard)
+        monkeypatch.setattr(iv, "_run_starts", counting)
+        for hi in (10**4, 3 * 10**5 + 7, 10**7):
+            ds = np.arange(1, math.isqrt(hi) + 1)
+            columns = iv._columns(iv.DEFAULT_T_GRID, hi)
+            table = iv._run_start_table(ds, columns, hi)
+            for d, row in zip(ds.tolist(), table.tolist()):
+                assert [k or None for k in row] == run_starts(d, columns, hi), (hi, d)
+        assert searched > 100  # by the table; the loop above calls run_starts itself
+
+    def test_run_start_table_far_from_hint(self):
+        # the guard band's d = 1 upper-half starts of test_run_start_far_from_hint
+        hi = 10**12
+        for t in (1.0 - 1e-12, 1.0 - 1e-13):
+            columns = iv._columns((t,), hi)
+            want = [k or 0 for k in iv._run_starts(1, columns, hi)]
+            assert iv._run_start_table(np.array([1]), columns, hi).tolist() == [want]
+        assert want == [0]
+
     def test_narrow_window_matches_per_n_oracle(self, sieve_1e6):
         # the window is narrower than sqrt(hi) = 1000, so some d have no
         # multiple in it and get no run starts
@@ -382,29 +436,28 @@ class TestMeanDivisorCdf:
             assert sums[i] / count == pytest.approx(direct / count, abs=1e-12), t
 
     def test_run_starts_only_for_divisors_with_multiples(self, monkeypatch):
-        calls = 0
-        run_starts = iv._run_starts
+        asked = []
+        run_start_table = iv._run_start_table
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return run_starts(*args)
+        def recording(ds, *args):
+            asked.extend(ds.tolist())
+            return run_start_table(ds, *args)
 
-        monkeypatch.setattr(iv, "_run_starts", counting)
+        monkeypatch.setattr(iv, "_run_start_table", recording)
         spec = iv.IntervalSpec(x=10**10, theta=0.3, kappa1=1.0)
         iv.weighted_fn_mean("two_squares", spec)
-        live = sum(1 for d in range(1, math.isqrt(spec.hi) + 1) if spec.lo // d < spec.hi // d)
-        # a table for every d <= sqrt(hi) would take 100,000 calls, each
-        # searching the 19 columns
-        assert 0 < calls == live
-        assert len(iv.DEFAULT_T_GRID) * live < 200_000
+        live = [d for d in range(1, math.isqrt(spec.hi) + 1) if spec.lo // d < spec.hi // d]
+        # each d with a multiple in the window once; a table for every
+        # d <= sqrt(hi) would hold 100,000 rows of the 19 columns
+        assert asked == live
+        assert len(iv.DEFAULT_T_GRID) * len(live) < 200_000
 
     def test_worker_error_reaches_caller(self, monkeypatch):
-        # the forked workers inherit the patched _run_starts
+        # the forked workers inherit the patched _run_start_table
         def failing(*args):
             raise DomainError("run starts failed")
 
-        monkeypatch.setattr(iv, "_run_starts", failing)
+        monkeypatch.setattr(iv, "_run_start_table", failing)
         monkeypatch.setattr(iv, "_worker_count", lambda: 2)
         monkeypatch.setattr(iv, "_CHUNK", 1000)
         for two_squares in (False, True):
@@ -428,6 +481,25 @@ class TestMeanDivisorCdf:
         for other_count, other_sums in others:
             assert other_count == count
             assert np.array_equal(other_sums, sums)
+
+    def test_tau_fits_int16_below_the_window_guard(self):
+        # the engine holds tau as int16, and the square-full counts of
+        # divisors as uint16.  The largest tau(n) for n <= _WINDOW_GUARD is
+        # that of an n = 2^e1 3^e2 5^e3 ... with e1 >= e2 >= ...: a search
+        # over those exponents
+        primes = ar.primes_upto(100).tolist()
+
+        def most_divisors(n, i, cap):
+            best = 1
+            p, e = primes[i], 1
+            while e <= cap and n * p**e <= iv._WINDOW_GUARD:
+                best = max(best, (e + 1) * most_divisors(n * p**e, i + 1, e))
+                e += 1
+            return best
+
+        tau_max = most_divisors(1, 0, 60)
+        assert tau_max == 26880  # at 866,421,317,361,600
+        assert tau_max <= np.iinfo(np.int16).max
 
     def test_exact_terms_keep_the_exact_sum(self, rng):
         # signed floats over 120 binary orders of magnitude, with cancellation
@@ -573,8 +645,10 @@ class TestWeightedMeans:
         assert (count, sums.tolist()) == (1, want)
         assert np.array_equal(sums, squarefull_scalar_sums(q**5 - 1, q**5, ts)[1])
 
-    def test_squarefull_mean_memory_independent_of_sqrt_hi(self):
-        # a smallest-prime-factor table up to sqrt(hi) = 1e7 peaked at 91 MiB
+    def test_squarefull_mean_memory_independent_of_sqrt_hi(self, monkeypatch):
+        # a smallest-prime-factor table up to sqrt(hi) = 1e7 peaked at 91 MiB;
+        # in this process, because tracemalloc cannot see into workers
+        monkeypatch.setattr(iv, "_worker_count", lambda: 1)
         spec = iv.IntervalSpec(x=10**14, theta=0.2, kappa1=2.0)
         tracemalloc.start()
         try:
@@ -585,6 +659,27 @@ class TestWeightedMeans:
         assert count == 666
         assert peak <= 8 * 2**20
 
+    @pytest.mark.parametrize("block", [2048, 7])
+    def test_squarefull_sums_independent_of_worker_count(self, monkeypatch, block):
+        # chunks of 1000 cut (10**5, 10**5 + 60000] into sixty, split over 1,
+        # 2 and 3 workers; in the second window, cut into three chunks, the
+        # middle one of three sub-ranges holds no member
+        monkeypatch.setattr(iv, "_SQUAREFULL_BLOCK", block)
+        ts = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
+        gap = 10**12 + 2100005, 10**12 + 2100005 + 3 * 1900000, 1900000
+        for lo, hi, chunk in ((10**5, 10**5 + 60000, 1000), gap):
+            monkeypatch.setattr(iv, "_CHUNK", chunk)
+            runs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(iv, "_worker_count", lambda: workers)
+                runs.append(iv._squarefull_sums(lo, hi, ts))
+            want = squarefull_scalar_sums(lo, hi, ts)
+            for count, sums in runs:
+                assert count == want[0] > 0
+                assert sums.tobytes() == want[1].tobytes()
+        members = iv.enumerate_squarefull(lo, hi)
+        assert [sum(lo + j * chunk < n <= lo + (j + 1) * chunk for n in members) for j in range(3)] == [3, 0, 3]
+
     def test_trivial_t_one(self):
         spec = iv.IntervalSpec(x=10**5, theta=0.8, kappa1=1.0)
         rep = iv.weighted_fn_mean("two_squares", spec, (0.5, 1.0))
@@ -592,11 +687,16 @@ class TestWeightedMeans:
         assert rep.predicted[1] == 1.0
         assert rep.predicted[0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_empty_interval(self):
-        # (128, 139] contains no square-full number (next after 128 is 144)
+    def test_empty_interval(self, monkeypatch):
+        # (128, 139] contains no square-full number (next after 128 is 144),
+        # also when chunks of 3 split it over three workers
         spec = iv.IntervalSpec(x=128, theta=0.01, kappa1=2.0)
         assert spec.hi < 144
         with pytest.raises(EmptyIntervalError):
+            iv.weighted_fn_mean("squarefull", spec, (0.5,))
+        monkeypatch.setattr(iv, "_CHUNK", 3)
+        monkeypatch.setattr(iv, "_worker_count", lambda: 3)
+        with pytest.raises(EmptyIntervalError, match=r"^no square-full numbers in \(128, 139\]$"):
             iv.weighted_fn_mean("squarefull", spec, (0.5,))
 
     def test_empty_t_grid(self):
