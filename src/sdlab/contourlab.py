@@ -195,12 +195,12 @@ def frak_m(varsigma: float, T: float, spec: SeriesSpec, density: int = 8) -> flo
     returned).  Conjugate symmetry reduces tau to [1, T].  The product is
     analytic on the closed rectangle varsigma <= sigma <= 2/kappa_1,
     1 <= tau <= T (its poles s = 1/kappa_i are real), so by the
-    maximum-modulus principle its maximum there lies on the boundary: only
-    the grid's first and last sigma columns and first and last tau rows are
-    evaluated, in one zeta batch per factor.  A zeta value depends only on
-    its own point, so every ring value is bit-identical to the same node in
-    a full-grid scan.  The sampled maximum is not converged in `density`
-    (ROADMAP item 9).
+    maximum-modulus principle its maximum there lies on the boundary; on its
+    right side it is at most the triangle bound.  So only the grid's first
+    sigma column and first and last tau rows are evaluated, in one zeta
+    batch per factor.  A zeta value depends only on its own point, so every
+    ring value is bit-identical to the same node in a full-grid scan.  The
+    sampled maximum is not converged in `density` (ROADMAP item 9).
     """
     k1 = spec.kappa1
     if varsigma < 1.0 / (2.0 * k1) - 1e-12:
@@ -214,9 +214,7 @@ def frak_m(varsigma: float, T: float, spec: SeriesSpec, density: int = 8) -> flo
     sig = np.arange(varsigma, sig_hi + width / density, width / density)
     taus = np.arange(1.0, T + height / density, height / density)
     taus = taus[taus <= T]
-    s = np.concatenate([
-        sig[0] + 1j * taus, sig[-1] + 1j * taus, sig + 1j * taus[0], sig + 1j * taus[-1]
-    ])
+    s = np.concatenate([sig[0] + 1j * taus, sig + 1j * taus[0], sig + 1j * taus[-1]])
     vals = np.ones_like(s)
     tail = 1.0
     for k in spec.kappa.kappa:
@@ -296,51 +294,79 @@ def _phase_steps(vals: np.ndarray) -> np.ndarray:
     return np.angle(np.roll(vals, -1) / vals)
 
 
-def _classify_low_row(grid: BoxGrid, j: int, ks) -> list[int]:
-    """Zero counts in the (half-open) boxes (j, k), k in ks, by the argument
-    principle.
+def _lattice_turns(vals: np.ndarray, n: int):
+    """Phase steps between the samples (the nonzero entries) along each row
+    of vals, a lattice line of edges n places long: per step its edge, its
+    two samples' flat places and whether it exceeds pi/2; per edge their sum
+    and whether one does."""
+    width = vals.shape[1]
+    shape = (vals.shape[0], (width - 1) // n)
+    at = np.flatnonzero(vals)
+    inner = at[:-1] % width != width - 1  # not from a line's end to the next
+    lo, hi = at[:-1][inner], at[1:][inner]
+    edge = lo // width * shape[1] + lo % width // n
+    steps = np.angle(vals.reshape(-1)[hi] / vals.reshape(-1)[lo])
+    big = np.abs(steps) > 0.5 * math.pi
+    sums = [np.bincount(edge, w, math.prod(shape)).reshape(shape) for w in (steps, big)]
+    return (edge, lo, hi, big), sums[0], sums[1] > 0
 
-    The winding rectangle is the box shifted left/down by half a box width and
-    a small height fraction, matching the closed-left/open-right semantics:
-    numerically relevant zeros sit on the left edge of the bottom row, which
-    the shift turns into interior points.  A zero close to the ring turns the
-    phase by more than pi between samples, which aliases to a step of the
-    other sign and loses a whole turn.  So an open ring gets a midpoint in
-    each segment whose step exceeds pi/2, or in every segment when none does
-    but the winding is not near an integer.  Each attempt evaluates the new
-    samples of all open rings in one zl_product_many call.  After r
-    refinements each sample is one of the whole ring with 2^r times the
-    samples, bit for bit (linspace without endpoint), and each value depends
-    only on its point.  A nearly vanishing sample stays, so it ends the row.
+
+def _lattice_windings(grid: BoxGrid, rows: int) -> np.ndarray:
+    """Zero counts in the (half-open) boxes of the first `rows` rows, by the
+    argument principle.
+
+    A box's winding rectangle is the box shifted left by half a width and
+    down by 1/1024 of a height: numerically relevant zeros sit on the left
+    edge of the bottom row, which the shift turns into interior points.  The
+    rectangles tile a lattice; each edge is sampled once for both its boxes,
+    at the fractions i/(32 grid_density) of its length, every 8th at first,
+    and a box winds by the signed sum of its edges' phase changes.  A zero
+    near an edge turns the phase by more than pi between samples, aliasing
+    to a step of the other sign, so an unsettled box's edges get a midpoint
+    in each segment whose step exceeds pi/2 (in all when none does but the
+    winding is not near an integer), all in one zl_product_many call per
+    attempt.  A nearly vanishing sample stays, so it ends the classification.
     """
-    hs = 0.5 * (grid.sigma[j + 1] - grid.sigma[j])
-    f = np.linspace(0.0, 1.0, 32 * grid.config.grid_density, endpoint=False)
-    fine = {}  # every point a ring can sample in three refinements, in ring order
-    for k in ks:
-        ht = (grid.tau[k + 1] - grid.tau[k]) / 1024.0
-        rect = (grid.sigma[j] - hs, grid.sigma[j + 1] - hs, grid.tau[k] - ht, grid.tau[k + 1] - ht)
-        fine[k] = _rect_boundary(*rect, f).reshape(-1)
-    pos = {k: np.arange(0, fine[k].size, 8) for k in ks}  # the samples' places in fine[k]
-    new, at, vals, winds, todo = dict(pos), {}, {}, {}, list(ks)
-    for attempt in range(4):
-        pts = np.concatenate([fine[k][new[k]] for k in todo])
-        out = np.split(zl_product_many(pts, grid.spec), np.cumsum([new[k].size for k in todo])[:-1])
-        for k, v in zip(todo, out):
-            if float(np.min(np.abs(v))) < 1e-8:
-                raise BoundaryZeroError(f"box (j={j}, k={k}): a boundary sample nearly vanishes")
-            vals[k] = np.insert(vals[k], at[k], v) if attempt else v
-            winds[k] = _settled_winding(vals[k])
-        todo = [k for k in todo if winds[k] is None]
-        if not todo:
-            return [winds[k] for k in ks]
-        for k in todo:
-            split = np.abs(_phase_steps(vals[k])) > 0.5 * math.pi
-            split |= not split.any()
-            gaps = np.diff(pos[k], append=pos[k][0] + fine[k].size)
-            at[k] = np.flatnonzero(split) + 1
-            new[k] = pos[k][split] + gaps[split] // 2
-            pos[k] = np.insert(pos[k], at[k], new[k])
-    raise BoundaryZeroError(f"box (j={j}, k={todo[0]}): no settled winding after 3 refinements")
+    n = 32 * grid.config.grid_density
+    f = np.linspace(0.0, 1.0, n + 1)[:-1]
+    x = grid.sigma[: rows + 1] - 0.5 * (grid.sigma[1] - grid.sigma[0])
+    y = grid.tau - (grid.tau[1] - grid.tau[0]) / 1024.0
+    # the lines tau_k - ht, then sigma_j - hs, sampled in increasing order; a
+    # vertical line reads its corners from the horizontal ones
+    xs, ys = (np.append((e[:-1, None] + np.diff(e)[:, None] * f).reshape(-1), e[-1]) for e in (x, y))
+    pts = (xs + 1j * y[:, None], x[:, None] + 1j * ys)
+    new = [np.tile(np.arange(p.shape[1]) % 8 == 0, (len(p), 1)) for p in pts]
+    new[1][:, ::n] = False
+    vals = [np.zeros_like(p) for p in pts]  # 0 until sampled; no sample is 0
+    winds = np.zeros((rows, y.size - 1), dtype=np.int64)
+    todo = np.ones(winds.shape, dtype=bool)
+
+    def edges(boxes):  # the flagged boxes' edges, line by line per direction
+        return [(np.pad(b, ((0, 1), (0, 0))) | np.pad(b, ((1, 0), (0, 0)))).reshape(-1)
+                for b in (boxes.T, boxes)]
+
+    for _ in range(4):
+        s = np.concatenate([p[m] for p, m in zip(pts, new)])
+        out = zl_product_many(s, grid.spec)
+        if float(np.min(np.abs(out))) < 1e-8:
+            raise BoundaryZeroError(f"the winding-lattice sample {s[np.argmin(np.abs(out))]} nearly vanishes")
+        for v, m, part in zip(vals, new, np.split(out, [np.count_nonzero(new[0])])):
+            v[m] = part
+        vals[1][:, ::n] = vals[0][:, ::n].T
+        steps, (th, tv), (bh, bv) = zip(*(_lattice_turns(v, n) for v in vals))
+        wide = bh[:-1].T | bh[1:].T | bv[:-1] | bv[1:]
+        wind = ((th[:-1] - th[1:]).T - (tv[:-1] - tv[1:])) / (2.0 * math.pi)
+        settled = todo & ~wide & (np.abs(wind - np.rint(wind)) < 0.1)
+        winds[settled] = np.rint(wind[settled])
+        todo &= ~settled
+        if not todo.any():
+            return winds
+        for m, (edge, lo, hi, big), every, some in zip(new, steps, edges(todo & ~wide), edges(todo)):
+            split = every[edge] | (some[edge] & big)
+            m[:] = False
+            m.reshape(-1)[(lo[split] + hi[split]) // 2] = True
+    j, k = np.argwhere(todo)[0]
+    raise BoundaryZeroError(f"box (j={j}, k={k}): no settled winding after 3 refinements")
 
 
 def _settled_winding(vals: np.ndarray) -> int | None:
@@ -370,20 +396,18 @@ def _classify_high_box(grid: BoxGrid, j: int, k: int, m_coeffs) -> float:
 def classify_boxes(grid: BoxGrid) -> BoxGrid:
     """Fill the W/Y classes: argument-principle zero counts in the low range,
     sampled |zeta L M_N| minima against the 1/2 threshold in the high range."""
+    rows = sum(grid.regime_low(j) for j in range(grid.J_T + 1))  # the first rows
+    grid.windings[:rows] = _lattice_windings(grid, rows)
+    grid.classes[:rows] = grid.windings[:rows] >= 1
     m_cache: dict[int, np.ndarray] = {}
-    for j in range(grid.J_T + 1):
-        if grid.regime_low(j):
-            winds = _classify_low_row(grid, j, range(grid.K_T + 1))
-            grid.windings[j] = winds
-            grid.classes[j] = [1 if wind >= 1 else 0 for wind in winds]
-        else:
-            nj = int(grid.N_j[j])
-            if nj not in m_cache:
-                m_cache[nj] = m_series_coeffs(grid.spec, nj).values
-            for k in range(grid.K_T + 1):
-                mn = _classify_high_box(grid, j, k, m_cache[nj])
-                grid.sampled_min[j, k] = mn
-                grid.classes[j, k] = 1 if mn < 0.5 else 0
+    for j in range(rows, grid.J_T + 1):
+        nj = int(grid.N_j[j])
+        if nj not in m_cache:
+            m_cache[nj] = m_series_coeffs(grid.spec, nj).values
+        for k in range(grid.K_T + 1):
+            mn = _classify_high_box(grid, j, k, m_cache[nj])
+            grid.sampled_min[j, k] = mn
+            grid.classes[j, k] = 1 if mn < 0.5 else 0
     return grid
 
 
@@ -492,6 +516,25 @@ def count_w_per_column(grid: BoxGrid) -> dict:
 # Bombieri-type inequality check
 # ----------------------------------------------------------------------------
 
+def _pair_zetas(pairs: list[np.ndarray]) -> list[np.ndarray]:
+    """zeta on each square matrix of points conj(s_i) + s_j in one zeta_many
+    call.  conj(s_j) + s_i is exactly conj(conj(s_i) + s_j), so below the
+    diagonal a point takes its partner's conjugate value unless specfun does
+    not fold it (extended phases, Im = 0)."""
+    m = np.array([pair.shape[0] for pair in pairs])
+    o = np.repeat(np.cumsum(m * m) - m * m, m * m)
+    m = np.repeat(m, m * m)
+    flat = np.concatenate([pair.reshape(-1) for pair in pairs])
+    i, j = np.divmod(np.arange(flat.size) - o, m)
+    direct = (i <= j) | (flat.imag == 0) | specfun._em_plan(np.abs(flat.imag), 1e-12)[1]
+    vals = np.empty_like(flat)
+    vals[direct] = specfun.zeta_many(flat[direct], 1e-12)
+    fold = np.flatnonzero(~direct)
+    vals[fold] = np.conj(vals[o[fold] + j[fold] * m[fold] + i[fold]])
+    ends = np.cumsum([pair.size for pair in pairs])[:-1]
+    return [v.reshape(pair.shape) for v, pair in zip(np.split(vals, ends), pairs)]
+
+
 def bombieri_check_many(instances) -> list[bool]:
     """For each (points, a) of instances, whether the mean-value inequality
     with b_n = 1 (B = zeta) holds:
@@ -501,8 +544,8 @@ def bombieri_check_many(instances) -> list[bool]:
     which needs min Re(conj(s)+s') > 1.1 for absolute convergence.
 
     The zeta values of every instance's pairs conj(s) + s' go through one
-    zeta_many call, which bounds its own work in flight; each value depends
-    only on its point, so the result is that of one instance at a time.
+    zeta_many call (_pair_zetas); each value depends only on its point, so
+    the result is that of one instance at a time.
     """
     checks = []
     for points, a in instances:
@@ -516,15 +559,14 @@ def bombieri_check_many(instances) -> list[bool]:
         checks.append((pts, np.asarray(a, dtype=np.complex128), pair))
     if not checks:
         return []
-    flat = np.concatenate([pair.reshape(-1) for _, _, pair in checks])
-    big_bs = np.split(specfun.zeta_many(flat), np.cumsum([pair.size for _, _, pair in checks])[:-1])
+    big_bs = _pair_zetas([pair for _, _, pair in checks])
     out = []
-    for (pts, a, pair), big_b in zip(checks, big_bs):
+    for (pts, a, _), big_b in zip(checks, big_bs):
         lhs = 0.0
         for v in _dirichlet_poly(pts, np.concatenate(([0], a))).tolist():
             lhs += abs(v) ** 2
         weight = float(np.sum(np.abs(a) ** 2))
-        rhs = weight * float(np.abs(big_b.reshape(pair.shape)).sum(axis=1).max())
+        rhs = weight * float(np.abs(big_b).sum(axis=1).max())
         out.append(lhs <= rhs * (1.0 + 1e-12))
     return out
 

@@ -15,7 +15,10 @@ A vector call cuts its points, grouped by M, into blocks of head terms and
 computes each block's head sums and corrections on one thread per CPU once
 the batch spans more than one block.  Each point is its own row, which one
 block alone writes, so the values are the same bits for any number of
-threads.
+threads.  A block's head terms are one array, exponentiated in place.
+On the plain-phase path (_em_plan) zeta(conj s) is conj(zeta(s)) bit for
+bit, so callers may fold conjugate pairs; not on the extended path, whose
+phase reduction mod 2 pi is not symmetric, nor at Im s = +0.0.
 """
 
 from __future__ import annotations
@@ -92,14 +95,17 @@ def _bern_over_fact(order: int) -> np.ndarray:
 # Euler-Maclaurin core for Hurwitz zeta
 # ----------------------------------------------------------------------------
 
-def _em_head_terms(tau: np.ndarray, tol: float) -> np.ndarray:
+def _em_plan(tau: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Head length M of each point: the correction-term ratio
-    (|s| / 2 pi M)^2 stays small at the point's own |Im s|, so
+    (|s| / 2 pi M)^2 stays small at the point's own tau = |Im s|, so
     bernoulli_order/2 corrections reach the target (a looser tolerance gets
-    away with a shorter head), rounded up to a multiple of _EM_BASE_TERMS."""
+    away with a shorter head), rounded up to a multiple of _EM_BASE_TERMS.
+    And whether the point's phases go extended: double-precision phases
+    round to ~tau*log(M)*eps, which must not eat into the tolerance."""
     factor = 0.5 if tol < 1e-8 else 0.3
     raw = np.maximum(_EM_BASE_TERMS, np.ceil(factor * tau) + 8)
-    return (-(-raw // _EM_BASE_TERMS) * _EM_BASE_TERMS).astype(np.int64)
+    M = (-(-raw // _EM_BASE_TERMS) * _EM_BASE_TERMS).astype(np.int64)
+    return M, tau * np.log(M + 1.0) * 1.2e-16 > 0.05 * tol
 
 
 # Head-sum terms in flight over all threads of one _hurwitz_em call.
@@ -119,7 +125,10 @@ def _pow_negs(s: np.ndarray, log_base_ld, extended: bool) -> np.ndarray:
     log_base_ld = np.asarray(log_base_ld, dtype=np.longdouble)
     log_d = log_base_ld.astype(np.float64)
     if not extended:
-        return np.exp(-np.multiply.outer(s, log_d))
+        # in place: the same bits as exp(-outer) at half the peak memory
+        t = np.multiply.outer(s, log_d)
+        np.negative(t, out=t)
+        return np.exp(t, out=t)
     # complex exp, as on the plain path: numpy's real float64 exp gives
     # different last bits on different SIMD targets, its complex exp does not
     mag = np.exp(-np.multiply.outer(s.real, log_d).astype(np.complex128)).real
@@ -136,7 +145,7 @@ def _hurwitz_em(
 ) -> np.ndarray:
     """Vector Euler-Maclaurin evaluation of zeta(s, w) to the absolute
     tolerance tol.  Each point takes its head length M from its own |Im s|
-    (_em_head_terms), and with it the extended-phase switch and the tail
+    (_em_plan), and with it the extended-phase switch and the tail
     bound past which AccuracyError is raised, so its value is the same bits
     in any batch.  A head sum that is not finite raises AccuracyError too.
 
@@ -152,11 +161,7 @@ def _hurwitz_em(
     flat = s.reshape(-1)
     if not np.isfinite(flat).all():
         raise DomainError("Euler-Maclaurin needs finite s")
-    tau = np.abs(flat.imag)
-    M = _em_head_terms(tau, tol)
-    # Double-precision phases already round to ~tau*log(M)*eps; go extended
-    # only when that would eat into the requested tolerance.
-    extended = tau * np.log(M + 1.0) * 1.2e-16 > 0.05 * tol
+    M, extended = _em_plan(np.abs(flat.imag), tol)
     # Points sorted by (M, extended): each run of one key is a group, cut
     # into blocks of at most _EM_TERMS_IN_FLIGHT // threads head terms, so
     # the terms in flight over all threads stay within _EM_TERMS_IN_FLIGHT.

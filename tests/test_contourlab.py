@@ -1,6 +1,10 @@
 import dataclasses
 import functools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -127,9 +131,34 @@ class TestFrakM:
 
         monkeypatch.setattr(sf, "zeta_many", counting)
         cl.frak_m(0.5, 1600.0, zl_spec, 8)
-        # ring of the 90 x 1734 grid, 3,648 points in one batch (the full
-        # grid is 90 batches, 156,060 points)
-        assert sizes == [3648]
+        # the left column and the bottom and top rows of the 90 x 1734 grid,
+        # 1,914 points in one batch; the right column, at sigma >= 2, lies
+        # under the triangle bound (the full grid is 90 batches, 156,060
+        # points)
+        assert sizes == [1914]
+
+    @pytest.mark.parametrize("name", ["zl4", "kappa23"])
+    def test_dropped_column_lies_under_the_triangle_bound(self, zl_spec, name):
+        # the sigma >= 2/kappa_1 column that frak_m no longer samples, on
+        # its grids at T = 1600 for three values of varsigma
+        spec = zl_spec if name == "zl4" else sd.SeriesSpec(
+            kappa=KappaVector((2.0, 3.0)), z=(1 + 0j, 1 + 0j), w=(0j, 0j),
+            chis=(None, None), name="kappa23",
+        )
+        k1 = spec.kappa1
+        T, density = 1600.0, 8
+        lt = math.log(T)
+        tail = math.prod(sf.zeta_complex(2.0 * k / k1).real ** 2 for k in spec.kappa.kappa)
+        taus = np.arange(1.0, T + lt / k1 / density, lt / k1 / density)
+        taus = taus[taus <= T]
+        for varsigma in (1.0 / (2.0 * k1), 0.8 / k1, 1.5 / k1):
+            step = 1.0 / (k1 * lt) / density
+            sig = np.arange(varsigma, 2.0 / k1 + step, step)
+            assert sig[-1] >= 2.0 / k1
+            vals = np.ones(taus.size, dtype=np.complex128)
+            for k in spec.kappa.kappa:
+                vals = vals * sf.zeta_many(k * (sig[-1] + 1j * taus), cl._SCAN_TOL)
+            assert float(np.max(np.abs(vals) ** 2)) < tail
 
     @pytest.mark.xfail(
         strict=True, reason="frak_m is not converged in density (ROADMAP item 9)"
@@ -298,10 +327,11 @@ class TestClassification:
                 assert g.windings[j, k] == wind
 
     def test_row_evaluation_cost(self, zl_spec, monkeypatch):
-        # one call per row and attempt: the 38 rings of 128 points of each
-        # row, then only the midpoints of the segments that turn the phase by
-        # more than pi/2 (or of every segment of a ring whose winding is not
-        # near an integer)
+        # one call per attempt for both rows: the lattice's 39 horizontal
+        # lines of 65 samples and 3 vertical lines of 1,217, each of the 117
+        # corners once, then only the midpoints of the segments that turn the
+        # phase by more than pi/2 (or of every segment of an unsettled box
+        # that has no such step)
         grid = cl.build_grid(cl.ContourConfig(T=200.0), zl_spec)
         sizes = []
         zl = cl.zl_product_many
@@ -312,14 +342,18 @@ class TestClassification:
 
         monkeypatch.setattr(cl, "zl_product_many", counting)
         cl.classify_boxes(grid)
-        assert sizes == [38 * 128, 261, 12, 38 * 128, 14]
-        assert sum(sizes) == 10015
+        assert sizes == [39 * 65 + 3 * 1217 - 117, 261, 12]
+        assert sum(sizes) == 6342
+
+    def test_windings_equal_fresh_per_box_rings_t400(self, zl_spec):
+        grid = cl.classify_boxes(cl.build_grid(cl.ContourConfig(T=400.0), zl_spec))
+        self.test_windings_equal_fresh_per_box_rings(grid)
 
     def test_every_sample_is_a_whole_ring_sample(self, grid200, monkeypatch):
-        # attempt r of a row evaluates only samples of the boxes' whole rings
-        # at 128 * 2^r points, r <= 3, and no sample twice
+        # attempt r evaluates only points of the lattice edges cut into
+        # 32 * 2^r segments, r <= 3, and no point twice over both rows
         g = grid200
-        f = [np.linspace(0.0, 1.0, 128 * 2**r, endpoint=False) for r in range(4)]
+        x, y = _lattice_lines(g, g.J_T + 1)
         calls = []
         zl = cl.zl_product_many
 
@@ -328,26 +362,29 @@ class TestClassification:
             return zl(s, spec)
 
         monkeypatch.setattr(cl, "zl_product_many", spy)
-        attempts = []
-        for j in range(g.J_T + 1):
-            calls.clear()
-            assert cl._classify_low_row(g, j, range(g.K_T + 1)) == g.windings[j].tolist()
-            attempts.append(len(calls))
-            for r, pts in enumerate(calls):
-                rings = [cl._rect_boundary(*_winding_rect(g, j, k), f[r]) for k in range(g.K_T + 1)]
-                assert pts <= set(np.concatenate(rings, axis=None).tolist())
-            assert sum(map(len, calls)) == len(set.union(*calls))
-        assert attempts == [3, 2]
+        assert cl._lattice_windings(g, g.J_T + 1).tolist() == g.windings.tolist()
+        assert len(calls) == 3
+        for r, pts in enumerate(calls):
+            f = np.linspace(0.0, 1.0, 32 * 2**r + 1)[:-1]
+            edges = set(np.concatenate([
+                x[:, None] + 1j * y[None, :],
+                (x[:-1, None] + np.diff(x)[:, None] * f)[None] + 1j * y[:, None, None],
+                x[:, None, None] + 1j * (y[:-1, None] + np.diff(y)[:, None] * f)[None],
+            ], axis=None).tolist())
+            assert pts <= edges
+        assert sum(map(len, calls)) == len(set.union(*calls))
 
     def test_planted_zero_refines_only_its_segments(self, grid200, monkeypatch):
-        # f(s) = s - z0 with z0 just inside the right side of box (0, 5), at
-        # a tenth of a sample spacing from it and 0.35 of the way along a
-        # segment: that segment turns the phase by more than pi/2, and so do
-        # its halves next to z0 until the third refinement
+        # f(s) = s - z0 with z0 inside box (0, 5), a tenth of a sample
+        # spacing left of the lattice line that it shares with box (1, 5) and
+        # 0.35 of the way along a segment: that segment turns the phase by
+        # more than pi/2, and so do its halves next to z0 until the third
+        # refinement.  Both boxes on the line are unsettled until then, and
+        # both settle on the same three midpoints, each evaluated once.
         g = grid200
-        s_lo, s_hi, t_lo, t_hi = _winding_rect(g, 0, 5)
-        h = (t_hi - t_lo) / (4 * g.config.grid_density)
-        z0 = complex(s_hi - 0.1 * h, t_lo + 16.35 * h)
+        x, y = _lattice_lines(g, 2)
+        h = (y[6] - y[5]) / (4 * g.config.grid_density)
+        z0 = complex(x[1] - 0.1 * h, y[5] + 16.35 * h)
         calls = []
 
         def planted(s, spec):
@@ -355,12 +392,12 @@ class TestClassification:
             return np.asarray(s) - z0
 
         monkeypatch.setattr(cl, "zl_product_many", planted)
-        winds = cl._classify_low_row(g, 0, range(g.K_T + 1))
-        assert winds == [1 if k == 5 else 0 for k in range(g.K_T + 1)]
-        assert [c.size for c in calls] == [38 * 128, 1, 1, 1]
+        winds = cl._lattice_windings(g, 2)
+        assert winds.tolist() == [[1 if (j, k) == (0, 5) else 0 for k in range(g.K_T + 1)] for j in range(2)]
+        assert [c.size for c in calls] == [39 * 65 + 3 * 1217 - 117, 1, 1, 1]
         refined = np.concatenate(calls[1:])
-        assert (refined.real == s_hi).all()
-        assert ((refined.imag > t_lo + 16 * h) & (refined.imag < t_lo + 17 * h)).all()
+        assert (refined.real == x[1]).all()
+        assert ((refined.imag > y[5] + 16 * h) & (refined.imag < y[5] + 17 * h)).all()
 
     def test_boundary_zero_error_after_retries(self, grid200, monkeypatch):
         from sdlab.errors import BoundaryZeroError
@@ -373,16 +410,19 @@ class TestClassification:
 
         monkeypatch.setattr(cl, "zl_product_many", tiny)
         with pytest.raises(BoundaryZeroError):
-            cl._classify_low_row(grid200, 0, [0])
-        # refinement keeps every sample, so no retry could clear this one
-        assert sizes == [128]
+            cl._lattice_windings(grid200, 1)
+        # refinement keeps every sample, so no retry could clear this one:
+        # one call, row 0's 39 horizontal lines of 33 samples and 2 vertical
+        # lines of 1,217 without their 78 corners
+        assert sizes == [39 * 33 + 2 * 1217 - 78]
 
 
-def _winding_rect(g, j, k):
-    """The winding rectangle of box (j, k), as _classify_low_row builds it."""
-    hs = 0.5 * (g.sigma[j + 1] - g.sigma[j])
-    ht = (g.tau[k + 1] - g.tau[k]) / 1024.0
-    return (g.sigma[j] - hs, g.sigma[j + 1] - hs, g.tau[k] - ht, g.tau[k + 1] - ht)
+def _lattice_lines(g, rows):
+    """The lattice lines sigma_j - hs and tau_k - ht of the winding
+    rectangles of the first rows, as _lattice_windings builds them."""
+    x = g.sigma[: rows + 1] - 0.5 * (g.sigma[1] - g.sigma[0])
+    y = g.tau - (g.tau[1] - g.tau[0]) / 1024.0
+    return x, y
 
 
 class TestContour:
@@ -537,6 +577,51 @@ class TestBombieri:
         pts = [1.5 + 4j, 1.3 - 2j, 2.0 + 30j]
         got = cl.bombieri_check_many([(pts, a), (pts, 137.0 * a)])
         assert got[0] == got[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_folded_pairs_are_the_direct_bits(self, seed, monkeypatch):
+        # ordinates near +-50 put pair points at |Im| in (99.9, 100], on the
+        # extended path, which is not folded; a repeated ordinate puts pair
+        # points on the real axis off the diagonal
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(200):
+            m = int(rng.integers(1, 11))
+            t = rng.choice([-1.0, 1.0], m) * (50.0 - 0.05 * rng.random(m))
+            t[: m // 3] = 100.0 * (rng.random(m // 3) - 0.5)
+            t[-1] = t[0]
+            pts = 1.2 + rng.random(m) + 1j * t
+            pairs.append(np.conj(pts)[:, None] + pts[None, :])
+        flat = np.concatenate([pair.reshape(-1) for pair in pairs])
+        extended = sf._em_plan(np.abs(flat.imag), 1e-12)[1]
+        assert extended.any() and not extended.all()
+        sizes = []
+        zeta_many = sf.zeta_many
+
+        def counting(s, tol=1e-12):
+            sizes.append(np.asarray(s).size)
+            return zeta_many(s, tol)
+
+        monkeypatch.setattr(sf, "zeta_many", counting)
+        got = cl._pair_zetas(pairs)
+        upper = sum(pair.shape[0] * (pair.shape[0] + 1) // 2 for pair in pairs)
+        assert len(sizes) == 1 and upper < sizes[0] < flat.size
+        want = np.split(zeta_many(flat), np.cumsum([pair.size for pair in pairs])[:-1])
+        for b, w in zip(got, want):  # as integers, so that -0.0 != 0.0
+            assert np.array_equal(b.reshape(-1).view(np.uint64), w.view(np.uint64))
+
+    def test_fold_tests_pass_on_avx2_kernels(self):
+        # numpy's AVX2 kernels in place of its AVX-512 ones, as on runners
+        # without AVX-512; the variable changes nothing on such a machine
+        here = pathlib.Path(__file__).parent
+        env = dict(os.environ, PYTHONPATH=str(here.parent / "src"),
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        tests = [f"{here / 'test_specfun.py'}::TestConjugateFold",
+                 f"{here / 'test_contourlab.py'}::TestBombieri::test_folded_pairs_are_the_direct_bits"]
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                              env=env, cwd=here.parent, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout[-3000:]
+        assert "5 passed" in proc.stdout
 
     def test_convergence_guard(self):
         with pytest.raises(ConvergenceError):

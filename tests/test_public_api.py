@@ -235,7 +235,7 @@ _SAFE_UFUNC_CALLS = [
     ("powerseries", "np.exp(1j * theta)", "complex argument"),
     ("sdexpand", "np.exp(-self.a * v * lp)", "complex argument (v is a complex node)"),
     ("sdexpand", "np.log1p(-np.exp(-self.a * v * lp))", "complex argument"),
-    ("specfun", "np.exp(-np.multiply.outer(s, log_d))", "complex argument (s is complex128)"),
+    ("specfun", "np.exp(t, out=t)", "complex argument (t is the outer product of complex128 s)"),
     ("specfun", "np.exp(-np.multiply.outer(s.real, log_d).astype(np.complex128))",
      "complex argument"),
     ("specfun", "np.log(M + 1.0)", "feeds only the choice of the extended path"),

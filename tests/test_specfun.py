@@ -1,6 +1,7 @@
 import cmath
 import math
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -272,13 +273,13 @@ class TestRowShares:
         assert threading.active_count() == before
         covered = np.sort_complex(np.concatenate([pts for pts, _, _ in blocks]))
         assert np.array_equal(covered, np.sort_complex(s))
-        M = sf._em_head_terms(np.abs(s.imag), tol)
+        M = sf._em_plan(np.abs(s.imag), tol)[0]
         threads = max(1, min(cpus, -(-int(M.sum()) // sf._EM_TERMS_IN_FLIGHT)))
         assert threads == min(cpus, 3)
         paths = set()
         for pts, m, extended in blocks:
             tau = np.abs(pts.imag)
-            assert (sf._em_head_terms(tau, tol) == m).all()
+            assert (sf._em_plan(tau, tol)[0] == m).all()
             assert ((tau * np.log(m + 1.0) * 1.2e-16 > 0.05 * tol) == extended).all()
             assert pts.size * m <= sf._EM_TERMS_IN_FLIGHT // threads
             paths.add(extended)
@@ -318,8 +319,39 @@ class TestRowShares:
         assert np.array_equal(one.view(np.float64), two.view(np.float64))
 
 
+    def test_head_sum_peak_memory(self, monkeypatch):
+        # one thread, so one block of at most 2^18 head terms (4 MiB of
+        # complex128) at a time: exponentiated in place the call peaks at
+        # about 5.4 MiB, as exp(-outer) at about 9.1 MiB
+        monkeypatch.setattr(sf, "_cpu_count", lambda: 1)
+        rng = np.random.default_rng(18)
+        s = 0.3 + rng.random(20000) + 1600j * rng.random(20000)
+        tracemalloc.start()
+        try:
+            sf.zeta_many(s, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20
+
+
 def _bits(v) -> np.ndarray:
     return np.ascontiguousarray(v).view(np.float64)
+
+
+class TestConjugateFold:
+    """On the plain-phase path zeta(conj s) is conj(zeta(s)) bit for bit,
+    which the contour lab's Bombieri pairs rely on."""
+
+    @pytest.mark.parametrize("tol, height", [(1e-12, 99.0), (1e-9, 4000.0)])
+    def test_conjugate_points_give_conjugate_bits(self, tol, height):
+        # at tol 1e-12 the extended path starts near |Im s| = 99.9; at 1e-9
+        # the plain one covers the strip
+        rng = np.random.default_rng(19)
+        s = 0.2 + 3.0 * rng.random(5000) + 2j * height * (rng.random(5000) - 0.5)
+        assert not sf._em_plan(np.abs(s.imag), tol)[1].any()
+        got, want = sf.zeta_many(np.conj(s), tol), np.conj(sf.zeta_many(s, tol))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBatchIndependence:
@@ -328,8 +360,8 @@ class TestBatchIndependence:
 
     def test_head_length_ladder(self):
         tau = np.array([0.0, 112.0, 112.1, 240.0, 1600.0, 5000.0])
-        assert sf._em_head_terms(tau, 1e-9).tolist() == [64, 64, 128, 128, 832, 2560]
-        assert sf._em_head_terms(tau, 1e-6).tolist() == [64, 64, 64, 128, 512, 1536]
+        assert sf._em_plan(tau, 1e-9)[0].tolist() == [64, 64, 128, 128, 832, 2560]
+        assert sf._em_plan(tau, 1e-6)[0].tolist() == [64, 64, 64, 128, 512, 1536]
 
     def test_low_point_beside_a_high_one(self):
         # 0.7+5000i takes a head of 2,560 terms and 80-bit phases, 0.7+14i
