@@ -165,19 +165,34 @@ def m_series_coeffs(spec: SeriesSpec, limit: int) -> arith.CoeffVector:
     return arith.dirichlet_inverse(arith.tau_chi_coeffs(limit, spec.kappa, spec.chis))
 
 
-def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray) -> np.ndarray:
-    """sum_n c_n n^{-s} for c = coeff_values[1:], vectorized and chunked."""
+def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray, rows=None) -> np.ndarray:
+    """sum_n c_n n^{-s} at every point of s for c = coeff_values[1:], or, given
+    rows, at the point s[i] of a flat s for c = coeff_values[rows[i], 1:].
+    Only the nonzero c_n enter; the points whose rows have equally many go
+    through one array, chunked."""
     s = np.asarray(s, dtype=np.complex128)
-    support = np.nonzero(coeff_values[1:])[0] + 1
+    c = np.atleast_2d(coeff_values)[:, 1:]
+    row, n = np.nonzero(c)
+    size = np.bincount(row, minlength=len(c))
+    first = np.cumsum(size) - size  # of each row's entries in (row, n)
+    logs = np.zeros(c.shape[1])
+    used = np.flatnonzero(c.any(axis=0))
     # math.log, not np.log: the same bits on every SIMD target
-    logn = np.array([math.log(n) for n in support.tolist()])
-    cvals = coeff_values[support].astype(np.complex128)
-    chunk = max(1, (1 << 22) // max(support.size, 1))
+    logs[used] = [math.log(v + 1) for v in used.tolist()]
     flat = s.reshape(-1)
+    rows = np.zeros(flat.size, dtype=np.int64) if rows is None else np.asarray(rows)
     res = np.empty_like(flat)
-    for i in range(0, flat.size, chunk):
-        block = flat[i : i + chunk, None]
-        res[i : i + chunk] = (cvals[None, :] * np.exp(-block * logn[None, :])).sum(axis=1)
+    for count in np.flatnonzero(np.bincount(size)).tolist():
+        group = np.flatnonzero(size == count)
+        k = n[first[group, None] + np.arange(count)]
+        cvals, logn = c[group[:, None], k].astype(np.complex128), logs[k]
+        at = np.flatnonzero(size[rows] == count)
+        local = np.searchsorted(group, rows[at])
+        chunk = max(1, (1 << 22) // max(count, 1))
+        for i in range(0, at.size, chunk):
+            r = slice(None) if group.size == 1 else local[i : i + chunk]  # one row broadcasts
+            block = flat[at[i : i + chunk], None]
+            res[at[i : i + chunk]] = (cvals[r] * np.exp(-block * logn[r])).sum(axis=1)
     return res.reshape(s.shape)
 
 
@@ -277,23 +292,6 @@ def build_grid(cfg: ContourConfig, spec: SeriesSpec) -> BoxGrid:
     )
 
 
-def _rect_boundary(s_lo, s_hi, t_lo, t_hi, f: np.ndarray) -> np.ndarray:
-    """Counterclockwise boundary samples of a rectangle at the fractions f of
-    each side, one row per side (bottom, right, top, left); with
-    f = linspace(0, 1, n, endpoint=False) the rows, read in order, are the
-    ring without a repeated corner."""
-    bottom = (s_lo + (s_hi - s_lo) * f) + 1j * t_lo
-    right = s_hi + 1j * (t_lo + (t_hi - t_lo) * f)
-    top = (s_hi - (s_hi - s_lo) * f) + 1j * t_hi
-    left = s_lo + 1j * (t_hi - (t_hi - t_lo) * f)
-    return np.stack([bottom, right, top, left])
-
-
-def _phase_steps(vals: np.ndarray) -> np.ndarray:
-    """The sample-to-sample phase steps of a sampled closed ring, in (-pi, pi]."""
-    return np.angle(np.roll(vals, -1) / vals)
-
-
 def _lattice_turns(vals: np.ndarray, n: int):
     """Phase steps between the samples (the nonzero entries) along each row
     of vals, a lattice line of edges n places long: per step its edge, its
@@ -367,19 +365,6 @@ def _lattice_windings(grid: BoxGrid, rows: int) -> np.ndarray:
             m.reshape(-1)[(lo[split] + hi[split]) // 2] = True
     j, k = np.argwhere(todo)[0]
     raise BoundaryZeroError(f"box (j={j}, k={k}): no settled winding after 3 refinements")
-
-
-def _settled_winding(vals: np.ndarray) -> int | None:
-    """The winding number of a sampled ring, or None while a sample nearly
-    vanishes, a phase step exceeds pi/2 or the winding is not near an
-    integer."""
-    if float(np.min(np.abs(vals))) < 1e-8:
-        return None
-    steps = _phase_steps(vals)
-    wind = float(steps.sum() / (2.0 * math.pi))
-    if float(np.abs(steps).max()) <= 0.5 * math.pi and abs(wind - round(wind)) < 0.1:
-        return int(round(wind))
-    return None
 
 
 def _classify_high_box(grid: BoxGrid, j: int, k: int, m_coeffs) -> float:
@@ -516,23 +501,56 @@ def count_w_per_column(grid: BoxGrid) -> dict:
 # Bombieri-type inequality check
 # ----------------------------------------------------------------------------
 
-def _pair_zetas(pairs: list[np.ndarray]) -> list[np.ndarray]:
-    """zeta on each square matrix of points conj(s_i) + s_j in one zeta_many
-    call.  conj(s_j) + s_i is exactly conj(conj(s_i) + s_j), so below the
-    diagonal a point takes its partner's conjugate value unless specfun does
-    not fold it (extended phases, Im = 0)."""
-    m = np.array([pair.shape[0] for pair in pairs])
-    o = np.repeat(np.cumsum(m * m) - m * m, m * m)
-    m = np.repeat(m, m * m)
-    flat = np.concatenate([pair.reshape(-1) for pair in pairs])
-    i, j = np.divmod(np.arange(flat.size) - o, m)
-    direct = (i <= j) | (flat.imag == 0) | specfun._em_plan(np.abs(flat.imag), 1e-12)[1]
+def _pair_zetas(groups: list[np.ndarray]) -> list[np.ndarray]:
+    """zeta on each (g, m, m) stack of matrices of points conj(s_i) + s_j, all
+    in one zeta_many call.  conj(s_j) + s_i is exactly conj(conj(s_i) + s_j),
+    so below the diagonal a point takes its partner's conjugate value unless
+    specfun does not fold it (extended phases, Im = 0)."""
+    flat = np.concatenate([pairs.reshape(-1) for pairs in groups])
+    ends = np.cumsum([pairs.size for pairs in groups])
+    partner = np.concatenate([np.arange(e - p.size, e).reshape(p.shape).swapaxes(1, 2).reshape(-1)
+                              for p, e in zip(groups, ends)])
+    direct = (partner >= np.arange(flat.size)) | (flat.imag == 0) | specfun._em_plan(np.abs(flat.imag), 1e-12)[1]
     vals = np.empty_like(flat)
     vals[direct] = specfun.zeta_many(flat[direct], 1e-12)
     fold = np.flatnonzero(~direct)
-    vals[fold] = np.conj(vals[o[fold] + j[fold] * m[fold] + i[fold]])
-    ends = np.cumsum([pair.size for pair in pairs])[:-1]
-    return [v.reshape(pair.shape) for v, pair in zip(np.split(vals, ends), pairs)]
+    vals[fold] = np.conj(vals[partner[fold]])
+    return [v.reshape(p.shape) for v, p in zip(np.split(vals, ends[:-1]), groups)]
+
+
+def _bombieri_sides(instances) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of bombieri_check_many's inequality for each instance, the
+    same bits as one instance at a time: lhs adds abs(v) ** 2 of the Python
+    complex values v in point order, and the row sums of |a_n|^2 and |zeta|
+    are those of one instance's rows, in instances grouped by their point
+    count m (the pair matrices) and coefficient count n (the weights)."""
+    pts = [[complex(p) for p in points] for points, _ in instances]
+    m = np.array([len(p) for p in pts], dtype=np.int64)
+    n = np.array([len(a) for _, a in instances], dtype=np.int64)
+    s = np.array([p for ps in pts for p in ps], dtype=np.complex128)
+    fill = np.arange(m.max(initial=1)) < m[:, None]  # each instance's points, in order
+    grid = np.full(fill.shape, np.inf, dtype=np.complex128)
+    grid[fill] = s
+    min_re = grid.real.min(axis=1) * 2.0  # min Re(conj(s) + s') per instance
+    bad = np.flatnonzero((m == 0) | (min_re <= 1.1))[:1]
+    if bad.size:
+        raise DomainError("need at least one point") if not m[bad[0]] else ConvergenceError(
+            f"need min Re(conj(s)+s') > 1.1, got {float(min_re[bad[0]])}")
+    coeffs = np.zeros((m.size, n.max(initial=0) + 1), dtype=np.complex128)
+    coeffs[:, 1:][np.arange(coeffs.shape[1] - 1) < n[:, None]] = [v for _, a in instances for v in a]
+    sq = np.zeros(fill.shape)
+    sq[fill] = [abs(v) ** 2 for v in _dirichlet_poly(s, coeffs, np.repeat(np.arange(m.size), m)).tolist()]
+    lhs = np.cumsum(sq, axis=1)[:, -1]
+    by_m = [np.flatnonzero(m == k) for k in np.flatnonzero(np.bincount(m)).tolist()]
+    pairs = [np.conj(grid[i, : m[i[0]], None]) + grid[i, None, : m[i[0]]] for i in by_m]
+    zmax = np.empty(m.size)
+    for i, b in zip(by_m, _pair_zetas(pairs)):
+        zmax[i] = np.abs(b).sum(axis=2).max(axis=1)
+    weight = np.empty(m.size)
+    for k in np.flatnonzero(np.bincount(n)).tolist():
+        i = np.flatnonzero(n == k)
+        weight[i] = (np.abs(coeffs[i, 1 : k + 1]) ** 2).sum(axis=1)
+    return lhs, weight * zmax
 
 
 def bombieri_check_many(instances) -> list[bool]:
@@ -543,32 +561,17 @@ def bombieri_check_many(instances) -> list[bool]:
 
     which needs min Re(conj(s)+s') > 1.1 for absolute convergence.
 
-    The zeta values of every instance's pairs conj(s) + s' go through one
-    zeta_many call (_pair_zetas); each value depends only on its point, so
-    the result is that of one instance at a time.
+    The instances are checked together (_bombieri_sides): their Dirichlet
+    polynomials in one _dirichlet_poly call, and the zeta values of their
+    pairs conj(s) + s' in one zeta_many call (_pair_zetas) that evaluates
+    the upper triangles and folds the rest.  Each value depends only on its
+    own point, so the result is that of one instance at a time.
     """
-    checks = []
-    for points, a in instances:
-        pts = np.array([complex(p) for p in points], dtype=np.complex128)
-        if not pts.size:
-            raise DomainError("need at least one point")
-        pair = np.conj(pts)[:, None] + pts[None, :]  # conj(s) + s'
-        min_re = float(pair.real.min())
-        if min_re <= 1.1:
-            raise ConvergenceError(f"need min Re(conj(s)+s') > 1.1, got {min_re}")
-        checks.append((pts, np.asarray(a, dtype=np.complex128), pair))
-    if not checks:
+    instances = list(instances)
+    if not instances:
         return []
-    big_bs = _pair_zetas([pair for _, _, pair in checks])
-    out = []
-    for (pts, a, _), big_b in zip(checks, big_bs):
-        lhs = 0.0
-        for v in _dirichlet_poly(pts, np.concatenate(([0], a))).tolist():
-            lhs += abs(v) ** 2
-        weight = float(np.sum(np.abs(a) ** 2))
-        rhs = weight * float(np.abs(big_b).sum(axis=1).max())
-        out.append(lhs <= rhs * (1.0 + 1e-12))
-    return out
+    lhs, rhs = _bombieri_sides(instances)
+    return (lhs <= rhs * (1.0 + 1e-12)).tolist()
 
 
 # ----------------------------------------------------------------------------

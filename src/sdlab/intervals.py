@@ -780,10 +780,11 @@ def ddt_mean(x: int, t_grid=DEFAULT_T_GRID) -> LawReport:
 # A square-full n <= _WINDOW_GUARD has at most 8 distinct primes, since
 # (2*3*5*...*23)^2 > 1e15, and each exponent 2*e_a + 3*e_b is below 64.
 _MAX_PRIMES = 8
-# Members per block of the square-full mean; entries of the (members x
-# primes) trial-division matrix and comparisons (members x grid points x
-# divisors) made at once.
+# Members per block of the square-full mean's running sums, and members per
+# _squarefull_counts call: one pass over the exponent shapes of up to 16,384
+# members takes about 5 MiB at the default t grid.
 _SQUAREFULL_BLOCK = 2048
+_SQUAREFULL_SPAN = 1 << 14
 _FACTOR_BUDGET = 1 << 15
 _COMPARE_BUDGET = 1 << 16
 _POWERS = tuple(np.arange(e + 1)[:, None] for e in range(64))  # 0, 1, ..., e as a column
@@ -821,13 +822,15 @@ def _squarefull_sums(lo: int, hi: int, ts):
 
 def _squarefull_part(lo: int, hi: int, t_arr) -> list:
     """_squarefull_counts of the square-full n in (lo, hi] (_squarefull_members),
-    in blocks of _SQUAREFULL_BLOCK members, in ascending order."""
+    counted over spans of up to _SQUAREFULL_SPAN members and cut into blocks
+    of _SQUAREFULL_BLOCK members, in ascending order."""
     n, a, b = _squarefull_members(lo, hi)
     primes = primes_upto(isqrt(max(int(a.max(initial=1)), int(b.max(initial=1)))))
-    return [
-        _squarefull_counts(n[blk], a[blk], b[blk], primes, t_arr)
-        for blk in (slice(s, s + _SQUAREFULL_BLOCK) for s in range(0, n.size, _SQUAREFULL_BLOCK))
-    ]
+    span = max(1, _SQUAREFULL_SPAN // _SQUAREFULL_BLOCK) * _SQUAREFULL_BLOCK
+    spans = (_squarefull_counts(n[s : s + span], a[s : s + span], b[s : s + span], primes, t_arr)
+             for s in range(0, n.size, span))
+    return [(c[i : i + _SQUAREFULL_BLOCK], tau[i : i + _SQUAREFULL_BLOCK])
+            for c, tau in spans for i in range(0, tau.size, _SQUAREFULL_BLOCK)]
 
 
 def _squarefull_counts(n, a, b, primes, t_arr):

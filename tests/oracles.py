@@ -2,8 +2,10 @@
 paths against: a smallest-prime-factor table, factorization and divisors read
 off it, the two indicators, the exact rational divisor CDF F_n(t), the
 divisor logs of a factored n, a table of the sums of two squares,
-tau_{kappa,kappa}(n) by trial division, mu by sieving, and a bound on the
-log-tail that an Euler product G leaves out."""
+tau_{kappa,kappa}(n) by trial division, mu by sieving, a bound on the
+log-tail that an Euler product G leaves out, the winding number of one
+box's own sampled ring, and the Bombieri-type check one instance at a
+time."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from math import isqrt
 
 import numpy as np
 
+from sdlab import specfun
 from sdlab.arith import CoeffVector, KappaVector, divisor_le_threshold, ones_coeffs, primes_upto
 from sdlab.errors import CapacityError, DomainError
 
@@ -163,3 +166,56 @@ def euler_tail_log_estimate(G, sigma: float) -> float:
     q = G.modulus
     density = len(G.residues) / sum(math.gcd(r, q) == 1 for r in range(1, q + 1))
     return abs(G.e) * density * P ** (1.0 - x) / ((x - 1.0) * math.log(P))
+
+
+def rect_boundary(s_lo, s_hi, t_lo, t_hi, f: np.ndarray) -> np.ndarray:
+    """Counterclockwise boundary samples of a rectangle at the fractions f of
+    each side, one row per side (bottom, right, top, left); with
+    f = linspace(0, 1, n, endpoint=False) the rows, read in order, are the
+    ring without a repeated corner."""
+    bottom = (s_lo + (s_hi - s_lo) * f) + 1j * t_lo
+    right = s_hi + 1j * (t_lo + (t_hi - t_lo) * f)
+    top = (s_hi - (s_hi - s_lo) * f) + 1j * t_hi
+    left = s_lo + 1j * (t_hi - (t_hi - t_lo) * f)
+    return np.stack([bottom, right, top, left])
+
+
+def phase_steps(vals: np.ndarray) -> np.ndarray:
+    """The sample-to-sample phase steps of a sampled closed ring, in (-pi, pi]."""
+    return np.angle(np.roll(vals, -1) / vals)
+
+
+def settled_winding(vals: np.ndarray) -> int | None:
+    """The winding number of a sampled ring, or None while a sample nearly
+    vanishes, a phase step exceeds pi/2 or the winding is not near an
+    integer."""
+    if float(np.min(np.abs(vals))) < 1e-8:
+        return None
+    steps = phase_steps(vals)
+    wind = float(steps.sum() / (2.0 * math.pi))
+    if float(np.abs(steps).max()) <= 0.5 * math.pi and abs(wind - round(wind)) < 0.1:
+        return int(round(wind))
+    return None
+
+
+def dirichlet_poly(pts: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_n a_n n^{-s} at each of the points pts, a_n = a[n - 1], over the
+    nonzero a_n in ascending n, all in one array."""
+    support = np.nonzero(a)[0] + 1
+    logn = np.array([math.log(n) for n in support.tolist()])
+    cvals = a[support - 1].astype(np.complex128)
+    return (cvals[None, :] * np.exp(-pts[:, None] * logn[None, :])).sum(axis=1)
+
+
+def bombieri_sides(points, a) -> tuple[float, float]:
+    """(lhs, rhs) of the mean-value inequality for one instance, as
+    contourlab.bombieri_check_many defines them: every zeta value evaluated
+    directly, and the Dirichlet polynomial over the nonzero a_n."""
+    pts = np.array([complex(p) for p in points], dtype=np.complex128)
+    a = np.asarray(a, dtype=np.complex128)
+    lhs = 0.0
+    for v in dirichlet_poly(pts, a).tolist():
+        lhs += abs(v) ** 2
+    big_b = specfun.zeta_many(np.conj(pts)[:, None] + pts[None, :], 1e-12)
+    weight = float(np.sum(np.abs(a) ** 2))
+    return lhs, weight * float(np.abs(big_b).sum(axis=1).max())

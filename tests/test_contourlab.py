@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from sdlab import arith as ar
+from sdlab import cli
 from sdlab import contourlab as cl
 from sdlab import sdexpand as sd
 from sdlab import specfun as sf
@@ -257,6 +259,19 @@ class TestClassification:
         for k in (0, grid.K_T):
             assert cl._classify_high_box(grid, 2, k, m) == mins[k]
 
+    def test_dirichlet_poly_is_the_direct_sum(self, zl_spec, rng):
+        # one shared row of M_N coefficients, zeros among them, as the high
+        # range uses it, and two rows chosen per point
+        m = cl.m_series_coeffs(zl_spec, 2000).values
+        assert (m[1:] == 0).any()
+        pts = (0.9 + rng.random(16)) + 1j * rng.uniform(1.0, 200.0, 16)
+        want = oracles.dirichlet_poly(pts, m[1:])
+        shared = cl._dirichlet_poly(pts.reshape(4, 4), m).reshape(-1)
+        assert np.array_equal(shared.view(np.uint64), want.view(np.uint64))  # as integers
+        want[1::2] = oracles.dirichlet_poly(pts[1::2], 2 * m[1:])
+        per_row = cl._dirichlet_poly(pts, np.stack([m, 2 * m]), np.arange(16) % 2)
+        assert np.array_equal(per_row.view(np.uint64), want.view(np.uint64))
+
     def test_stability_under_density_doubling(self, zl_spec, grid200):
         g16 = cl.build_grid(
             cl.ContourConfig(T=200.0, grid_density=16), zl_spec
@@ -274,12 +289,12 @@ class TestClassification:
     def test_winding_number_unit(self):
         theta = 2 * math.pi * np.arange(64) / 64
         ring = 0.3 + 0.1j + 0.2 * np.exp(1j * theta)
-        steps = cl._phase_steps(ring - (0.3 + 0.1j))
+        steps = oracles.phase_steps(ring - (0.3 + 0.1j))
         assert steps.sum() / (2 * math.pi) == pytest.approx(1.0)
         assert np.abs(steps).max() == pytest.approx(2 * math.pi / 64)
-        assert cl._phase_steps(ring - (2.0 + 0j)).sum() == pytest.approx(0.0, abs=1e-12)
-        assert cl._settled_winding(ring - (0.3 + 0.1j)) == 1
-        assert cl._settled_winding(ring - (2.0 + 0j)) == 0
+        assert oracles.phase_steps(ring - (2.0 + 0j)).sum() == pytest.approx(0.0, abs=1e-12)
+        assert oracles.settled_winding(ring - (0.3 + 0.1j)) == 1
+        assert oracles.settled_winding(ring - (2.0 + 0j)) == 0
 
     def test_pure_zeta_spec_first_zero_box(self):
         # no L factors: only the zeta zeros mark boxes; at T=100 the single
@@ -304,11 +319,11 @@ class TestClassification:
     def test_doubled_ring_keeps_the_old_samples(self, grid200):
         rect = (grid200.sigma[0], grid200.sigma[1], grid200.tau[5], grid200.tau[6])
         for n in (32, 64, 128, 256):
-            old = cl._rect_boundary(*rect, np.linspace(0.0, 1.0, n, endpoint=False))
-            new = cl._rect_boundary(*rect, np.linspace(0.0, 1.0, 2 * n, endpoint=False))
+            old = oracles.rect_boundary(*rect, np.linspace(0.0, 1.0, n, endpoint=False))
+            new = oracles.rect_boundary(*rect, np.linspace(0.0, 1.0, 2 * n, endpoint=False))
             assert np.array_equal(new[:, 0::2], old)
             odd = np.linspace(0.0, 1.0, 2 * n, endpoint=False)[1::2]
-            assert np.array_equal(cl._rect_boundary(*rect, odd), new[:, 1::2])
+            assert np.array_equal(oracles.rect_boundary(*rect, odd), new[:, 1::2])
 
     def test_windings_equal_fresh_per_box_rings(self, grid200):
         # each box on its own, every refinement a whole new ring
@@ -320,8 +335,8 @@ class TestClassification:
                 rect = (g.sigma[j] - hs, g.sigma[j + 1] - hs, g.tau[k] - ht, g.tau[k + 1] - ht)
                 for per_side in (32, 64, 128, 256):
                     f = np.linspace(0.0, 1.0, per_side, endpoint=False)
-                    vals = cl.zl_product_many(cl._rect_boundary(*rect, f).reshape(-1), g.spec)
-                    wind = cl._settled_winding(vals)
+                    vals = cl.zl_product_many(oracles.rect_boundary(*rect, f).reshape(-1), g.spec)
+                    wind = oracles.settled_winding(vals)
                     if wind is not None:
                         break
                 assert g.windings[j, k] == wind
@@ -578,6 +593,63 @@ class TestBombieri:
         got = cl.bombieri_check_many([(pts, a), (pts, 137.0 * a)])
         assert got[0] == got[1]
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_grouped_sides_are_the_one_instance_bits(self, seed, monkeypatch):
+        # the instances that sdlab bombieri --seed draws at the bench's sizes
+        drawn = []
+        monkeypatch.setattr(cl, "bombieri_check_many", lambda instances: drawn.extend(instances) or [])
+        cli.run_bombieri(seed, 1000, 50, 10, 1.2)
+        monkeypatch.undo()
+        lhs, rhs = cl._bombieri_sides(drawn)
+        want = np.array([oracles.bombieri_sides(pts, a) for pts, a in drawn])
+        assert len(drawn) == 1000
+        assert np.array_equal(lhs.view(np.uint64), want[:, 0].view(np.uint64))
+        assert np.array_equal(rhs.view(np.uint64), want[:, 1].view(np.uint64))
+        holds = (want[:, 0] <= want[:, 1] * (1.0 + 1e-12)).tolist()
+        assert cl.bombieri_check_many(drawn) == holds == [True] * 1000
+
+    def test_edge_instances_in_one_call(self):
+        rng = np.random.default_rng(11)
+        edge = [
+            ([1.7 + 2j], [0.5 - 1j]),  # m = 1, n = 1
+            ([1.3 + 4j, 1.9 - 7j], [0.0, 2.0, 0.0, 0.0, -1j]),  # zero a_n
+            ([1.4 + 3j, 1.6 + 3j, 1.5 - 8j], rng.normal(size=7)),  # Im = 0 off the diagonal
+            # pairs at |Im| in (99.9, 100]: the extended path
+            ([1.25 + 49.97j, 1.3 - 49.99j, 1.8 + 49.95j], rng.normal(size=30) + 1j * rng.normal(size=30)),
+            ([1.2 + 1j] * 10, [1.0] * 50),
+            ([2.0 + 0j, 2.5 - 1e-3j], [0.0, 0.0]),
+            ([1.6 - 2j], []),
+        ]
+        mixed = []
+        for _ in range(30):
+            n = int(rng.integers(1, 51))
+            mixed.append(([complex(1.2 + rng.uniform(0, 1), rng.uniform(-50, 50))
+                           for _ in range(int(rng.integers(1, 11)))],
+                          rng.normal(size=n) + 1j * rng.normal(size=n)))
+        instances = [x for pair in zip(edge, mixed) for x in pair] + mixed[len(edge):]
+        pair = np.conj(np.array(edge[3][0]))[:, None] + np.array(edge[3][0])
+        assert sf._em_plan(np.abs(pair.imag), 1e-12)[1].any()
+        lhs, rhs = cl._bombieri_sides(instances)
+        want = np.array([oracles.bombieri_sides(pts, a) for pts, a in instances])
+        assert np.array_equal(lhs.view(np.uint64), want[:, 0].view(np.uint64))
+        assert np.array_equal(rhs.view(np.uint64), want[:, 1].view(np.uint64))
+        holds = (want[:, 0] <= want[:, 1] * (1.0 + 1e-12)).tolist()
+        assert cl.bombieri_check_many(iter(instances)) == holds
+        assert holds[10] and holds[12] and not want[[10, 12]].any()  # a = 0 and a = []
+
+    def test_validation_before_any_zeta_work(self, monkeypatch):
+        def never(s, tol=1e-12):
+            raise AssertionError("zeta_many was called")
+
+        monkeypatch.setattr(sf, "zeta_many", never)
+        good = ([1.5 + 2j, 1.7 - 3j], [1.0, 2.0])
+        with pytest.raises(DomainError, match="^need at least one point$"):
+            cl.bombieri_check_many([good, ([], [1.0]), ([0.5 + 1j], [1.0])])
+        # the first failing instance decides; min Re(conj(s)+s') = 0.5 + 0.5
+        with pytest.raises(ConvergenceError, match=r"> 1\.1, got 1\.0$"):
+            cl.bombieri_check_many([good, ([0.5 + 1j, 0.9 - 1j], [1.0]), ([], [1.0])])
+        assert cl.bombieri_check_many([]) == []
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_folded_pairs_are_the_direct_bits(self, seed, monkeypatch):
         # ordinates near +-50 put pair points at |Im| in (99.9, 100], on the
@@ -592,7 +664,8 @@ class TestBombieri:
             t[-1] = t[0]
             pts = 1.2 + rng.random(m) + 1j * t
             pairs.append(np.conj(pts)[:, None] + pts[None, :])
-        flat = np.concatenate([pair.reshape(-1) for pair in pairs])
+        groups = [np.stack([p for p in pairs if len(p) == m]) for m in sorted({len(p) for p in pairs})]
+        flat = np.concatenate([g.reshape(-1) for g in groups])
         extended = sf._em_plan(np.abs(flat.imag), 1e-12)[1]
         assert extended.any() and not extended.all()
         sizes = []
@@ -603,11 +676,12 @@ class TestBombieri:
             return zeta_many(s, tol)
 
         monkeypatch.setattr(sf, "zeta_many", counting)
-        got = cl._pair_zetas(pairs)
-        upper = sum(pair.shape[0] * (pair.shape[0] + 1) // 2 for pair in pairs)
+        got = cl._pair_zetas(groups)
+        upper = sum(len(g) * g.shape[1] * (g.shape[1] + 1) // 2 for g in groups)
         assert len(sizes) == 1 and upper < sizes[0] < flat.size
-        want = np.split(zeta_many(flat), np.cumsum([pair.size for pair in pairs])[:-1])
-        for b, w in zip(got, want):  # as integers, so that -0.0 != 0.0
+        want = np.split(zeta_many(flat), np.cumsum([g.size for g in groups])[:-1])
+        for b, g, w in zip(got, groups, want):  # as integers, so that -0.0 != 0.0
+            assert b.shape == g.shape
             assert np.array_equal(b.reshape(-1).view(np.uint64), w.view(np.uint64))
 
     def test_fold_tests_pass_on_avx2_kernels(self):
@@ -617,11 +691,12 @@ class TestBombieri:
         env = dict(os.environ, PYTHONPATH=str(here.parent / "src"),
                    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
         tests = [f"{here / 'test_specfun.py'}::TestConjugateFold",
-                 f"{here / 'test_contourlab.py'}::TestBombieri::test_folded_pairs_are_the_direct_bits"]
+                 f"{here / 'test_contourlab.py'}::TestBombieri::test_folded_pairs_are_the_direct_bits",
+                 f"{here / 'test_contourlab.py'}::TestBombieri::test_edge_instances_in_one_call"]
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
                               env=env, cwd=here.parent, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout[-3000:]
-        assert "5 passed" in proc.stdout
+        assert "6 passed" in proc.stdout
 
     def test_convergence_guard(self):
         with pytest.raises(ConvergenceError):

@@ -245,7 +245,7 @@ _SAFE_UFUNC_CALLS = [
     ("specfun", "np.exp(-s * math.log(frac))", "complex argument (s is complex128)"),
     ("specfun", "np.exp(-s * math.log(a))", "complex argument (s is complex128)"),
     ("specfun", "np.exp(-s * math.log(q))", "complex argument (s is complex128)"),
-    ("contourlab", "np.exp(-block * logn[None, :])", "complex argument (block holds complex s)"),
+    ("contourlab", "np.exp(-block * logn[r])", "complex argument (block holds complex s)"),
 ]
 
 
