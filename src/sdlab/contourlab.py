@@ -2,9 +2,8 @@
 zero-detour contour, and empirical envelope checks.
 
 Desk-scale geometry: boxes are width 1/(kappa_1 log T) and height log T /
-kappa_1.  Classification in the low range counts zeros of the zeta*L product
-by the argument principle around a half-open-adjusted rectangle; in the high
-range it thresholds the sampled minimum of |zeta L M_N|.
+kappa_1.  Classification counts zeros of the zeta*L product by the argument
+principle around a half-open-adjusted rectangle, in every row.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, specfun
+from . import specfun
 from .errors import (
     AccuracyError,
     BoundaryZeroError,
@@ -36,7 +35,6 @@ __all__ = [
     "count_w_per_column",
     "bombieri_check_many",
     "zl_product_many",
-    "m_series_coeffs",
     "contour_report",
 ]
 
@@ -92,8 +90,7 @@ class BoxGrid:
     N_j: np.ndarray
     nj_capped: np.ndarray
     classes: np.ndarray       # (J_T+1, K_T+1): -1 unset, 0 Y, 1 W
-    windings: np.ndarray      # rounded winding numbers (low range), else -1
-    sampled_min: np.ndarray   # sampled min of |zeta L M_N| (high range), else nan
+    windings: np.ndarray      # winding numbers, -1 until classified
 
     def regime_low(self, j: int) -> bool:
         k1 = self.spec.kappa1
@@ -159,19 +156,11 @@ def zl_product_many(s: np.ndarray, spec: SeriesSpec) -> np.ndarray:
     return out
 
 
-def m_series_coeffs(spec: SeriesSpec, limit: int) -> arith.CoeffVector:
-    """Coefficients of the truncated inverse series M_x: exactly the Dirichlet
-    inverse of the product's coefficient stream, cut at the limit."""
-    return arith.dirichlet_inverse(arith.tau_chi_coeffs(limit, spec.kappa, spec.chis))
-
-
-def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray, rows=None) -> np.ndarray:
-    """sum_n c_n n^{-s} at every point of s for c = coeff_values[1:], or, given
-    rows, at the point s[i] of a flat s for c = coeff_values[rows[i], 1:].
-    Only the nonzero c_n enter; the points whose rows have equally many go
-    through one array, chunked."""
-    s = np.asarray(s, dtype=np.complex128)
-    c = np.atleast_2d(coeff_values)[:, 1:]
+def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_n c_n n^{-s} at the point s[i] of a flat complex s for
+    c = coeff_values[rows[i], 1:].  Only the nonzero c_n enter; the points
+    whose rows have equally many go through one array, chunked."""
+    c = coeff_values[:, 1:]
     row, n = np.nonzero(c)
     size = np.bincount(row, minlength=len(c))
     first = np.cumsum(size) - size  # of each row's entries in (row, n)
@@ -179,9 +168,7 @@ def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray, rows=None) -> np.nd
     used = np.flatnonzero(c.any(axis=0))
     # math.log, not np.log: the same bits on every SIMD target
     logs[used] = [math.log(v + 1) for v in used.tolist()]
-    flat = s.reshape(-1)
-    rows = np.zeros(flat.size, dtype=np.int64) if rows is None else np.asarray(rows)
-    res = np.empty_like(flat)
+    res = np.empty_like(s)
     for count in np.flatnonzero(np.bincount(size)).tolist():
         group = np.flatnonzero(size == count)
         k = n[first[group, None] + np.arange(count)]
@@ -191,9 +178,9 @@ def _dirichlet_poly(s: np.ndarray, coeff_values: np.ndarray, rows=None) -> np.nd
         chunk = max(1, (1 << 22) // max(count, 1))
         for i in range(0, at.size, chunk):
             r = slice(None) if group.size == 1 else local[i : i + chunk]  # one row broadcasts
-            block = flat[at[i : i + chunk], None]
+            block = s[at[i : i + chunk], None]
             res[at[i : i + chunk]] = (cvals[r] * np.exp(-block * logn[r])).sum(axis=1)
-    return res.reshape(s.shape)
+    return res
 
 
 # ----------------------------------------------------------------------------
@@ -288,7 +275,6 @@ def build_grid(cfg: ContourConfig, spec: SeriesSpec) -> BoxGrid:
         nj_capped=capped,
         classes=np.full(shape, -1, dtype=np.int8),
         windings=np.full(shape, -1, dtype=np.int64),
-        sampled_min=np.full(shape, np.nan),
     )
 
 
@@ -318,12 +304,15 @@ def _lattice_windings(grid: BoxGrid, rows: int) -> np.ndarray:
     edge of the bottom row, which the shift turns into interior points.  The
     rectangles tile a lattice; each edge is sampled once for both its boxes,
     at the fractions i/(32 grid_density) of its length, every 8th at first,
-    and a box winds by the signed sum of its edges' phase changes.  A zero
-    near an edge turns the phase by more than pi between samples, aliasing
-    to a step of the other sign, so an unsettled box's edges get a midpoint
-    in each segment whose step exceeds pi/2 (in all when none does but the
-    winding is not near an integer), all in one zl_product_many call per
-    attempt.  A nearly vanishing sample stays, so it ends the classification.
+    and a box winds by the signed sum of its edges' phase changes.  The
+    steps of a closed loop telescope, so that sum is an integer up to
+    rounding; a loop further than 1e-9 from one is not closed and raises
+    AccuracyError.  A zero near an edge turns the phase by more than pi
+    between samples, aliasing to a step of the other sign, so a box settles
+    only when none of its steps exceeds pi/2, and an unsettled box's edges
+    get a midpoint in each segment whose step does, all in one
+    zl_product_many call per attempt.  A nearly vanishing sample stays, so
+    it ends the classification.
     """
     n = 32 * grid.config.grid_density
     f = np.linspace(0.0, 1.0, n + 1)[:-1]
@@ -338,11 +327,6 @@ def _lattice_windings(grid: BoxGrid, rows: int) -> np.ndarray:
     vals = [np.zeros_like(p) for p in pts]  # 0 until sampled; no sample is 0
     winds = np.zeros((rows, y.size - 1), dtype=np.int64)
     todo = np.ones(winds.shape, dtype=bool)
-
-    def edges(boxes):  # the flagged boxes' edges, line by line per direction
-        return [(np.pad(b, ((0, 1), (0, 0))) | np.pad(b, ((1, 0), (0, 0)))).reshape(-1)
-                for b in (boxes.T, boxes)]
-
     for _ in range(4):
         s = np.concatenate([p[m] for p, m in zip(pts, new)])
         out = zl_product_many(s, grid.spec)
@@ -354,45 +338,29 @@ def _lattice_windings(grid: BoxGrid, rows: int) -> np.ndarray:
         steps, (th, tv), (bh, bv) = zip(*(_lattice_turns(v, n) for v in vals))
         wide = bh[:-1].T | bh[1:].T | bv[:-1] | bv[1:]
         wind = ((th[:-1] - th[1:]).T - (tv[:-1] - tv[1:])) / (2.0 * math.pi)
-        settled = todo & ~wide & (np.abs(wind - np.rint(wind)) < 0.1)
+        off = float(np.max(np.abs(wind - np.rint(wind))))
+        if off > 1e-9:
+            raise AccuracyError(f"a winding loop's phase steps sum to {off:.3g} turns off an integer")
+        settled = todo & ~wide
         winds[settled] = np.rint(wind[settled])
-        todo &= ~settled
+        todo &= wide
         if not todo.any():
             return winds
-        for m, (edge, lo, hi, big), every, some in zip(new, steps, edges(todo & ~wide), edges(todo)):
-            split = every[edge] | (some[edge] & big)
+        for m, (edge, lo, hi, big), b in zip(new, steps, (todo.T, todo)):
+            # the unsettled boxes' edges, line by line
+            some = (np.pad(b, ((0, 1), (0, 0))) | np.pad(b, ((1, 0), (0, 0)))).reshape(-1)
+            split = some[edge] & big
             m[:] = False
             m.reshape(-1)[(lo[split] + hi[split]) // 2] = True
     j, k = np.argwhere(todo)[0]
     raise BoundaryZeroError(f"box (j={j}, k={k}): no settled winding after 3 refinements")
 
 
-def _classify_high_box(grid: BoxGrid, j: int, k: int, m_coeffs) -> float:
-    cfg = grid.config
-    g = cfg.grid_density
-    off = (np.arange(g) + 0.5) / g
-    sig = grid.sigma[j] + (grid.sigma[j + 1] - grid.sigma[j]) * off
-    tau = grid.tau[k] + (grid.tau[k + 1] - grid.tau[k]) * off
-    pts = (sig[:, None] + 1j * tau[None, :]).reshape(-1)
-    vals = zl_product_many(pts, grid.spec) * _dirichlet_poly(pts, m_coeffs)
-    return float(np.min(np.abs(vals)))
-
-
 def classify_boxes(grid: BoxGrid) -> BoxGrid:
-    """Fill the W/Y classes: argument-principle zero counts in the low range,
-    sampled |zeta L M_N| minima against the 1/2 threshold in the high range."""
-    rows = sum(grid.regime_low(j) for j in range(grid.J_T + 1))  # the first rows
-    grid.windings[:rows] = _lattice_windings(grid, rows)
-    grid.classes[:rows] = grid.windings[:rows] >= 1
-    m_cache: dict[int, np.ndarray] = {}
-    for j in range(rows, grid.J_T + 1):
-        nj = int(grid.N_j[j])
-        if nj not in m_cache:
-            m_cache[nj] = m_series_coeffs(grid.spec, nj).values
-        for k in range(grid.K_T + 1):
-            mn = _classify_high_box(grid, j, k, m_cache[nj])
-            grid.sampled_min[j, k] = mn
-            grid.classes[j, k] = 1 if mn < 0.5 else 0
+    """Fill the windings and the W/Y classes of every row: a box is W when the
+    argument principle counts a zero in it."""
+    grid.windings[:] = _lattice_windings(grid, grid.J_T + 1)
+    grid.classes[:] = grid.windings >= 1
     return grid
 
 

@@ -406,9 +406,11 @@ _PINNED = [
         {"command": "expand", "app": "squarefull", "order": 3},
     ),
     (
-        ["contour", "--T", "100", "--grid-density", "4", "--aprime", "5", "--C0", "0.9",
+        # C0 = 0.1 gives J_T = 2, and row 2 (sigma = 0.934 > 1 - epsilon) is
+        # a high row, classified like the rows below it
+        ["contour", "--T", "100", "--grid-density", "4", "--aprime", "5", "--C0", "0.1",
          "--eta", "8", "--psi", "2", "--epsilon", "0.1"],
-        {"command": "contour", "T": 100.0, "epsilon": 0.1, "C0": 0.9,
+        {"command": "contour", "T": 100.0, "epsilon": 0.1, "C0": 0.1,
          "Aprime": 5, "psi": 2.0, "eta": 8.0, "grid_density": 4, "nj_cap": 1000000,
          "chi_modulus": 4},
     ),

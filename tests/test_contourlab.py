@@ -239,9 +239,10 @@ class TestClassification:
         # no zeros off the critical line at these heights
         assert (grid200.classes[1] == 0).all()
 
-    def test_high_range_threshold(self, zl_spec):
-        # epsilon = 0.2 puts row 2 (sigma = 0.877) above 1 - epsilon, so it is
-        # classified by the sampled minimum of |zeta L M_N| with N = 2000
+    def test_high_rows_wind(self, zl_spec, grid200):
+        # epsilon = 0.2 puts row 2 (sigma = 0.877) above 1 - epsilon, where
+        # the contour keeps a box width of room; it is classified by winding
+        # like the rows below it, and N_j (capped at 2000) is only reported
         grid = cl.build_grid(
             cl.ContourConfig(T=200.0, C0=0.1, epsilon=0.2, nj_cap=2000),
             zl_spec,
@@ -250,27 +251,21 @@ class TestClassification:
         assert grid.J_T == 2
         assert [grid.regime_low(j) for j in range(3)] == [True, True, False]
         assert grid.N_j[2] == 2000
-        mins = grid.sampled_min[2]
-        assert np.isfinite(mins).all()
-        assert np.isnan(grid.sampled_min[:2]).all()
-        assert np.array_equal(grid.classes[2], (mins < 0.5).astype(np.int8))
-        assert (grid.windings[2] == -1).all()
-        m = cl.m_series_coeffs(zl_spec, 2000).values
-        for k in (0, grid.K_T):
-            assert cl._classify_high_box(grid, 2, k, m) == mins[k]
+        assert (grid.windings[2] == 0).all()
+        assert (grid.classes[2] == 0).all()
+        assert np.array_equal(grid.windings[:2], grid200.windings)
+        assert np.array_equal(grid.classes[:2], grid200.classes)
 
     def test_dirichlet_poly_is_the_direct_sum(self, zl_spec, rng):
-        # one shared row of M_N coefficients, zeros among them, as the high
-        # range uses it, and two rows chosen per point
-        m = cl.m_series_coeffs(zl_spec, 2000).values
+        # two rows of truncated-inverse coefficients, zeros among them,
+        # chosen per point
+        m = ar.dirichlet_inverse(ar.tau_chi_coeffs(2000, zl_spec.kappa, zl_spec.chis)).values
         assert (m[1:] == 0).any()
         pts = (0.9 + rng.random(16)) + 1j * rng.uniform(1.0, 200.0, 16)
         want = oracles.dirichlet_poly(pts, m[1:])
-        shared = cl._dirichlet_poly(pts.reshape(4, 4), m).reshape(-1)
-        assert np.array_equal(shared.view(np.uint64), want.view(np.uint64))  # as integers
         want[1::2] = oracles.dirichlet_poly(pts[1::2], 2 * m[1:])
         per_row = cl._dirichlet_poly(pts, np.stack([m, 2 * m]), np.arange(16) % 2)
-        assert np.array_equal(per_row.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(per_row.view(np.uint64), want.view(np.uint64))  # as integers
 
     def test_stability_under_density_doubling(self, zl_spec, grid200):
         g16 = cl.build_grid(
@@ -279,12 +274,6 @@ class TestClassification:
         cl.classify_boxes(g16)
         frac = (g16.classes == grid200.classes).mean()
         assert frac >= 0.99
-
-    def test_m_series_is_truncated_inverse(self, zl_spec, chi4_mod):
-        m = cl.m_series_coeffs(zl_spec, 200)
-        tau = ar.tau_chi_coeffs(200, KappaVector((1.0,)), (chi4_mod,))
-        want = ar.dirichlet_inverse(tau)
-        assert np.array_equal(m.values, want.values)
 
     def test_winding_number_unit(self):
         theta = 2 * math.pi * np.arange(64) / 64
@@ -313,7 +302,7 @@ class TestClassification:
         # pure zeta product: all-ones coefficients, Moebius inverse
         coeffs = ar.tau_chi_coeffs(50, spec.kappa, spec.chis)
         assert all(coeffs[n] == 1 for n in range(1, 51))
-        m = cl.m_series_coeffs(spec, 50)
+        m = ar.dirichlet_inverse(coeffs)
         assert m[1] == 1 and m[6] == 1 and m[4] == 0 and m[30] == -1
 
     def test_doubled_ring_keeps_the_old_samples(self, grid200):
@@ -345,8 +334,7 @@ class TestClassification:
         # one call per attempt for both rows: the lattice's 39 horizontal
         # lines of 65 samples and 3 vertical lines of 1,217, each of the 117
         # corners once, then only the midpoints of the segments that turn the
-        # phase by more than pi/2 (or of every segment of an unsettled box
-        # that has no such step)
+        # phase by more than pi/2
         grid = cl.build_grid(cl.ContourConfig(T=200.0), zl_spec)
         sizes = []
         zl = cl.zl_product_many
@@ -413,6 +401,35 @@ class TestClassification:
         refined = np.concatenate(calls[1:])
         assert (refined.real == x[1]).all()
         assert ((refined.imag > y[5] + 16 * h) & (refined.imag < y[5] + 17 * h)).all()
+
+    def test_closed_loops_sum_to_whole_turns(self, rng):
+        # the phase steps of a closed loop telescope, so random nonzero
+        # samples over twelve decades, about half their steps above pi/2,
+        # sum to a whole number of turns
+        for size in (3, 8, 64, 1024):
+            wide = 0
+            for _ in range(50):
+                v = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(-6, 6, size)
+                (_, _, _, big), sums, _ = cl._lattice_turns(np.append(v, v[0])[None], size)
+                turns = sums[0, 0] / (2 * math.pi)
+                assert abs(turns - round(turns)) < 1e-12
+                wide += np.count_nonzero(big)
+            assert wide > 10 * size
+
+    def test_unclosed_lattice_raises(self, grid200, monkeypatch, rng):
+        # vertical lines whose corners are not the horizontal lines' samples
+        # (here turned by random phases) leave the box loops open
+        turns = cl._lattice_turns
+
+        def own_corners(vals, n):
+            if len(vals) == 2:  # row 0's two vertical lines
+                vals = vals.copy()
+                vals[:, ::n] *= np.exp(1j * rng.uniform(-0.3, 0.3, vals[:, ::n].shape))
+            return turns(vals, n)
+
+        monkeypatch.setattr(cl, "_lattice_turns", own_corners)
+        with pytest.raises(AccuracyError, match="off an integer"):
+            cl._lattice_windings(grid200, 1)
 
     def test_boundary_zero_error_after_retries(self, grid200, monkeypatch):
         from sdlab.errors import BoundaryZeroError

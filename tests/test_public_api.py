@@ -67,6 +67,13 @@ def test_merged_duplicates_stay_gone():
     assert not hasattr(powerseries.PowerSeries, "__add__")
     assert not hasattr(powerseries.PowerSeries, "__radd__")
     assert "frak_m_values" not in {f.name for f in dataclasses.fields(contourlab.BoxGrid)}
+    # one winding rule for every box row: no |zeta L M_N| threshold path, and
+    # the Dirichlet polynomial takes its coefficient row per point
+    assert not hasattr(contourlab, "m_series_coeffs")
+    assert not hasattr(contourlab, "_classify_high_box")
+    assert "sampled_min" not in {f.name for f in dataclasses.fields(contourlab.BoxGrid)}
+    rows = inspect.signature(contourlab._dirichlet_poly).parameters["rows"]
+    assert rows.default is inspect.Parameter.empty
     # arguments only tests set or nothing sets: the window engine takes its
     # chunks from the iterator it scans and reads the fixed _CHUNK, the
     # contour lab reads its grid's config, and principality comes from a
