@@ -6,16 +6,16 @@ The window engine never factors individual integers.  Divisor statistics come
 from looping d <= sqrt(hi) over multiples: small divisors determine F_n(t) on
 both halves of [0,1] through the d <-> n/d pairing, and arith's
 divisor_le_threshold decides both halves, the upper one on the cofactor n/d.
-The passing multiples of each d form a run, and the mean is linear in the
-shares, so the engine sums w(n) = 1/tau(n) over each run and takes a prefix
-sum over the grid columns; it keeps no per-n count matrix.  The window is
-scanned in chunks of a fixed 2^20 integers (_CHUNK); a window of several
-chunks is cut at chunk boundaries into one contiguous sub-range per CPU, and
-forked worker processes scan the sub-ranges.  Every partial sum depends only
-on its own chunk, and math.fsum rounds correctly whatever the order of its
-inputs, so the sums are the same bits for any number of workers.  On a
-2-core box, ddt_mean(10**7) takes about 0.35 s (0.45 s in one process), and
-the two-squares window at x = 1e8, theta = 0.85 about 0.5 s (0.65 s).
+Each passing pair (d, n) adds 1/tau(n), so the engine counts the passing
+pairs by tau(n) in integers, with a bincount by tau per group of multiples
+of one pass pattern (_window_counts), and rounds each sum once from the
+exact fraction.  The window is scanned in chunks of a fixed 2^20 integers
+(_CHUNK); a window of several chunks is cut at chunk boundaries into one
+contiguous sub-range per CPU, and forked worker processes scan the
+sub-ranges.  Counts add exactly, so the sums are correctly rounded, the same
+bits for any chunking and number of workers.  On a 2-core box,
+ddt_mean(10**7) takes about 0.3 s (0.4 s in one process), and the
+two-squares window at x = 1e8, theta = 0.85 about 0.25 s (0.4 s).
 
 Square-full members come from the a^2 b^3 parametrization with b
 squarefree, as int64 arrays in ascending order.  Worker processes take
@@ -73,6 +73,7 @@ _WINDOW_GUARD = 10**15
 _WIDTH_GUARD = 10**9  # the window engine and the two-squares parity sieve
 _SUBLINEAR_GUARD = 10**13  # hi of the sublinear two-squares count
 _CHUNK = 1 << 20
+_SNAPSHOT_BYTES = 20 << 20  # the window engine's tau snapshots per scatter pass
 
 
 def arcsine_law(t: float) -> float:
@@ -268,8 +269,8 @@ def two_squares_count_and_masks(lo: int, hi: int):
     int8 buffer, whose sum at n is the number of such p.  When it is 0, n
     stripped of those primes and of its powers of two is = the odd part of n
     (mod 4), and it is a product of p = 1 (mod 4) primes times at most one
-    prime > sqrt(hi), so n fails exactly when its odd part is = 3 (mod 4):
-    when the bit above the lowest set bit of n is set.
+    prime > sqrt(hi), so n fails exactly when its odd part is = 3 (mod 4),
+    which marks the buffer too, one slice per power of two.
     """
     _check_two_squares_window(lo, hi)
     primes = primes_upto(isqrt(hi))
@@ -286,8 +287,11 @@ def two_squares_count_and_masks(lo: int, hi: int):
             while pe <= chi_ and (st := (-(clo + 1)) % pe) < m:
                 odd[st::pe] += sign
                 pe, sign = pe * p, -sign
-        n = np.arange(clo + 1, chi_ + 1, dtype=np.int64)
-        yield clo, (odd == 0) & ((n & ((n & -n) << 1)) == 0)
+        j = 0
+        while 3 << j <= chi_:  # odd part = 3 (mod 4): n = 3 * 2^j (mod 2^(j+2))
+            odd[((3 << j) - clo - 1) % (4 << j) :: 4 << j] = 1
+            j += 1
+        yield clo, odd == 0
 
 
 def _count_two_squares_part(lo: int, hi: int) -> int:
@@ -308,14 +312,14 @@ def count_two_squares(lo: int, hi: int) -> int:
     hi^0.72.  The one this model expects to be faster runs, with constants
     fitted on a 2-core AVX-512 Xeon, the sieve on 2 workers:
 
-        sieve:     (hi - lo) * (1.2e-8 + 1.4e-13 * sqrt(hi)) s,
-        sublinear: (1 + [lo > 0]) * 2.2e-8 * hi^0.72 s.
+        sieve:     (hi - lo) * (3e-9 + 4.3e-14 * sqrt(hi)) s,
+        sublinear: (1 + [lo > 0]) * 1.4e-8 * hi^0.72 s.
 
-    There the sieve took 0.25 s on (0, 2e7], 0.51 s on (1e10, 1e10 + 2e7]
-    and 3.0 s on (1e12, 1e12 + 2e7]; B(x) took 0.005 s at 2e7, 0.065 s at
-    1e9, 0.32 s at 1e10 and 9.9 s at 1e12.  So (0, 2e7] takes the sublinear
+    There the sieve took 0.06 s on (0, 2e7], 0.18 s on (1e10, 1e10 + 2e7]
+    and 0.93 s on (1e12, 1e12 + 2e7]; B(x) took 0.005 s at 2e7, 0.04 s at
+    1e9, 0.21 s at 1e10 and 7.0 s at 1e12.  So (0, 2e7] takes the sublinear
     path, and at hi = 1e12 with lo > 0 the sieve runs below a width of about
-    1.3e8.  Windows wider than _WIDTH_GUARD always take the sublinear path,
+    2.6e8.  Windows wider than _WIDTH_GUARD always take the sublinear path,
     which is bounded by hi <= _SUBLINEAR_GUARD = 1e13: B(1e13) took 60 s
     at a peak RSS of 280 MiB.
     """
@@ -333,8 +337,8 @@ def count_two_squares(lo: int, hi: int) -> int:
 def _sublinear_is_faster(lo: int, hi: int) -> bool:
     """count_two_squares's cost model: whether B(hi) - B(lo) is expected to
     take less time than the parity sieve over (lo, hi]."""
-    sieve_s = (hi - lo) * (1.2e-8 + 1.4e-13 * math.sqrt(hi))
-    return (1 + (lo > 0)) * 2.2e-8 * hi**0.72 < sieve_s
+    sieve_s = (hi - lo) * (3e-9 + 4.3e-14 * math.sqrt(hi))
+    return (1 + (lo > 0)) * 1.4e-8 * hi**0.72 < sieve_s
 
 
 # ----------------------------------------------------------------------------
@@ -421,7 +425,7 @@ def _prime_counts_mod4(x: int):
 
 def _two_squares_upto(x: int) -> int:
     """B(x), the number of n in [1, x] that are sums of two squares, exactly
-    and in int64.  At x = 1e10 it took 0.32 s and 23 MiB of peak RSS above
+    and in int64.  At x = 1e10 it took 0.21 s and 11 MiB of peak RSS above
     that of the import, on a 2-core AVX-512 Xeon; time grows about like
     x^0.72 and memory like sqrt(x).
 
@@ -613,31 +617,55 @@ def _over_subranges(fn, lo: int, hi: int, *args) -> list:
         return [f.result() for f in futures]
 
 
-def _window_partials(lo: int, hi: int, window_hi: int, ts, two_squares: bool):
-    """(count, partials) of the engine's chunks of (lo, hi], a sub-range of a
-    window that ends at window_hi: partials[c] holds floats whose exact sum
-    is that of the run sums of column c (see _mean_divisor_cdf), each over
-    one run inside one chunk.  The divisor bound and the run starts come
-    from window_hi, so each chunk gets the run sums of a whole-window scan.
+def _segments(ds, starts, k_lo, k_hi):
+    """(d, a, size, words): the multiples k of each d of ds in [max(k_lo, d),
+    k_hi], cut at every run start (a row of starts, 0 for none) inside into
+    segments [a, a + size), where a column passes exactly when its start is
+    at most a; words packs the passing columns in bytes.  Built 2^16 d at a
+    time."""
+    a0 = np.maximum(k_lo, ds)
+    live = np.flatnonzero(a0 <= k_hi)
+    parts = []
+    for s in range(0, live.size, 1 << 16):
+        i = live[s : s + (1 << 16)]
+        S, a, end = starts[i], a0[i, None], k_hi[i, None] + 1
+        bounds = np.concatenate([a, np.sort(np.where((S > a) & (S < end), S, end), axis=1), end], axis=1)
+        r, j = np.nonzero(bounds[:, :-1] < bounds[:, 1:])
+        a = bounds[r, j]
+        words = np.packbits((S[r] > 0) & (S[r] <= a[:, None]), axis=1, bitorder="little")
+        parts.append((ds[i[r]], a, bounds[r, j + 1] - a, words))
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
 
-    The chunks are those of the iterator scanned: the parity sieve's
-    (chunk_lo, mask) pairs for sums of two squares, else (chunk_lo, None)
-    for every integer.  A mask thus always belongs to its own chunk."""
+
+def _positions(first, step, size):
+    """first + step * i for i < size, segment after segment."""
+    return np.repeat(first, size) + np.repeat(step, size) * (
+        np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size))
+
+
+def _window_counts(lo: int, hi: int, window_hi: int, ts, two_squares: bool):
+    """(count, taus, N) of the engine's chunks of (lo, hi], in a window that
+    ends at window_hi (which decides the pairs as a whole-window scan does):
+    count selected n, and N[c, j] pairs (d, n) of a selected n with
+    tau(n) = taus[j] and a divisor d <= sqrt(n) that passes column c.  The
+    chunks are the sieve's (chunk_lo, mask) pairs for sums of two squares,
+    else (chunk_lo, None).
+
+    tau is scattered over the segments (_segments), a group of one pass
+    pattern at a time, +2 per pair (the root k = d too, taken back once tau
+    is done), with a snapshot of tau at the selected n after each group; a
+    bincount by the done tau, weighted with the difference of two snapshots,
+    counts the group's pairs twice.  Groups past what _SNAPSHOT_BYTES holds
+    take further passes, those of fewer multiples than K/32 are counted along
+    their segments, and those that pass no column are not counted."""
     columns = _columns(ts, window_hi)
-    n_lower = sum(not upper for _, _, upper, _ in columns)
     D = isqrt(window_hi)
     # the divisors with a multiple in (lo, hi], taken _CHUNK at a time
     blocks = (np.arange(s, min(s + _CHUNK, D + 1)) for s in range(1, D + 1, _CHUNK))
     ds = np.concatenate([d[lo // d < hi // d] for d in blocks])
     starts = _run_start_table(ds, columns, window_hi)
-    # per d and half, the (column, start) pairs of the runs that can meet
-    # (lo, hi], which start at or below hi // d
-    rows, cols = np.nonzero((starts > 0) & (starts <= (hi // ds)[:, None]))
-    pairs = list(zip(cols.tolist(), starts[rows, cols].tolist()))
-    ends = [0] + np.cumsum(np.bincount(2 * rows + (cols >= n_lower), minlength=2 * ds.size)).tolist()
-    runs = [(pairs[e0:e1], pairs[e1:e2]) for e0, e1, e2 in zip(ends[0::2], ends[1::2], ends[2::2])]
-    partials = [[] for _ in columns]
-    reduce = np.add.reduce
+    N = np.zeros((len(columns), 1), dtype=np.int64)
+    tau_buffer, snap_buffer = np.empty(_CHUNK, dtype=np.int16), np.empty(0, dtype=np.int16)
     count = 0
     if two_squares:
         chunks = two_squares_count_and_masks(lo, hi)
@@ -647,56 +675,78 @@ def _window_partials(lo: int, hi: int, window_hi: int, ts, two_squares: bool):
     for clo, mask in chunks:
         chigh = min(clo + _CHUNK, hi)
         m = chigh - clo
+        kept = None if mask is None else np.flatnonzero(mask)
+        K = m if kept is None else kept.size
+        count += K
+        if not K:
+            continue
         k_lo, k_hi = clo // ds + 1, chigh // ds  # the multiples d * k in the chunk
-        o = -clo - 1  # d * k sits at o + d * k
-        # tau: pairs d < sqrt(n) add 2, from k = d + 1 on; d = sqrt(n) adds 1
-        pair = o + ds * np.maximum(k_lo, ds + 1)
-        tau = np.zeros(m, dtype=np.int16)  # tau(n) <= 26,880 for n <= _WINDOW_GUARD
-        for d, p in zip(ds[pair < m].tolist(), pair[pair < m].tolist()):
-            tau[p::d] += 2
+        d, a, size, words = _segments(ds, starts, k_lo, k_hi)
+        # by pattern, and the segments of up to 8 multiples last, for np.add.at
+        order = np.lexsort((size <= 8, *words.T))
+        d, size, words = d[order], size[order], words[order]
+        first = d * a[order] - clo - 1  # d * k sits at d * k - clo - 1
+        heads = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])
+        ends = np.r_[heads[1:], d.size]
+        longs = heads + np.add.reduceat(size > 8, heads, dtype=np.int64)
+        patterns = np.unpackbits(words[heads], axis=1, count=len(columns), bitorder="little").astype(np.int64)
+        direct = patterns.any(axis=1) & (np.add.reduceat(size, heads) * 32 < K)
+        snapped = np.flatnonzero(patterns.any(axis=1) & ~direct)
+        # the groups of most segments in the first pass, which scatters all
+        snapped = snapped[np.argsort(heads[snapped] - ends[snapped], kind="stable")].tolist()
+        per_pass = max(1, _SNAPSHOT_BYTES // (2 * K))
+        passes = [snapped[i : i + per_pass] for i in range(0, len(snapped), per_pass)] or [[]]
+        if snap_buffer.size < len(passes[0]) * K:
+            snap_buffer = np.empty(len(passes[0]) * K, dtype=np.int16)
+        snaps = snap_buffer[: len(passes[0]) * K].reshape(-1, K)
+        lists = d.tolist(), first.tolist(), (first + (size - 1) * d + 1).tolist()
+        heads_, longs_, ends_ = heads.tolist(), longs.tolist(), ends.tolist()
+
+        def scatter(buf, groups, snapshot):
+            for j, g in enumerate(groups):
+                for step, b0, b1 in zip(*(x[heads_[g] : longs_[g]] for x in lists)):
+                    buf[b0:b1:step] += 2
+                short = slice(longs_[g], ends_[g])
+                np.add.at(buf, _positions(first[short], d[short], size[short]), 2)
+                if snapshot:
+                    np.copyto(snaps[j], buf) if kept is None else np.take(buf, kept, out=snaps[j])
+
+        tau = tau_buffer[:m]
+        tau.fill(0)
+        scatter(tau, passes[0], True)
+        scatter(tau, sorted(set(range(heads.size)) - set(passes[0])), False)
         root = ds[(k_lo <= ds) & (ds <= k_hi)]
-        tau[o + root * root] += 1
-        w = 1.0 / tau
-        if mask is None:
-            count += m
-        else:
-            count += int(np.count_nonzero(mask))
-            w[~mask] = 0.0
-        live = np.flatnonzero(k_lo <= k_hi)
-        for i, d, kl, kh in zip(*(a.tolist() for a in (live, ds[live], k_lo[live], k_hi[live]))):
-            # Only the first run of a half ends at kh; when both halves
-            # start it at the same a (mostly the whole chunk), sum it once.
-            first = None
-            for half in runs[i]:
-                b = kh + 1  # run upper bound (exclusive)
-                for c, kc in half:
-                    a = kc if kc > kl else kl
-                    if a < b:
-                        if b > kh and first is not None and first[0] == a:
-                            total = first[1]
-                        else:
-                            total = reduce(w[o + a * d : o + (b - 1) * d + 1 : d])
-                            if b > kh:
-                                first = (a, total)
-                        partials[c].append(total)
-                    if kc <= kl:
-                        break
-                    b = kc if kc <= kh else kh + 1
-        partials = [_exact_terms(xs) for xs in partials]
-    return count, partials
-
-
-def _exact_terms(xs: list[float]) -> list[float]:
-    """A few floats whose exact sum is that of xs: the correctly rounded sum
-    (math.fsum), then the correctly rounded remainder, and so on until it is
-    0.  Every fsum over them and other floats is thus the same bits as over
-    xs; compressing after each chunk keeps the run sums from growing with
-    the window.  Appends to xs."""
-    terms = []
-    while (s := math.fsum(xs)) != 0.0:
-        terms.append(s)
-        xs.append(-s)
-    return terms
+        tau[root * root - clo - 1] -= 1
+        if kept is not None:
+            tau[~mask] = 0
+        idx = (tau if kept is None else tau[kept]).astype(np.intp)
+        T = int(idx.max()) + 1
+        seg = np.repeat(direct, ends - heads)
+        group = np.repeat(np.repeat(np.arange(heads.size), ends - heads)[seg], size[seg])
+        H = np.bincount(group * T + tau[_positions(first[seg], d[seg], size[seg])],
+                        minlength=heads.size * T).reshape(-1, T)
+        H[:, 0] = 0  # the n that are not selected
+        w = np.empty(K)
+        for p, groups in enumerate(passes):
+            if p:  # tau is done with: its buffer takes the next pass
+                tau.fill(0)
+                scatter(tau, groups, True)
+            prev = 0.0
+            for j in range(0, len(groups), 2):
+                # two snapshots in one bincount, the second times 2^26: no
+                # snapshot sums to 2 * size.sum() (twice the chunk's pairs)
+                if j + 1 < len(groups) and 2 * int(size.sum()) < 1 << 26:
+                    np.multiply(snaps[j + 1], float(1 << 26), out=w)
+                    both = np.bincount(idx, weights=np.add(w, snaps[j], out=w), minlength=T)
+                    totals = [np.fmod(both, 1 << 26), np.floor(both / (1 << 26))]
+                else:
+                    totals = [np.bincount(idx, weights=snaps[j], minlength=T)]
+                for g, c in zip(groups[j : j + 2], totals):
+                    H[g], prev = (c - prev) / 2, c
+        N = np.pad(N, ((0, 0), (0, max(0, T - N.shape[1]))))
+        N[:, :T] += patterns.T @ H
+    taus = np.flatnonzero(N.any(axis=0))
+    return count, taus, N[:, taus]
 
 
 def _mean_divisor_cdf(lo: int, hi: int, t_grid: tuple[float, ...], two_squares: bool = False):
@@ -709,34 +759,27 @@ def _mean_divisor_cdf(lo: int, hi: int, t_grid: tuple[float, ...], two_squares: 
     For t > 1/2 every small divisor lies below n**t, and F_n(t) is 1 minus
     the share of small divisors whose cofactor n/d exceeds n**t.
 
-    The sum is linear in those shares, so nothing is kept per n and grid
-    point.  A small divisor d passes a threshold on a run of its multiples
-    d*k, k >= start, and adds w(n) = 1/tau(n) to the share of each n there
-    (w = 0 for n that are not sums of two squares when two_squares is set).  Columns are ordered so that the runs of
-    a half nest; each column records the sum of w over the part of its run
-    that the previous column lacks, and its total is the correctly rounded
-    sum (math.fsum) of its own and all earlier partial sums in its half.
-
-    The chunks of (lo, hi] are split into contiguous sub-ranges that worker
-    processes scan (_over_subranges).  A partial sum depends only on its own
-    chunk, and fsum does not depend on the order of its inputs, so the sums
-    are the same bits for any number of workers.  After every chunk each
-    column's partial sums are replaced by a few floats with the same exact
-    sum (_exact_terms), so memory does not grow with the window.
+    A small divisor d passes a column on its multiples d*k from a start on
+    (_run_starts), and each pair adds 1/tau(n) to the sum (n that are not
+    sums of two squares are left out when two_squares is set).  So a column
+    sums N[c, tau] / tau over the integer counts of its pairs by tau, which
+    worker processes count over _over_subranges (_window_counts).  Each sum
+    is rounded once from the exact fraction, the upper half's as count minus
+    it: correctly rounded, the same bits for any chunks and workers.
     """
     ts = _t_grid(t_grid)
     columns = _columns(ts, hi)
-    n_lower = sum(not upper for _, _, upper, _ in columns)
-    parts = _over_subranges(_window_partials, lo, hi, hi, ts, two_squares)
-    count = sum(c for c, _ in parts)
+    parts = _over_subranges(_window_counts, lo, hi, hi, ts, two_squares)
+    count = sum(c for c, _, _ in parts)
+    N = np.zeros((len(columns), 1 + max(int(taus.max(initial=0)) for _, taus, _ in parts)), dtype=np.int64)
+    for _, taus, counts in parts:
+        N[:, taus] += counts
+    taus = np.flatnonzero(N.any(axis=0)).tolist()
+    lcm = math.lcm(*taus)
     sums = np.zeros(len(ts), dtype=np.float64)
-    for c0, c1 in ((0, n_lower), (n_lower, len(columns))):
-        prefix = []
-        for c in range(c0, c1):
-            for _, partials in parts:
-                prefix += partials[c]
-            s = math.fsum(prefix)
-            sums[columns[c][0]] = count - s if c >= n_lower else s
+    for (i, _, upper, _), row in zip(columns, N[:, taus].tolist()):
+        exact = sum(n * (lcm // tau) for n, tau in zip(row, taus))
+        sums[i] = (count * lcm - exact if upper else exact) / lcm  # int / int rounds correctly
     return count, sums
 
 

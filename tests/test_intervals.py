@@ -1,7 +1,9 @@
 import bisect
 import itertools
+import json
 import math
 import multiprocessing
+import pathlib
 import threading
 import time
 import tracemalloc
@@ -82,6 +84,27 @@ def squarefull_scalar_sums(lo, hi, ts):
         cut = np.array(ts) * math.log(n) + ar._THRESHOLD_GUARD
         sums += np.searchsorted(logs, cut, side="right") / logs.size
     return len(members), sums
+
+
+def exact_cdf_sums(lo, hi, grid, two_squares, sieve):
+    """(count, sums) of F_n(t) over the n in (lo, hi], only sums of two
+    squares if two_squares is set, as exact fractions: the share of divisors
+    with log d <= t log n + guard, the test of arith.divisor_le_threshold,
+    counted by bisection over the sorted divisors' logs and added by tau."""
+    by_tau = [Counter() for _ in grid]
+    count = 0
+    for n in range(lo + 1, hi + 1):
+        if two_squares and not oracles.is_sum_two_squares(n, sieve):
+            continue
+        count += 1
+        ds = oracles.divisors(n, sieve)
+        logs = [math.log(d) for d in ds]
+        for i, t in enumerate(grid):
+            k = bisect.bisect_right(logs, t * math.log(n) + ar._THRESHOLD_GUARD)
+            if n <= lo + 100:
+                assert Fraction(k, len(ds)) == oracles.divisor_cdf(n, t, sieve)
+            by_tau[i][len(ds)] += k
+    return count, [sum(Fraction(k, tau) for tau, k in c.items()) for c in by_tau]
 
 
 class TestEnumerateSquarefull:
@@ -469,14 +492,16 @@ class TestMeanDivisorCdf:
 
     @pytest.mark.parametrize("two_squares", [False, True], ids=["dense", "masked"])
     def test_sums_independent_of_worker_count(self, monkeypatch, two_squares):
-        # six chunks of 997, split into 1, 2 and 3 worker sub-ranges
+        # one chunk of 2^20, six of 997 and two of 4,099, over 1, 2 and 3
+        # workers (as many as there are chunks): the same bits from all nine
         lo, hi = 10**5 + 3, 10**5 + 5003
         grid = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
-        monkeypatch.setattr(iv, "_CHUNK", 997)
         runs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(iv, "_worker_count", lambda: workers)
-            runs.append(iv._mean_divisor_cdf(lo, hi, grid, two_squares))
+        for chunk in (2**20, 997, 4099):
+            monkeypatch.setattr(iv, "_CHUNK", chunk)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(iv, "_worker_count", lambda: workers)
+                runs.append(iv._mean_divisor_cdf(lo, hi, grid, two_squares))
         (count, sums), *others = runs
         for other_count, other_sums in others:
             assert other_count == count
@@ -501,55 +526,107 @@ class TestMeanDivisorCdf:
         assert tau_max == 26880  # at 866,421,317,361,600
         assert tau_max <= np.iinfo(np.int16).max
 
-    def test_exact_terms_keep_the_exact_sum(self, rng):
-        # signed floats over 120 binary orders of magnitude, with cancellation
-        for size in (0, 1, 5, 1000):
-            xs = (rng.standard_normal(size) * 2.0 ** rng.integers(-60, 60, size)).tolist()
-            xs += [-x for x in xs[: size // 3]]
-            terms = iv._exact_terms(list(xs))
-            assert len(terms) <= 4
-            assert sum(map(Fraction, terms), Fraction(0)) == sum(map(Fraction, xs), Fraction(0))
-            ys = [1e-30, 3.0, -2.0**70]
-            assert math.fsum(terms + ys) == math.fsum(xs + ys)
-
     def test_peak_memory_independent_of_grid(self):
         # three chunks of 2^20, scanned in this process because tracemalloc
         # cannot see into the worker processes of _mean_divisor_cdf; a per-n
         # count matrix over the 19 grid points and its float cumsum peaked at
-        # 290 MiB
-        tracemalloc.start()
-        try:
-            _, partials = iv._window_partials(0, 3 * 2**20, 3 * 2**20, iv.DEFAULT_T_GRID, False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
-        # a column's run sums (up to 3,033 here) are compressed to a few
-        # exact terms after every chunk
-        assert max(map(len, partials)) <= 4
+        # 290 MiB.  The 99 grid points make about 50 groups of segments, more
+        # than one scatter pass holds snapshots of
+        for grid in (iv.DEFAULT_T_GRID, tuple(i / 100 for i in range(1, 100))):
+            tracemalloc.start()
+            try:
+                count, taus, counts = iv._window_counts(0, 3 * 2**20, 3 * 2**20, grid, False)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, len(grid)
+            assert count == 3 * 2**20
+            # the counts come back compact: one column per tau that occurs
+            assert counts.shape == (len(grid), taus.size) and counts.any(axis=0).all()
 
     def test_sums_within_rounding_of_exact(self, sieve_1e6, monkeypatch):
-        # exact rational sums of F_n(t): the share of divisors with
-        # log d <= t log n + guard, the test of arith.divisor_le_threshold,
-        # counted by bisection over the sorted divisors' logs
+        # each sum is the exact rational sum, correctly rounded, over every
+        # n and over the sums of two squares, in one chunk and in 21
         lo, hi = 10**5, 12 * 10**4
         grid = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
-        by_tau = [Counter() for _ in grid]
+        for two_squares in (False, True):
+            want_count, exact = exact_cdf_sums(lo, hi, grid, two_squares, sieve_1e6)
+            for chunk in (2**20, 997):
+                monkeypatch.setattr(iv, "_CHUNK", chunk)
+                count, sums = iv._mean_divisor_cdf(lo, hi, grid, two_squares)
+                assert count == want_count
+                assert sums.tolist() == [float(e) for e in exact], (two_squares, chunk)
+
+    @pytest.mark.parametrize("grid", [(0.25, 0.5), (0.0,), (0.0, 0.05), (0.75, 1.0), (1.0,), (0.0, 1.0)])
+    def test_one_sided_grids_are_correctly_rounded(self, sieve_1e6, monkeypatch, grid):
+        # grids with no upper or no lower column, and the endpoints alone
+        lo, hi = 3 * 10**5, 3 * 10**5 + 3000
+        monkeypatch.setattr(iv, "_CHUNK", 997)
+        for two_squares in (False, True):
+            want_count, exact = exact_cdf_sums(lo, hi, grid, two_squares, sieve_1e6)
+            count, sums = iv._mean_divisor_cdf(lo, hi, grid, two_squares)
+            assert count == want_count
+            assert sums.tolist() == [float(e) for e in exact], two_squares
+
+    @pytest.mark.parametrize("two_squares", [False, True], ids=["dense", "masked"])
+    def test_counts_follow_any_start_table(self, sieve_1e6, monkeypatch, two_squares):
+        # a start table whose starts do not descend within a half, so that
+        # the columns of a segment pass in no nested pattern: the sums are
+        # still those of a per-pair count from the same table.  A start
+        # depends on d and the column alone, so every worker sees the same
+        lo, hi = 2 * 10**5, 2 * 10**5 + 4000
+        grid = (0.1, 0.3, 0.5, 0.6, 0.8, 0.9)
+        columns = iv._columns(grid, hi)
+
+        def start(d, c):
+            r = (d * 2654435761 + c * 40503) % 1009
+            return 0 if r < 150 else max(1, lo // d + (r - 150) * (hi - lo) // (800 * d))
+
+        def table(ds, cols, window_hi):
+            assert (cols, window_hi) == (columns, hi)
+            return np.array([[start(d, c) for c in range(len(cols))] for d in ds.tolist()],
+                            dtype=np.int64).reshape(ds.size, len(cols))
+
+        assert any(0 < start(d, 0) < start(d, 1) for d in range(1, 400))  # not nested
+        monkeypatch.setattr(iv, "_run_start_table", table)
+        monkeypatch.setattr(iv, "_CHUNK", 997)
+        exact, count = [Fraction(0)] * len(columns), 0
         for n in range(lo + 1, hi + 1):
+            if two_squares and not oracles.is_sum_two_squares(n, sieve_1e6):
+                continue
+            count += 1
             ds = oracles.divisors(n, sieve_1e6)
-            logs = [math.log(d) for d in ds]
-            for i, t in enumerate(grid):
-                k = bisect.bisect_right(logs, t * math.log(n) + ar._THRESHOLD_GUARD)
-                if n <= lo + 100:
-                    assert Fraction(k, len(ds)) == oracles.divisor_cdf(n, t, sieve_1e6)
-                by_tau[i][len(ds)] += k
-        exact = [sum(Fraction(k, tau) for tau, k in c.items()) for c in by_tau]
-        for chunk in (iv._CHUNK, 997):
-            monkeypatch.setattr(iv, "_CHUNK", chunk)
-            count, sums = iv._mean_divisor_cdf(lo, hi, grid)
-            assert count == hi - lo
-            for s, e, t in zip(sums, exact, grid):
-                assert abs(Fraction(float(s)) - e) <= Fraction(1e-15) * count, (chunk, t)
+            for c in range(len(columns)):
+                passing = sum(0 < start(d, c) <= n // d for d in ds if d * d <= n)
+                exact[c] += Fraction(passing, len(ds))
+        for workers in (1, 2):
+            monkeypatch.setattr(iv, "_worker_count", lambda: workers)
+            got_count, sums = iv._mean_divisor_cdf(lo, hi, grid, two_squares)
+            assert got_count == count
+            for (i, _, upper, _), e in zip(columns, exact):
+                assert sums[i] == float(count - e if upper else e), (workers, grid[i])
+
+    def test_chunk_without_selected_n(self, monkeypatch):
+        # chunks of one integer: n = 3 is no sum of two squares, so its chunk
+        # selects nothing, and n = 4 has divisors 1, 2 and 4
+        monkeypatch.setattr(iv, "_CHUNK", 1)
+        monkeypatch.setattr(iv, "_worker_count", lambda: 1)
+        count, sums = iv._mean_divisor_cdf(2, 4, (0.5, 1.0), True)
+        assert (count, sums.tolist()) == (1, [2 / 3, 1.0])
+
+    @pytest.mark.parametrize("two_squares", [False, True], ids=["dense", "masked"])
+    def test_snapshot_passes_keep_the_counts(self, monkeypatch, two_squares):
+        # one, two or three snapshots per scatter pass of a full chunk of
+        # 4,099 instead of all in one: every group past the first pass is
+        # scattered again, with the same counts
+        grid = iv.DEFAULT_T_GRID + (0.0, 0.5, 1.0)
+        monkeypatch.setattr(iv, "_CHUNK", 4099)
+        want = iv._window_counts(10**6, 10**6 + 9000, 10**6 + 9000, grid, two_squares)
+        for budget in (1, 4 * 4099, 6 * 4099):
+            monkeypatch.setattr(iv, "_SNAPSHOT_BYTES", budget)
+            got = iv._window_counts(10**6, 10**6 + 9000, 10**6 + 9000, grid, two_squares)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), budget
 
 
 class TestWeightedMeans:
@@ -593,6 +670,21 @@ class TestWeightedMeans:
         cnt, emp = brute("squarefull", spec.lo, spec.hi)
         assert rep.count == cnt
         np.testing.assert_allclose(rep.empirical, emp, atol=1e-12)
+
+    def test_two_squares_golden_is_correctly_rounded(self):
+        # every mean of tests/golden/beta_two_squares_1e6.json is the exact
+        # sum of the per-n oracle's F_n(t), rounded, over the count, rounded
+        golden = json.loads((pathlib.Path(__file__).parent / "golden" / "beta_two_squares_1e6.json").read_text())
+        spec = iv.IntervalSpec(x=golden["config"]["x"], theta=golden["config"]["theta"], kappa1=1.0)
+        sieve = oracles.build_sieve(spec.hi)
+        ns = [n for n in range(spec.lo + 1, spec.hi + 1) if oracles.is_sum_two_squares(n, sieve)]
+        assert golden["summary"]["count"] == len(ns)
+        for rec in golden["records"]:
+            exact = sum((oracles.divisor_cdf(n, rec["t"], sieve) for n in ns), Fraction(0))
+            assert rec["empirical"] == float(exact) / len(ns), rec["t"]
+            assert rec["abs_error"] == abs(rec["empirical"] - rec["predicted"])
+        rep = iv.weighted_fn_mean("two_squares", spec, golden["config"]["t_grid"])
+        assert list(rep.empirical) == [rec["empirical"] for rec in golden["records"]]
 
     def test_squarefull_mean_matches_scalar_loop(self):
         spec = iv.IntervalSpec(x=10**6, theta=0.5, kappa1=2.0)

@@ -81,10 +81,14 @@ def test_merged_duplicates_stay_gone():
     for fn in (
         intervals.two_squares_count_and_masks,
         intervals._over_subranges,
-        intervals._window_partials,
+        intervals._window_counts,
         intervals._mean_divisor_cdf,
     ):
         assert not {"masks", "chunk"} & set(inspect.signature(fn).parameters), fn
+    # the window engine counts pairs by tau and rounds each sum once: no run
+    # sums of 1/tau and no fsum compression of them
+    assert not hasattr(intervals, "_window_partials")
+    assert not hasattr(intervals, "_exact_terms")
     assert not hasattr(contourlab, "_dv")
     # no warning the contour lab raises, and none its CLI runner silences
     assert not hasattr(contourlab, "warnings")
