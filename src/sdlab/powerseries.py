@@ -1,20 +1,15 @@
-"""Truncated power series arithmetic (fixed order J) and Taylor coefficients
-of analytic functions via Cauchy integrals on a circle.
-
-`taylor_at` evaluates its function once, as a vector call on a 512-node ring;
-the even nodes form the 256-node rule that serves as the accuracy check."""
+"""Truncated power series arithmetic (fixed order J): products, and the
+formal log, exp and principal power.  The Taylor series they act on come
+from specfun's Euler-Maclaurin jets and from closed forms in sdexpand."""
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import DomainError, SingularLeadError
 
-from .errors import AccuracyError, DomainError, SingularLeadError
-
-__all__ = ["PowerSeries", "ps_log", "ps_exp", "ps_pow", "taylor_at"]
+__all__ = ["PowerSeries", "ps_log", "ps_exp", "ps_pow"]
 
 
 @dataclass(frozen=True)
@@ -96,40 +91,3 @@ def ps_pow(a: PowerSeries, z: complex) -> PowerSeries:
         return a._like([1.0] + [0.0] * a.order)
     return ps_exp(z * ps_log(a))
 
-
-def taylor_at(fn, s0: complex, order: int, radius: float) -> PowerSeries:
-    """Taylor coefficients of fn about s0 from trapezoid Cauchy integrals on
-    |s - s0| = radius.
-
-    fn is a vector callable: it maps a complex128 array of nodes to the array
-    of its values there.  It is called once, on 512 nodes.  Their even half
-    is the 256-node rule bit for bit (2 pi 2k/512 and 2 pi k/256 round to the
-    same double), and the two trapezoid sums must agree as an accuracy check.
-    """
-    if radius <= 0:
-        raise DomainError("radius must be positive")
-    nodes = 512
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = s0 + radius * np.exp(1j * theta)
-    vals = np.asarray(fn(ring), dtype=np.complex128)
-    # radius^j by Python's float power, not numpy's: the same bits on every
-    # SIMD target
-    scale = np.array([radius**j for j in range(order + 1)])
-
-    def coeffs(v: np.ndarray) -> np.ndarray:
-        # c_j = (1/(N r^j)) sum_k f(s_k) e^{-i j theta_k}
-        fft = np.fft.fft(v) / v.size
-        return fft[: order + 1] / scale
-
-    base = coeffs(np.ascontiguousarray(vals[::2]))
-    fine = coeffs(vals)
-    # Coefficient j amplifies evaluation noise by radius^-j, so stability is
-    # judged at function scale: |delta c_j| * radius^j.
-    err = float(np.max(np.abs(base - fine) * scale))
-    if err > 1e-10:
-        raise AccuracyError(
-            f"Cauchy-integral coefficients unstable under node doubling "
-            f"(max scaled change {err:.3e}); shrink the radius or check "
-            f"analyticity"
-        )
-    return PowerSeries(complex(s0), tuple(fine[: order + 1]))

@@ -4,10 +4,11 @@ s = 1/kappa_1, the derived main-term coefficients, and the short-interval
 main-term evaluator. The Stieltjes constants behind the Taylor data are a
 table of doubles, so nothing here needs mpmath at run time.
 
-The regular factor's Taylor data come from two places: the zeta and L
-factors, and a zeta-composition G, from taylor_at's Cauchy integrals on a
-512-node ring; an Euler-product G from its closed-form series in prime sums
-(EulerProductG.taylor), multiplied on afterwards.
+The regular factor's Taylor data are products of truncated power series:
+the non-leading zeta and the L factors, and a zeta-composition G, from
+specfun's Euler-Maclaurin jets (hurwitz_jet, dirichlet_l_jet), with
+coefficient j of a factor at kappa_i s scaled by kappa_i^j; an Euler-product
+G from its closed-form series in prime sums (EulerProductG.taylor).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import specfun
 from .arith import CharacterTable, KappaVector, primes_upto, quadratic_character
 from .errors import DomainError
-from .powerseries import PowerSeries, ps_exp, ps_log, ps_pow, taylor_at
+from .powerseries import PowerSeries, ps_exp, ps_log, ps_pow
 
 __all__ = [
     "stieltjes_constants",
@@ -107,11 +108,16 @@ def gamma_coeffs(z: complex, kappa: float, order: int) -> tuple[complex, ...]:
 # Regular-factor evaluators
 # ----------------------------------------------------------------------------
 
+def _jet_power(coeffs, s0: float, m: float, e: complex) -> PowerSeries:
+    """f(m s)^e about s0, from the Taylor coefficients of f about m s0."""
+    return ps_pow(PowerSeries(s0, tuple(c * m**j for j, c in enumerate(coeffs))), e)
+
+
 def _combine(first: np.ndarray, powers) -> np.ndarray:
     """first[k] * prod base[k]**expo over the (base array, expo) pairs, node by
     node in Python complex arithmetic: numpy's complex multiply rounds
     differently from Python's on some machines (AVX-512), and these products
-    fix the bits of the coefficients."""
+    fix the bits of lambda0_closed_form."""
     out = np.empty(len(first), dtype=np.complex128)
     for k, v in enumerate(first.tolist()):
         for base, expo in powers:
@@ -130,6 +136,14 @@ class ZetaCompositionG:
         s = np.asarray(s, dtype=np.complex128)
         powers = [(specfun.zeta_many(m * s), e) for m, e in self.factors]
         return _combine(np.full(s.shape, 1.0 + 0j), powers)
+
+    def taylor(self, s0: float, order: int) -> PowerSeries:
+        """Taylor series of G about the real point s0 > 0, through h^order,
+        from the jets of zeta(m_j s)."""
+        out = PowerSeries(s0, (1.0,) + (0.0,) * order)
+        for m, e in self.factors:
+            out = out * _jet_power(specfun.hurwitz_jet(m * s0, 1.0, order), s0, m, e)
+        return out
 
     def describe(self) -> dict:
         return {"kind": "zeta_composition", "factors": [list(f) for f in self.factors]}
@@ -301,46 +315,6 @@ def _g_many(G, s: np.ndarray) -> np.ndarray:
     return G.many(s)
 
 
-def _regular_factor(spec: SeriesSpec):
-    """The part of the analytic-at-1/kappa_1 factor that taylor_at takes on
-    its ring: non-leading zetas, all L's, and G unless G is an EulerProductG
-    (expansion_coeffs multiplies on its own Taylor series), as a vector
-    callable over an array of nodes.
-
-    Each factor is one zeta_many / dirichlet_l_many call over all nodes.  A
-    zeta or L value depends only on its own point, so each node's value is
-    that of a per-node scalar call bit for bit, whatever the other nodes of
-    the batch.  The factors are then multiplied node by node in Python
-    complex arithmetic (see _combine).
-    """
-
-    ring_G = None if isinstance(spec.G, EulerProductG) else spec.G
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=np.complex128)
-        k = spec.kappa.kappa
-        powers = [
-            (specfun.zeta_many(k[i] * s), spec.z[i])
-            for i in range(1, spec.r)
-            if spec.z[i] != 0
-        ]
-        powers += [
-            (specfun.dirichlet_l_many(k[i] * s, spec.chis[i]), spec.w[i])
-            for i in range(spec.r)
-            if spec.w[i] != 0
-        ]
-        return _combine(_g_many(ring_G, s), powers)
-
-    return fn
-
-
-def _expansion_radius(spec: SeriesSpec) -> float:
-    k = spec.kappa.kappa
-    if spec.r >= 2:
-        return 0.5 * (1.0 / k[0] - 1.0 / k[1])
-    return 1.0 / (4.0 * k[0])
-
-
 @dataclass(frozen=True)
 class ExpansionCoeffs:
     """gamma_j/j!, g_l, and lambda_l arrays for a series spec."""
@@ -365,17 +339,20 @@ class ExpansionCoeffs:
 
 def expansion_coeffs(spec: SeriesSpec, order: int = 16) -> ExpansionCoeffs:
     """Taylor data at s = 1/kappa_1: leading-factor coefficients times the
-    regular factor, whose ring has radius _expansion_radius(spec), and the
-    main-term lambda sequence."""
+    jets of the regular factor, and the main-term lambda sequence."""
     if order < 0:
         raise DomainError(f"expansion order must be >= 0, got {order}")
-    k1 = spec.kappa1
+    k, k1, s0 = spec.kappa.kappa, spec.kappa1, 1.0 / spec.kappa1
     z1 = complex(spec.z[0])
     gam = gamma_coeffs(z1, k1, order)
-    reg = taylor_at(_regular_factor(spec), 1.0 / k1, order, _expansion_radius(spec))
-    if isinstance(spec.G, EulerProductG):
-        reg = reg * spec.G.taylor(1.0 / k1, order)
-    g = (PowerSeries(1.0 / k1, gam) * reg).coeffs
+    series = PowerSeries(s0, gam)
+    for i in range(spec.r):
+        if i and spec.z[i] != 0:
+            series = series * _jet_power(specfun.hurwitz_jet(k[i] / k1, 1.0, order), s0, k[i], spec.z[i])
+        if spec.w[i] != 0:
+            jet = specfun.dirichlet_l_jet(k[i] / k1, spec.chis[i], order)
+            series = series * _jet_power(jet, s0, k[i], spec.w[i])
+    g = (series if spec.G is None else series * spec.G.taylor(s0, order)).coeffs
     k1_pow = specfun.complex_pow_principal(k1, -z1)
     lam = [k1_pow * g[l] * specfun.reciprocal_gamma(z1 - l) for l in range(order + 1)]
     return ExpansionCoeffs(

@@ -9,7 +9,8 @@ the correction series keeps a fixed decay ratio on the whole strip
 check go with that M.  A value therefore depends only on its own point, not
 on the other points of its batch.  The vector functions take the absolute
 tolerance of that truncation (1e-12 by default); the scalar ones always use
-the default.
+the default.  hurwitz_jet and dirichlet_l_jet run the same sum in truncated
+power series about a real point, giving Taylor coefficients.
 
 A vector call cuts its points, grouped by M, into blocks of head terms and
 computes each block's head sums and corrections on one thread per CPU once
@@ -45,6 +46,8 @@ __all__ = [
     "hurwitz_zeta",
     "dirichlet_l",
     "dirichlet_l_many",
+    "hurwitz_jet",
+    "dirichlet_l_jet",
     "complex_pow_principal",
     "beta_fn",
     "reg_inc_beta",
@@ -285,6 +288,68 @@ def hurwitz_zeta(s: complex, w: float) -> complex:
     return complex(_hurwitz_em(np.array([s]), float(w))[0])
 
 
+def _decay(base: float, scale: float, n: int) -> list[float]:
+    """scale * base^(-eps) through eps^(n-1): scale (-log base)^j / j!."""
+    out, lb = [scale], -math.log(base)
+    for j in range(1, n):
+        out.append(out[-1] * lb / j)
+    return out
+
+
+def _jet_mul(a, b) -> list[float]:
+    """The product of two real jets of one length, truncated to it."""
+    return [math.fsum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
+
+
+def hurwitz_jet(s0: float, w: float, order: int, deflate: bool = False) -> list[float]:
+    """Taylor coefficients c_0..c_order of zeta(s, w) about the real s0 > 0,
+    0 < w <= 1: _hurwitz_em's Euler-Maclaurin sum (head _EM_BASE_TERMS,
+    B_2..B_30) with each term replaced by its jet in eps = s - s0, from
+    math.log, math.exp and float arithmetic alone, so the bits do not
+    depend on the SIMD target.  deflate=True gives zeta(s, w) - 1/(s-1),
+    which at s0 = 1 turns the pole term into ((M+w)^(-eps) - 1)/eps.
+    Raises AccuracyError when the first omitted Bernoulli jet exceeds 1e-15."""
+    s0, w, J, M = float(s0), float(w), order + 1, _EM_BASE_TERMS
+    if not (0.0 < s0 < math.inf and 0.0 < w <= 1.0 and order >= 0):
+        raise DomainError(f"hurwitz_jet needs finite s0 > 0, 0 < w <= 1, order >= 0; got {s0}, {w}, {order}")
+    if s0 == 1.0 and not deflate:
+        raise PoleError("zeta(s, w) has its pole at s = 1")
+    logs = [math.log(n + w) for n in range(M)]
+    terms = [math.exp(-s0 * lg) for lg in logs]
+    head = []
+    for j in range(1, J + 1):
+        head.append(math.fsum(terms))
+        terms = [t * -lg / j for t, lg in zip(terms, logs)]
+    mw = M + w
+    lmw = math.log(mw)
+    base = math.exp(-s0 * lmw)                   # (M+w)^{-s0}
+    E = _decay(mw, 1.0, J)                       # (M+w)^{-eps}
+    # the deflated pole term ((M+w)^{1-s} - 1)/(s-1) = -int_0^lmw e^{-(s-1)t} dt
+    # has eps^j coefficient -lmw E_j (M+w)^{1-s0} sum_n x^n/((j+1)...(j+n+1)),
+    # x = (s0-1) lmw: a sum of positive terms for s0 >= 1
+    x, pole = (s0 - 1.0) * lmw, []
+    for j in range(J):
+        term, acc, n = mw * base / (j + 1), 0.0, j + 1
+        while acc + term != acc:
+            acc, n = acc + term, n + 1
+            term *= x / n
+        pole.append(-lmw * E[j] * acc + (0.0 if deflate else (-1.0) ** j / (s0 - 1.0) ** (j + 1)))
+    bof = _bern_over_fact(_BERNOULLI_ORDER).tolist()
+    poly, corr = [s0, 1.0][:J] + [0.0] * (J - 2), [0.0] * J   # (s)_1
+    for k in range(1, _BERNOULLI_ORDER // 2 + 2):
+        if k > 1:   # (s)_{2k-1} from (s)_{2k-3}
+            for c in (s0 + 2 * k - 3, s0 + 2 * k - 2):
+                poly = [c * p + (poly[j - 1] if j else 0.0) for j, p in enumerate(poly)]
+        scaled = [bof[k - 1] * base / mw ** (2 * k - 1) * p for p in poly]
+        if k <= _BERNOULLI_ORDER // 2:
+            corr = [a + b for a, b in zip(corr, scaled)]
+    tail = max(abs(c) for c in _jet_mul(scaled, E))
+    if not tail <= 1e-15:
+        raise AccuracyError(f"Euler-Maclaurin jet tail {tail:.3e} exceeds 1e-15 (s0={s0}, w={w})")
+    corr = _jet_mul(corr, E)
+    return [h + p + 0.5 * base * e + c for h, p, e, c in zip(head, pole, E, corr)]
+
+
 # ----------------------------------------------------------------------------
 # Dirichlet L-functions
 # ----------------------------------------------------------------------------
@@ -322,6 +387,21 @@ def dirichlet_l_many(s: np.ndarray, chi, tol: float = 1e-12) -> np.ndarray:
 def dirichlet_l(s: complex, chi) -> complex:
     """L(s, chi) for a non-principal character, Re s > 0 (entire there)."""
     return complex(dirichlet_l_many(np.array([complex(s)]), chi)[0])
+
+
+def dirichlet_l_jet(s0: float, chi, order: int) -> list[complex]:
+    """Taylor coefficients of L(s, chi) about the real s0 > 0 for a
+    non-principal chi: q^{-s} sum_a chi(a) zeta(s, a/q) over deflated
+    Hurwitz jets, whose pole terms cancel in the character sum."""
+    if chi.principal:
+        raise PrincipalCharacterError("L assembly is restricted to non-principal characters")
+    q = chi.modulus
+    parts = [(complex(chi(a)), hurwitz_jet(s0, a / q, order, deflate=True))
+             for a in range(1, q + 1) if chi(a) != 0]
+    re = [math.fsum(cv.real * h[j] for cv, h in parts) for j in range(order + 1)]
+    im = [math.fsum(cv.imag * h[j] for cv, h in parts) for j in range(order + 1)]
+    qs = _decay(q, math.exp(-s0 * math.log(q)), order + 1)
+    return [complex(a, b) for a, b in zip(_jet_mul(qs, re), _jet_mul(qs, im))]
 
 
 # ----------------------------------------------------------------------------

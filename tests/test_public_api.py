@@ -59,6 +59,11 @@ def test_merged_duplicates_stay_gone():
     # the Euler-Maclaurin kernel cuts its own blocks of rows: no generic row
     # helper, and no slicing of its batches by a caller
     assert not hasattr(specfun, "_over_row_shares")
+    # Taylor series come from Euler-Maclaurin jets: no Cauchy ring, no ring
+    # callable of the regular factor and no ring radius
+    assert not hasattr(powerseries, "taylor_at")
+    assert not hasattr(sdexpand, "_regular_factor")
+    assert not hasattr(sdexpand, "_expansion_radius")
     assert not hasattr(contourlab, "_BOMBIERI_SLICE")
     assert not hasattr(sdexpand, "_one_point")
     # members nothing read or called: the Taylor radius, series addition and
@@ -243,7 +248,6 @@ _DISPATCH_SENSITIVE = {"exp", "log", "power", "log1p", "expm1", "arctan2", "exp2
 # every use of one of them in the package: module, source of the call, and
 # why its bits do not depend on the dispatch target
 _SAFE_UFUNC_CALLS = [
-    ("powerseries", "np.exp(1j * theta)", "complex argument"),
     ("sdexpand", "np.exp(-self.a * v * lp)", "complex argument (v is a complex node)"),
     ("sdexpand", "np.log1p(-np.exp(-self.a * v * lp))", "complex argument"),
     ("specfun", "np.exp(t, out=t)", "complex argument (t is the outer product of complex128 s)"),

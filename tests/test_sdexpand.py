@@ -10,7 +10,7 @@ from sdlab import sdexpand as sd
 from sdlab import specfun as sf
 from sdlab.arith import KappaVector, primes_upto, quadratic_character
 from sdlab.errors import DomainError
-from sdlab.powerseries import PowerSeries, ps_pow, taylor_at
+from sdlab.powerseries import PowerSeries, ps_pow
 
 
 class TestStieltjes:
@@ -102,7 +102,7 @@ class TestApplicationSpecs:
         spec = sd.squarefull_series_spec()
         coeffs = sd.expansion_coeffs(spec, order=8)
         lam0 = sd.lambda0_closed_form(spec)
-        assert abs(coeffs.lambda_ell[0] - lam0) < 1e-8
+        assert abs(coeffs.lambda_ell[0] - lam0) < 1e-14
 
     def test_two_squares_lambda0_is_landau_constant(self):
         # oracle: Euler product over p = 3 (mod 4) up to 1e7 with tail bound
@@ -137,7 +137,7 @@ class TestApplicationSpecs:
         spec = sd.two_squares_series_spec()
         coeffs = sd.expansion_coeffs(spec, order=8)
         lam0 = sd.lambda0_closed_form(spec)
-        assert abs(coeffs.lambda_ell[0] - lam0) < 1e-8
+        assert abs(coeffs.lambda_ell[0] - lam0) < 1e-14
 
     def test_wrong_congruence_differs(self):
         right = sd.lambda0_closed_form(sd.two_squares_series_spec()).real
@@ -240,80 +240,30 @@ class TestMainTerm:
             sd.main_term(spec, 1e6, 1e6, 0)  # y > x^(1/2)
 
 
-class TestExpansionRadius:
-    def test_radius_independence(self):
-        # the ring's Taylor data at expansion_coeffs' radius, which are the
-        # ones its g_l are built from, and at a smaller radius
-        spec = sd.squarefull_series_spec()
-        fn, s0 = sd._regular_factor(spec), 1.0 / spec.kappa1
-        a = taylor_at(fn, s0, 6, sd._expansion_radius(spec))
-        b = taylor_at(fn, s0, 6, 1.0 / 24.0)
-        gam = sd.gamma_coeffs(complex(spec.z[0]), spec.kappa1, 6)
-        assert sd.expansion_coeffs(spec, order=6).g_ell == (PowerSeries(s0, gam) * a).coeffs
-        for j, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
-            assert abs(x - y) < 1e-9 * max(1.0, abs(x)), j
-
-
-def _ring(spec):
-    # the 512-node ring of taylor_at around 1/kappa_1
+def _nodes():
+    # 512 points on the circle |s - 1| = 1/4
     theta = 2.0 * math.pi * np.arange(512) / 512
-    return 1.0 / spec.kappa1 + sd._expansion_radius(spec) * np.exp(1j * theta)
+    return 1.0 + 0.25 * np.exp(1j * theta)
 
 
 def _scalar_G(G, s):
-    # one node at a time, the scalar formulas of each regular-factor kind
-    if isinstance(G, sd.ZetaCompositionG):
-        out = 1.0 + 0j
-        for m, e in G.factors:
-            out *= sf.complex_pow_principal(sf.zeta_complex(m * s), e)
-        return out
-    if isinstance(G, sd.EulerProductG):
-        acc = 0j
-        for p0, a0, e0 in G.extra:
-            acc += e0 * cmath.log(1.0 - cmath.exp(-a0 * s * math.log(p0)))
-        primes = primes_upto(G.prime_limit)
-        lp = np.log(primes[np.isin(primes % G.modulus, G.residues)].astype(np.float64))
-        acc += G.e * complex(np.sum(np.log1p(-np.exp(-G.a * s * lp))))
-        return cmath.exp(acc)
-    return 1.0 + 0j  # G = None, the constant 1
-
-
-def _scalar_regular_factor(spec, s):
-    # an Euler product is not on the ring: expansion_coeffs takes its series
-    out = 1.0 + 0j if isinstance(spec.G, sd.EulerProductG) else complex(_scalar_G(spec.G, s))
-    k = spec.kappa.kappa
-    for i in range(1, spec.r):
-        if spec.z[i] != 0:
-            out *= sf.complex_pow_principal(sf.zeta_complex(k[i] * s), spec.z[i])
-    for i in range(spec.r):
-        if spec.w[i] != 0:
-            out *= sf.complex_pow_principal(sf.dirichlet_l(k[i] * s, spec.chis[i]), spec.w[i])
-    return out
+    # one node at a time, the scalar formula of an Euler product
+    acc = 0j
+    for p0, a0, e0 in G.extra:
+        acc += e0 * cmath.log(1.0 - cmath.exp(-a0 * s * math.log(p0)))
+    primes = primes_upto(G.prime_limit)
+    lp = np.log(primes[np.isin(primes % G.modulus, G.residues)].astype(np.float64))
+    acc += G.e * complex(np.sum(np.log1p(-np.exp(-G.a * s * lp))))
+    return cmath.exp(acc)
 
 
 class TestVectorRegularFactor:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            sd.squarefull_series_spec,
-            sd.two_squares_series_spec,
-            lambda: sd.two_squares_series_spec(wrong_congruence=True),
-        ],
-        ids=["squarefull", "two_squares", "wrong_congruence"],
-    )
-    def test_ring_matches_per_node_loop(self, make):
-        spec = make()
-        ring = _ring(spec)
-        got = sd._regular_factor(spec)(ring)
-        want = np.array([_scalar_regular_factor(spec, complex(s)) for s in ring])
-        assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("residue", [3, 1])
     def test_euler_product_many_matches_scalar(self, residue):
         G = _two_squares_G(residue, sd.EulerProductG.prime_limit)
-        ring = _ring(sd.two_squares_series_spec())
-        want = np.array([_scalar_G(G, complex(s)) for s in ring])
-        assert np.array_equal(G.many(ring).view(np.float64), want.view(np.float64))
+        nodes = _nodes()
+        want = np.array([_scalar_G(G, complex(s)) for s in nodes])
+        assert np.array_equal(G.many(nodes).view(np.float64), want.view(np.float64))
 
 
 def _two_squares_G(residue, prime_limit):
@@ -358,16 +308,7 @@ class TestEulerTaylor:
         ]
         got = sd.expansion_coeffs(sd.two_squares_series_spec(), order=8).g_ell
         for l, (g, w) in enumerate(zip(got, want)):
-            assert abs(g.real - w) <= 5e-13 * abs(w), l
-
-    @pytest.mark.parametrize("residue", [3, 1])
-    def test_agrees_with_ring(self, residue):
-        # within taylor_at's own check: |delta c_j| r^j <= 1e-10
-        G = _two_squares_G(residue, sd.EulerProductG.prime_limit)
-        radius = 0.25
-        ring = taylor_at(G.many, 1.0, 8, radius).coeffs
-        series = G.taylor(1.0, 8).coeffs
-        assert max(abs(a - b) * radius**j for j, (a, b) in enumerate(zip(ring, series))) <= 1e-10
+            assert abs(g.real - w) <= 1e-14 * abs(w), l
 
     def test_domain(self):
         # p^(-a s0) >= 1 for a prime of the product or an extra factor
@@ -377,6 +318,89 @@ class TestEulerTaylor:
             _two_squares_G(3, 1000).taylor(-0.5, 4)
         with pytest.raises(DomainError, match="order"):
             _two_squares_G(3, 1000).taylor(1.0, -1)
+
+
+class TestJetExpansion:
+    def test_squarefull_g_matches_reference(self):
+        # g_0..g_16 of (2s-1) zeta(2s) zeta(3s) / zeta(6s) at s = 1/2:
+        # bench/reference.json's "squarefull_g", from mpmath.taylor at 30 digits
+        want = [
+            2.1732543125195543,
+            -5.155695190159985,
+            36.26114627962755,
+            -214.51392544536688,
+            1285.8541378529144,
+            -7713.885515375292,
+            46281.6438393202,
+            -277687.81285876577,
+            1666124.4361209872,
+            -9996743.697050124,
+            59980458.67700391,
+            -359882747.8538625,
+            2159296482.073399,
+            -12955778886.38097,
+            77734673311.01456,
+            -466408039857.36176,
+            2798448239133.7,
+        ]
+        got = sd.expansion_coeffs(sd.squarefull_series_spec(), order=16).g_ell
+        for l, (g, w) in enumerate(zip(got, want)):
+            assert abs(g.real - w) <= 1e-14 * abs(w), l
+
+    @pytest.mark.parametrize(
+        "make, order",
+        [
+            (sd.squarefull_series_spec, 16),
+            (sd.two_squares_series_spec, 8),
+            (lambda: sd.two_squares_series_spec(wrong_congruence=True), 8),
+        ],
+        ids=["squarefull", "two_squares", "wrong_congruence"],
+    )
+    def test_shipped_specs_give_real_coefficients(self, make, order):
+        # real jets about a real point, multiplied in complex arithmetic whose
+        # imaginary parts stay exactly 0
+        coeffs = sd.expansion_coeffs(make(), order=order)
+        for v in coeffs.gamma_j + coeffs.g_ell + coeffs.lambda_ell:
+            assert v.imag == 0
+
+    def test_zeta3s_vs_finite_differences(self):
+        fn = lambda s: sf.zeta_complex(3 * s)
+        ps = sd.ZetaCompositionG(((3.0, 1.0),)).taylor(0.5, 4)
+
+        def fd(h):
+            xs = np.array([-3, -2, -1, 0, 1, 2, 3], dtype=float) * h + 0.5
+            f = np.array([fn(complex(x)).real for x in xs])
+            return np.array(
+                [
+                    f[3],
+                    (f[4] - f[2]) / (2 * h),
+                    (f[4] - 2 * f[3] + f[2]) / (2 * h**2),
+                    (f[5] - 2 * f[4] + 2 * f[2] - f[1]) / (12 * h**3),
+                    (f[5] - 4 * f[4] + 6 * f[3] - 4 * f[2] + f[1]) / (24 * h**4),
+                ]
+            )
+
+        def richardson(h):
+            a, b, c = fd(h), fd(h / 2), fd(h / 4)
+            ab = (4 * b - a) / 3
+            bc = (4 * c - b) / 3
+            return (16 * bc - ab) / 15
+
+        oracle = richardson(0.01)
+        got = np.array([c.real for c in ps.coeffs])
+        np.testing.assert_allclose(got, oracle, rtol=2e-7)
+        # 3^k zeta^(k)(3/2)/k! from mpmath at 40 digits
+        np.testing.assert_allclose(
+            got,
+            [
+                2.612375348685488,
+                -11.796719212293304,
+                71.95300367051559,
+                -432.00447303030995,
+                2592.0064426833355,
+            ],
+            rtol=1e-15,
+        )
 
 
 class TestEulerTail:

@@ -459,6 +459,83 @@ class TestDirichletL:
 
 
 # ---------------------------------------------------------------------------
+# Taylor jets
+# ---------------------------------------------------------------------------
+
+def mp_l_jet(chi, order: int, nodes: int = 48) -> list[float]:
+    """Taylor coefficients of L(s, chi) = q^{-s} sum_a chi(a) zeta(s, a/q)
+    about s = 1 at 45 digits, by the trapezoid rule for Cauchy's integral on
+    |s - 1| = 1.  L is entire and its coefficients fall to ~1e-12 by k = 16
+    and keep falling, so the aliased c_{k+48} lie far below 1e-40."""
+    q = chi.modulus
+    with mpmath.workdps(45):
+        vals = []
+        for n in range(nodes):
+            s = 1 + mpmath.expjpi(mpmath.mpf(2 * n) / nodes)
+            terms = [complex(chi(a)).real * mpmath.zeta(s, mpmath.mpf(a) / q) for a in range(1, q)]
+            vals.append(mpmath.power(q, -s) * mpmath.fsum(terms))
+        return [
+            float(mpmath.fsum(v * mpmath.expjpi(-mpmath.mpf(2 * n * k) / nodes)
+                              for n, v in enumerate(vals)).real / nodes)
+            for k in range(order + 1)
+        ]
+
+
+class TestJets:
+    @pytest.mark.parametrize("s0", [1.5, 3.0])
+    @pytest.mark.parametrize("w", [1.0, 0.25])
+    def test_hurwitz_jet_matches_mpmath(self, s0, w):
+        # coefficient k is zeta^(k)(s0, w)/k!, and the deflated jet drops the
+        # 1/(s-1) term (-1)^k/(s0-1)^{k+1}; a coefficient above 1 (up to 2^17
+        # at s0 = 3/2) is held to 1e-14 relative, as a double holds it
+        got = sf.hurwitz_jet(s0, w, 16)
+        deflated = sf.hurwitz_jet(s0, w, 16, deflate=True)
+        with mpmath.workdps(40):
+            for k in range(17):
+                want = mpmath.zeta(s0, w, k) / mpmath.factorial(k)
+                pole = mpmath.mpf(-1) ** k / (mpmath.mpf(s0) - 1) ** (k + 1)
+                assert abs(got[k] - want) <= 1e-14 * max(1, abs(want)), k
+                assert abs(deflated[k] - (want - pole)) <= 1e-14 * max(1, abs(want - pole)), k
+
+    @pytest.mark.parametrize("name", ["chi4", "chi3"])
+    def test_l_jet_matches_mpmath(self, name, request):
+        chi = request.getfixturevalue(name)
+        got = sf.dirichlet_l_jet(1.0, chi, 16)
+        for k, (g, w) in enumerate(zip(got, mp_l_jet(chi, 16))):
+            assert g.imag == 0 and abs(g.real - w) <= 1e-14, k
+
+    def test_constant_terms_match_the_vector_functions(self, chi3, chi4):
+        # below s0 = 1 the head and pole terms (about 16 at s0 = 1/2) cancel
+        # to the value, so the bound is absolute there
+        for s0 in (0.5, 1.5, 2.0, 7.0):
+            for w in (0.25, 1.0):
+                (got,) = sf.hurwitz_jet(s0, w, 0)
+                assert abs(got - sf.hurwitz_zeta(s0, w).real) <= 1e-14 * max(1, abs(got))
+            for chi in (chi3, chi4):
+                (got,) = sf.dirichlet_l_jet(s0, chi, 0)
+                assert abs(got - sf.dirichlet_l(s0, chi)) <= 1e-14 * max(1, abs(got))
+
+    def test_domain(self, chi4):
+        with pytest.raises(PoleError):
+            sf.hurwitz_jet(1.0, 1.0, 4)
+        for s0, w, order in ((0.0, 1.0, 4), (1.5, 1.5, 4), (1.5, 0.0, 4), (1.5, 1.0, -1),
+                             (math.nan, 1.0, 4), (math.inf, 1.0, 4)):
+            with pytest.raises(DomainError):
+                sf.hurwitz_jet(s0, w, order)
+        from sdlab.arith import CharacterTable
+
+        with pytest.raises(PrincipalCharacterError):
+            sf.dirichlet_l_jet(1.0, CharacterTable(4, (0, 1, 0, 1)), 4)
+
+    def test_accuracy_error_when_params_too_small(self, monkeypatch):
+        monkeypatch.setattr(sf, "_EM_BASE_TERMS", 4)
+        monkeypatch.setattr(sf, "_BERNOULLI_ORDER", 4)
+        with pytest.raises(AccuracyError, match="jet tail"):
+            # 4 head terms + 2 correction terms cannot reach 1e-15 here
+            sf.hurwitz_jet(0.3, 1.0, 4)
+
+
+# ---------------------------------------------------------------------------
 # powers, beta
 # ---------------------------------------------------------------------------
 
