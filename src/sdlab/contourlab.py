@@ -478,7 +478,10 @@ def _pair_zetas(groups: list[np.ndarray]) -> list[np.ndarray]:
     ends = np.cumsum([pairs.size for pairs in groups])
     partner = np.concatenate([np.arange(e - p.size, e).reshape(p.shape).swapaxes(1, 2).reshape(-1)
                               for p, e in zip(groups, ends)])
-    direct = (partner >= np.arange(flat.size)) | (flat.imag == 0) | specfun._em_plan(np.abs(flat.imag), 1e-12)[1]
+    direct = (partner >= np.arange(flat.size)) | (flat.imag == 0)
+    # only a point that could fold needs its phase plan
+    below = np.flatnonzero(~direct)
+    direct[below] = specfun._em_plan(np.abs(flat.imag[below]), 1e-12)[1]
     vals = np.empty_like(flat)
     vals[direct] = specfun.zeta_many(flat[direct], 1e-12)
     fold = np.flatnonzero(~direct)

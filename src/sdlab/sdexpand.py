@@ -13,7 +13,6 @@ G from its closed-form series in prime sums (EulerProductG.taylor).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -105,7 +104,7 @@ def gamma_coeffs(z: complex, kappa: float, order: int) -> tuple[complex, ...]:
 
 
 # ----------------------------------------------------------------------------
-# Regular-factor evaluators
+# Regular factors
 # ----------------------------------------------------------------------------
 
 def _jet_power(coeffs, s0: float, m: float, e: complex) -> PowerSeries:
@@ -113,29 +112,11 @@ def _jet_power(coeffs, s0: float, m: float, e: complex) -> PowerSeries:
     return ps_pow(PowerSeries(s0, tuple(c * m**j for j, c in enumerate(coeffs))), e)
 
 
-def _combine(first: np.ndarray, powers) -> np.ndarray:
-    """first[k] * prod base[k]**expo over the (base array, expo) pairs, node by
-    node in Python complex arithmetic: numpy's complex multiply rounds
-    differently from Python's on some machines (AVX-512), and these products
-    fix the bits of lambda0_closed_form."""
-    out = np.empty(len(first), dtype=np.complex128)
-    for k, v in enumerate(first.tolist()):
-        for base, expo in powers:
-            v *= specfun.complex_pow_principal(base[k], expo)
-        out[k] = v
-    return out
-
-
 class ZetaCompositionG:
     """G(s) = prod_j zeta(m_j s)^{e_j} (closed-form zeta composition)."""
 
     def __init__(self, factors):
         self.factors = tuple((float(m), float(e)) for m, e in factors)
-
-    def many(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=np.complex128)
-        powers = [(specfun.zeta_many(m * s), e) for m, e in self.factors]
-        return _combine(np.full(s.shape, 1.0 + 0j), powers)
 
     def taylor(self, s0: float, order: int) -> PowerSeries:
         """Taylor series of G about the real point s0 > 0, through h^order,
@@ -160,7 +141,7 @@ class EulerProductG:
     (1-p^{-a s})^{e}, truncated at P with a recorded tail estimate.
 
     `taylor` gives its Taylor series about a real point in closed form, from
-    prime sums; `many` evaluates it node by node."""
+    prime sums; its order-0 coefficient is the value there."""
 
     prime_limit = 10**5
 
@@ -179,20 +160,6 @@ class EulerProductG:
             # math.log, not np.log: the same bits on every SIMD target
             self._log_primes = np.array([math.log(p) for p in primes[keep].tolist()])
         return self._log_primes
-
-    def many(self, s: np.ndarray) -> np.ndarray:
-        """G over an array of nodes, one node at a time: np.sum of the row
-        log(1 - p^{-a s}) over the primes, plus the extra factors."""
-        lp = self._primes()
-        nodes = np.asarray(s, dtype=np.complex128).tolist()
-        out = np.empty(len(nodes), dtype=np.complex128)
-        for k, v in enumerate(nodes):
-            acc = 0j
-            for p0, a0, e0 in self.extra:
-                acc += e0 * cmath.log(1.0 - cmath.exp(-a0 * v * math.log(p0)))
-            acc += self.e * complex(np.sum(np.log1p(-np.exp(-self.a * v * lp))))
-            out[k] = cmath.exp(acc)
-        return out
 
     def taylor(self, s0: float, order: int) -> PowerSeries:
         """Taylor series of G about the real point s0, through h^order.
@@ -308,13 +275,6 @@ class SeriesSpec:
         }
 
 
-def _g_many(G, s: np.ndarray) -> np.ndarray:
-    """G over an array of nodes; G = None is the constant 1."""
-    if G is None:
-        return np.ones(np.shape(s), dtype=np.complex128)
-    return G.many(s)
-
-
 @dataclass(frozen=True)
 class ExpansionCoeffs:
     """gamma_j/j!, g_l, and lambda_l arrays for a series spec."""
@@ -364,23 +324,11 @@ def expansion_coeffs(spec: SeriesSpec, order: int = 16) -> ExpansionCoeffs:
 
 
 def lambda0_closed_form(spec: SeriesSpec) -> complex:
-    """Leading coefficient, evaluated directly: G(1/k1) k1^{-z1} / Gamma(z1)
-    times the non-leading zeta and L values at kappa_i/kappa_1."""
-    k = spec.kappa.kappa
-    k1 = k[0]
-    z1 = complex(spec.z[0])
-    out = complex(_g_many(spec.G, np.array([complex(1.0 / k1)]))[0])
-    out *= specfun.complex_pow_principal(k1, -z1)
-    out *= specfun.reciprocal_gamma(z1)
-    for i in range(1, spec.r):
-        if spec.z[i] != 0:
-            zv = specfun.zeta_complex(k[i] / k1)
-            out *= specfun.complex_pow_principal(zv, spec.z[i])
-    for i in range(spec.r):
-        if spec.w[i] != 0:
-            lv = specfun.dirichlet_l(k[i] / k1, spec.chis[i])
-            out *= specfun.complex_pow_principal(lv, spec.w[i])
-    return out
+    """Leading coefficient k1^{-z1} G(1/k1) prod zeta(k_i/k1)^{z_i}
+    prod L(k_i/k1, chi_i)^{w_i} / Gamma(z1): the order-0 expansion, so the
+    same jets as expansion_coeffs give it.  The expand artifact repeats it
+    beside records[0]'s lambda_0 only because the benchmark reads it there."""
+    return expansion_coeffs(spec, 0).lambda_ell[0]
 
 
 @dataclass(frozen=True)

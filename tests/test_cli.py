@@ -141,6 +141,9 @@ class TestCommands:
         assert artifact["lambda0_closed_form"][0] == pytest.approx(
             1.0866271562597771, abs=1e-10
         )
+        # the field repeats the order-0 lambda bit for bit
+        lead = artifact["records"][0]
+        assert artifact["lambda0_closed_form"] == [lead["lambda_re"], lead["lambda_im"]]
         assert [r["ell"] for r in artifact["records"]] == [0, 1, 2, 3, 4]
 
     def test_main_term_command(self, capsys):

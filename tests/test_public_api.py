@@ -38,7 +38,7 @@ def test_merged_duplicates_stay_gone():
     # one coefficient-stream builder (arith.tau_chi_coeffs), one prime sieve
     # (arith.primes_upto), no uncalled truncated-series G, one way to mu;
     # one tolerance on the vector zeta and L functions instead of a knob
-    # object, and one evaluation path (G.many) per regular factor
+    # object
     assert not hasattr(contourlab, "zl_coeffs")
     assert not hasattr(sdexpand, "DirichletSeriesG")
     # one vector factor table (arith.factor_columns); the per-n path is the
@@ -105,8 +105,14 @@ def test_merged_duplicates_stay_gone():
     tops = inspect.signature(contourlab.BoxGrid.in_marked_region).parameters["tops"]
     assert tops.default is inspect.Parameter.empty
     assert "principal" not in {f.name for f in dataclasses.fields(arith.CharacterTable)}
+    # one value path: lambda_0 is the expansion's order-0 coefficient, so
+    # a regular factor has no node evaluator and lambda0_closed_form no
+    # one-node G, zeta and L product
     for cls in (sdexpand.ZetaCompositionG, sdexpand.EulerProductG):
         assert "__call__" not in vars(cls), cls
+        assert "many" not in vars(cls), cls
+    assert not hasattr(sdexpand, "_g_many")
+    assert not hasattr(sdexpand, "_combine")
     for mod in (sdexpand, contourlab):
         for name in mod.__all__:
             obj = getattr(mod, name)
@@ -248,8 +254,6 @@ _DISPATCH_SENSITIVE = {"exp", "log", "power", "log1p", "expm1", "arctan2", "exp2
 # every use of one of them in the package: module, source of the call, and
 # why its bits do not depend on the dispatch target
 _SAFE_UFUNC_CALLS = [
-    ("sdexpand", "np.exp(-self.a * v * lp)", "complex argument (v is a complex node)"),
-    ("sdexpand", "np.log1p(-np.exp(-self.a * v * lp))", "complex argument"),
     ("specfun", "np.exp(t, out=t)", "complex argument (t is the outer product of complex128 s)"),
     ("specfun", "np.exp(-np.multiply.outer(s.real, log_d).astype(np.complex128))",
      "complex argument"),

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import mpmath
@@ -97,6 +96,27 @@ class TestApplicationSpecs:
         want = sf.zeta_complex(1.5).real / (2.0 * sf.zeta_complex(3.0).real)
         assert lam0.real == pytest.approx(want, abs=1e-12)
         assert lam0.real == pytest.approx(1.0866271562597771, abs=1e-12)
+
+    @pytest.mark.parametrize("app", ["squarefull", "two_squares", "wrong_congruence"])
+    def test_lambda0_against_mpmath(self, app):
+        # lambda0_closed_form is the order-0 expansion, so this pins it to
+        # references from mpmath at 30 digits: zeta(3/2) / (2 zeta(3)), and
+        # L(1, chi4)^{1/2} G(1) / Gamma(1/2) = prod_{p<=1e5} (1-p^{-2})^{-1/2} / sqrt(2)
+        # over p = 3 (mod 4), or p = 1 (mod 4) for the wrong congruence
+        with mpmath.workdps(30):
+            if app == "squarefull":
+                spec = sd.squarefull_series_spec()
+                want = mpmath.zeta(1.5) / (2 * mpmath.zeta(3))
+            else:
+                wrong = app == "wrong_congruence"
+                spec = sd.two_squares_series_spec(wrong_congruence=wrong)
+                residue = 1 if wrong else 3
+                primes = [p for p in primes_upto(10**5).tolist() if p % 4 == residue]
+                log_g = -mpmath.fsum(mpmath.log1p(-mpmath.mpf(p) ** -2) for p in primes) / 2
+                want = mpmath.exp(log_g) / mpmath.sqrt(2)
+            want = float(want)
+        lam0 = sd.lambda0_closed_form(spec)
+        assert abs(lam0 - want) <= 1e-15 * want
 
     def test_squarefull_expansion_matches_closed_form(self):
         spec = sd.squarefull_series_spec()
@@ -238,32 +258,6 @@ class TestMainTerm:
             sd.main_term(spec, 2.0, 1.0, 0)
         with pytest.raises(DomainError):
             sd.main_term(spec, 1e6, 1e6, 0)  # y > x^(1/2)
-
-
-def _nodes():
-    # 512 points on the circle |s - 1| = 1/4
-    theta = 2.0 * math.pi * np.arange(512) / 512
-    return 1.0 + 0.25 * np.exp(1j * theta)
-
-
-def _scalar_G(G, s):
-    # one node at a time, the scalar formula of an Euler product
-    acc = 0j
-    for p0, a0, e0 in G.extra:
-        acc += e0 * cmath.log(1.0 - cmath.exp(-a0 * s * math.log(p0)))
-    primes = primes_upto(G.prime_limit)
-    lp = np.log(primes[np.isin(primes % G.modulus, G.residues)].astype(np.float64))
-    acc += G.e * complex(np.sum(np.log1p(-np.exp(-G.a * s * lp))))
-    return cmath.exp(acc)
-
-
-class TestVectorRegularFactor:
-    @pytest.mark.parametrize("residue", [3, 1])
-    def test_euler_product_many_matches_scalar(self, residue):
-        G = _two_squares_G(residue, sd.EulerProductG.prime_limit)
-        nodes = _nodes()
-        want = np.array([_scalar_G(G, complex(s)) for s in nodes])
-        assert np.array_equal(G.many(nodes).view(np.float64), want.view(np.float64))
 
 
 def _two_squares_G(residue, prime_limit):
